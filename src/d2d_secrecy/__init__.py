@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     ExcludedRegionError,
     InsufficientDataError,
-    NoCrossingError,
     NumericalError,
     RegimeError,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ExcludedRegionError",
     "RegimeError",
     "NumericalError",
-    "NoCrossingError",
     "InsufficientDataError",
     "SystemParams",
     "GuardZoneDesign",

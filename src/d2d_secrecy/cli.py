@@ -25,12 +25,12 @@ import io
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .errors import (
     DomainError,
     InsufficientDataError,
-    NoCrossingError,
     NumericalError,
     RegimeError,
 )
@@ -54,10 +54,9 @@ from .optimizer import (
     selection_function,
 )
 
-__all__ = ["RunConfig", "SweepRow", "main"]
+__all__ = ["RunConfig", "main"]
 
 NO_ENHANCEMENT = "no-enhancement-needed"
-NO_CROSSING = "no-crossing"
 
 # distance used internally when the caller did not supply one; commands
 # that run without --d must never emit anything derived from it
@@ -113,70 +112,6 @@ _CONFIG_SECTIONS = {
     "output": {"format": str, "out": str},
 }
 
-SWEEP_D_HEADER = [
-    "d",
-    "f_value",
-    "r_g_star",
-    "gamma_star",
-    "p_cov_gz",
-    "p_sec_gz",
-    "p_cov_an",
-    "p_sec_an",
-    "mc_p_cov_gz",
-    "mc_p_cov_gz_half_width",
-    "mc_p_cov_an",
-    "mc_p_cov_an_half_width",
-    "verdict",
-    "d_star",
-]
-
-SWEEP_LAMBDA_HEADER = [
-    "lambda_e",
-    "d_star",
-    "f_at_d_star",
-    "r_g_star",
-    "gamma_star",
-    "p_cov_gz",
-    "p_cov_an",
-    "p_sec",
-    "verdict",
-]
-
-ANALYTIC_HEADER = ["technique", "p_active", "p_cov", "p_sec"]
-
-OPTIMIZE_HEADER = [
-    "lambda_threshold",
-    "enhancement_needed",
-    "r_g_star",
-    "gz_constraint_active",
-    "gz_p_cov",
-    "gz_p_sec",
-    "gamma_star",
-    "an_constraint_active",
-    "an_p_cov",
-    "an_p_sec",
-]
-
-SELECT_HEADER = [
-    "verdict",
-    "f_value",
-    "h_value",
-    "g_value",
-    "r_g_star",
-    "gamma_star",
-    "lambda_threshold",
-]
-
-MC_VALIDATE_HEADER = [
-    "check",
-    "analytic",
-    "mc",
-    "half_width",
-    "n_effective",
-    "pass",
-    "note",
-]
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -196,25 +131,6 @@ class RunConfig:
     output_path: str = "-"
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a sweep table."""
-
-    variable: str
-    value: float
-    f_value: float | None
-    r_g_star: float | None
-    gamma_star: float | None
-    p_cov_gz: float | None
-    p_sec_gz: float | None
-    p_cov_an: float | None
-    p_sec_an: float | None
-    mc_p_cov_gz: McEstimate | None
-    mc_p_cov_an: McEstimate | None
-    d_star: float | None
-    verdict: str
-
-
 class UsageError(Exception):
     """Bad flags or config values; maps to exit code 2."""
 
@@ -229,6 +145,33 @@ def _prob(x: float | None) -> str:
 
 def _flag(b: bool | None) -> str:
     return "" if b is None else ("true" if b else "false")
+
+
+def _text(x: object) -> str:
+    return "" if x is None else str(x)
+
+
+# one CSV column: header, value read from one JSON row, formatter
+Column = tuple[str, Callable[[dict], object], Callable[[object], str]]
+
+
+def _column(header: str, fmt: Callable[[object], str], *path: str) -> Column:
+    """Column whose value sits at path in a JSON row (default: at the
+    header); a null anywhere along the path gives a null value."""
+    keys = path or (header,)
+
+    def value(row: dict) -> object:
+        for key in keys:
+            if row is None:
+                return None
+            row = row[key]
+        return row
+
+    return header, value, fmt
+
+
+def _header(columns: tuple[Column, ...]) -> list[str]:
+    return [header for header, _, _ in columns]
 
 
 def _estimate_json(est: McEstimate | None) -> dict | None:
@@ -255,11 +198,11 @@ def _params_json(params: SystemParams, d_supplied: bool) -> dict:
     }
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(columns: tuple[Column, ...], rows: list[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(_header(columns))
+    writer.writerows([fmt(value(row)) for _, value, fmt in columns] for row in rows)
     return buffer.getvalue()
 
 
@@ -459,7 +402,19 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def cmd_analytic(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
+# Each report declares its CSV columns once; every CSV cell is read from
+# the JSON report, so the two formats cannot disagree.
+
+ANALYTIC_COLUMNS = (
+    _column("technique", _text),
+    _column("p_active", _prob),
+    _column("p_cov", _prob),
+    _column("p_sec", _prob),
+)
+ANALYTIC_HEADER = _header(ANALYTIC_COLUMNS)
+
+
+def cmd_analytic(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     params = cfg.params
     if cfg.r_g is not None:
         design = GuardZoneDesign(r_g=cfg.r_g)
@@ -482,17 +437,29 @@ def cmd_analytic(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
         "p_cov": cov,
         "p_sec": sec,
     }
-    row = [technique, _prob(active), _prob(cov), _prob(sec)]
-    return report, [row], 0
+    return report, [report], 0
 
 
-def cmd_optimize(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
+OPTIMIZE_COLUMNS = (
+    _column("lambda_threshold", _num),
+    _column("enhancement_needed", _flag),
+    _column("r_g_star", _num, "guard_zone", "r_g_star"),
+    _column("gz_constraint_active", _flag, "guard_zone", "constraint_active"),
+    _column("gz_p_cov", _prob, "guard_zone", "p_cov"),
+    _column("gz_p_sec", _prob, "guard_zone", "p_sec"),
+    _column("gamma_star", _num, "artificial_noise", "gamma_star"),
+    _column("an_constraint_active", _flag, "artificial_noise", "constraint_active"),
+    _column("an_p_cov", _prob, "artificial_noise", "p_cov"),
+    _column("an_p_sec", _prob, "artificial_noise", "p_sec"),
+)
+OPTIMIZE_HEADER = _header(OPTIMIZE_COLUMNS)
+
+
+def cmd_optimize(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     params = cfg.params
     threshold = lambda_threshold(params)
     gz = optimal_guard_radius(params)
     an = optimal_power_split(params)
-    gz_cov = gz.metrics.p_cov if cfg.d_supplied else None
-    an_cov = an.metrics.p_cov if cfg.d_supplied else None
     report = {
         "command": "optimize",
         "params": _params_json(params, cfg.d_supplied),
@@ -501,85 +468,90 @@ def cmd_optimize(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
         "guard_zone": {
             "r_g_star": gz.parameter,
             "constraint_active": gz.constraint_active,
-            "p_cov": gz_cov,
+            "p_cov": gz.metrics.p_cov if cfg.d_supplied else None,
             "p_sec": gz.metrics.p_sec,
         },
         "artificial_noise": {
             "gamma_star": an.parameter,
             "constraint_active": an.constraint_active,
-            "p_cov": an_cov,
+            "p_cov": an.metrics.p_cov if cfg.d_supplied else None,
             "p_sec": an.metrics.p_sec,
         },
     }
-    row = [
-        _num(threshold),
-        _flag(params.lambda_e >= threshold),
-        _num(gz.parameter),
-        _flag(gz.constraint_active),
-        _prob(gz_cov),
-        _prob(gz.metrics.p_sec),
-        _num(an.parameter),
-        _flag(an.constraint_active),
-        _prob(an_cov),
-        _prob(an.metrics.p_sec),
-    ]
-    return report, [row], 0
+    return report, [report], 0
 
 
-def cmd_select(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
+SELECT_COLUMNS = (
+    _column("verdict", _text),
+    _column("f_value", _num),
+    _column("h_value", _num),
+    _column("g_value", _num),
+    _column("r_g_star", _num),
+    _column("gamma_star", _num),
+    _column("lambda_threshold", _num),
+)
+SELECT_HEADER = _header(SELECT_COLUMNS)
+
+
+def cmd_select(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     params = cfg.params
     threshold = lambda_threshold(params)
     try:
         verdict = selection_function(params)
+        fields = {
+            "verdict": verdict.better.value,
+            "f_value": verdict.f_value,
+            "h_value": verdict.h_value,
+            "g_value": verdict.g_value,
+            "r_g_star": verdict.gz_design.parameter,
+            "gamma_star": verdict.an_design.parameter,
+        }
     except RegimeError:
-        report = {
-            "command": "select",
-            "params": _params_json(params, cfg.d_supplied),
+        fields = {
             "verdict": NO_ENHANCEMENT,
             "f_value": None,
             "h_value": None,
             "g_value": None,
             "r_g_star": 0.0,
             "gamma_star": 1.0,
-            "lambda_threshold": threshold,
         }
-        row = [NO_ENHANCEMENT, "", "", "", _num(0.0), _num(1.0), _num(threshold)]
-        print(NO_ENHANCEMENT, file=sys.stderr)
-        return report, [row], 0
-    token = verdict.better.value
     report = {
         "command": "select",
         "params": _params_json(params, cfg.d_supplied),
-        "verdict": token,
-        "f_value": verdict.f_value,
-        "h_value": verdict.h_value,
-        "g_value": verdict.g_value,
-        "r_g_star": verdict.gz_design.parameter,
-        "gamma_star": verdict.an_design.parameter,
+        **fields,
         "lambda_threshold": threshold,
     }
-    row = [
-        token,
-        _num(verdict.f_value),
-        _num(verdict.h_value),
-        _num(verdict.g_value),
-        _num(verdict.gz_design.parameter),
-        _num(verdict.an_design.parameter),
-        _num(threshold),
-    ]
-    print(token, file=sys.stderr)
-    return report, [row], 0
+    print(report["verdict"], file=sys.stderr)
+    return report, [report], 0
 
 
-def _check_entry(analytic: float, estimate: McEstimate | None, note: str | None = None) -> dict:
+MC_VALIDATE_COLUMNS = (
+    _column("check", _text),
+    _column("analytic", _prob),
+    _column("mc", _prob),
+    _column("half_width", _prob),
+    # a check without an estimate has n_effective 0 in JSON, blank in CSV
+    (
+        "n_effective",
+        lambda entry: None if entry["mc"] is None else entry["n_effective"],
+        _text,
+    ),
+    _column("pass", _flag),
+    _column("note", _text),
+)
+MC_VALIDATE_HEADER = _header(MC_VALIDATE_COLUMNS)
+
+
+def _check_entry(analytic: float, estimate: McEstimate | None) -> dict:
     if estimate is None:
+        # only the conditional secrecy estimate can be missing
         return {
             "analytic": analytic,
             "mc": None,
             "half_width": None,
             "n_effective": 0,
             "pass": None,
-            "note": note,
+            "note": "no-active-trials",
         }
     return {
         "analytic": analytic,
@@ -587,23 +559,11 @@ def _check_entry(analytic: float, estimate: McEstimate | None, note: str | None 
         "half_width": estimate.half_width,
         "n_effective": estimate.n_effective,
         "pass": abs(analytic - estimate.mean) <= 3.0 * estimate.half_width,
-        "note": note,
+        "note": None,
     }
 
 
-def _check_row(name: str, entry: dict) -> list[str]:
-    return [
-        name,
-        _prob(entry["analytic"]),
-        _prob(entry["mc"]),
-        _prob(entry["half_width"]),
-        "" if entry["mc"] is None else str(entry["n_effective"]),
-        _flag(entry["pass"]),
-        entry["note"] or "",
-    ]
-
-
-def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
+def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     params = cfg.params
     trial_cfg = TrialConfig(
         n_trials=cfg.trials,
@@ -621,21 +581,9 @@ def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
             "p_sec": p_sec_gz(params, design),
         }
         try:
-            result = run_gz_trials(params, design, trial_cfg)
-            checks = {
-                "p_active": _check_entry(analytic["p_active"], result.p_active),
-                "p_cov": _check_entry(analytic["p_cov"], result.p_cov),
-                "p_sec": _check_entry(analytic["p_sec"], result.p_sec),
-            }
+            estimates = vars(run_gz_trials(params, design, trial_cfg))
         except InsufficientDataError as exc:
-            partial = getattr(exc, "partial", {})
-            checks = {
-                "p_active": _check_entry(
-                    analytic["p_active"], partial.get("p_active")
-                ),
-                "p_cov": _check_entry(analytic["p_cov"], partial.get("p_cov")),
-                "p_sec": _check_entry(analytic["p_sec"], None, "no-active-trials"),
-            }
+            estimates = exc.partial
             exit_code = 4
     else:
         design = NoiseSplitDesign(gamma=cfg.gamma)
@@ -644,11 +592,11 @@ def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
             "p_cov": p_cov_an(params, design),
             "p_sec": p_sec_an(params, design),
         }
-        result = run_an_trials(params, design, trial_cfg)
-        checks = {
-            "p_cov": _check_entry(analytic["p_cov"], result.p_cov),
-            "p_sec": _check_entry(analytic["p_sec"], result.p_sec),
-        }
+        estimates = vars(run_an_trials(params, design, trial_cfg))
+    checks = {
+        name: _check_entry(value, estimates.get(name))
+        for name, value in analytic.items()
+    }
     passes = [entry["pass"] for entry in checks.values()]
     report = {
         "command": "mc-validate",
@@ -660,17 +608,33 @@ def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
         "checks": checks,
         "all_pass": all(p is True for p in passes) if passes else False,
     }
-    rows = [_check_row(name, entry) for name, entry in checks.items()]
+    rows = [{"check": name, **entry} for name, entry in checks.items()]
     return report, rows, exit_code
 
 
+SWEEP_D_COLUMNS = (
+    _column("d", _num),
+    _column("f_value", _num),
+    _column("r_g_star", _num),
+    _column("gamma_star", _num),
+    _column("p_cov_gz", _prob),
+    _column("p_sec_gz", _prob),
+    _column("p_cov_an", _prob),
+    _column("p_sec_an", _prob),
+    _column("mc_p_cov_gz", _prob, "mc_p_cov_gz", "mean"),
+    _column("mc_p_cov_gz_half_width", _prob, "mc_p_cov_gz", "half_width"),
+    _column("mc_p_cov_an", _prob, "mc_p_cov_an", "mean"),
+    _column("mc_p_cov_an_half_width", _prob, "mc_p_cov_an", "half_width"),
+    _column("verdict", _text),
+    # the report's d_star, repeated on every row
+    _column("d_star", _num),
+)
+SWEEP_D_HEADER = _header(SWEEP_D_COLUMNS)
+
+
 def _sweep_d_row(
-    params: SystemParams,
-    d_value: float,
-    threshold: float,
-    d_star: float | None,
-    cfg: RunConfig,
-) -> SweepRow:
+    params: SystemParams, d_value: float, threshold: float, cfg: RunConfig
+) -> dict:
     point = replace(params, d=d_value)
     gz = optimal_guard_radius(point)
     an = optimal_power_split(point)
@@ -695,55 +659,27 @@ def _sweep_d_row(
         mc_an = run_an_trials(
             point, NoiseSplitDesign(gamma=an.parameter), trial_cfg
         ).p_cov
-    return SweepRow(
-        variable="d",
-        value=d_value,
-        f_value=f_value,
-        r_g_star=gz.parameter,
-        gamma_star=an.parameter,
-        p_cov_gz=gz.metrics.p_cov,
-        p_sec_gz=gz.metrics.p_sec,
-        p_cov_an=an.metrics.p_cov,
-        p_sec_an=an.metrics.p_sec,
-        mc_p_cov_gz=mc_gz,
-        mc_p_cov_an=mc_an,
-        d_star=d_star,
-        verdict=verdict,
-    )
+    return {
+        "d": d_value,
+        "f_value": f_value,
+        "r_g_star": gz.parameter,
+        "gamma_star": an.parameter,
+        "p_cov_gz": gz.metrics.p_cov,
+        "p_sec_gz": gz.metrics.p_sec,
+        "p_cov_an": an.metrics.p_cov,
+        "p_sec_an": an.metrics.p_sec,
+        "mc_p_cov_gz": _estimate_json(mc_gz),
+        "mc_p_cov_an": _estimate_json(mc_an),
+        "verdict": verdict,
+    }
 
 
-def _sweep_d_csv_row(row: SweepRow) -> list[str]:
-    return [
-        _num(row.value),
-        _num(row.f_value),
-        _num(row.r_g_star),
-        _num(row.gamma_star),
-        _prob(row.p_cov_gz),
-        _prob(row.p_sec_gz),
-        _prob(row.p_cov_an),
-        _prob(row.p_sec_an),
-        _prob(None if row.mc_p_cov_gz is None else row.mc_p_cov_gz.mean),
-        _prob(None if row.mc_p_cov_gz is None else row.mc_p_cov_gz.half_width),
-        _prob(None if row.mc_p_cov_an is None else row.mc_p_cov_an.mean),
-        _prob(None if row.mc_p_cov_an is None else row.mc_p_cov_an.half_width),
-        row.verdict,
-        _num(row.d_star),
-    ]
-
-
-def cmd_sweep_d(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
+def cmd_sweep_d(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     params = cfg.params
     threshold = lambda_threshold(params)
-    d_star = None
-    if params.lambda_e >= threshold:
-        try:
-            d_star = critical_distance(params).d_star
-        except NoCrossingError:
-            d_star = None
-    rows = [
-        _sweep_d_row(params, d_value, threshold, d_star, cfg)
-        for d_value in cfg.grid
-    ]
+    d_star = (
+        critical_distance(params).d_star if params.lambda_e >= threshold else None
+    )
     report = {
         "command": "sweep-d",
         "params": _params_json(params, cfg.d_supplied),
@@ -752,138 +688,83 @@ def cmd_sweep_d(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
         "mc_trials": cfg.mc_trials,
         "seed": cfg.seed if cfg.mc_trials is not None else None,
         "rows": [
-            {
-                "d": row.value,
-                "f_value": row.f_value,
-                "r_g_star": row.r_g_star,
-                "gamma_star": row.gamma_star,
-                "p_cov_gz": row.p_cov_gz,
-                "p_sec_gz": row.p_sec_gz,
-                "p_cov_an": row.p_cov_an,
-                "p_sec_an": row.p_sec_an,
-                "mc_p_cov_gz": _estimate_json(row.mc_p_cov_gz),
-                "mc_p_cov_an": _estimate_json(row.mc_p_cov_an),
-                "verdict": row.verdict,
-            }
-            for row in rows
+            _sweep_d_row(params, d_value, threshold, cfg) for d_value in cfg.grid
         ],
     }
-    return report, [_sweep_d_csv_row(row) for row in rows], 0
+    return report, [{**row, "d_star": d_star} for row in report["rows"]], 0
 
 
-def _sweep_lambda_row(params: SystemParams, lam: float, threshold: float) -> SweepRow:
+SWEEP_LAMBDA_COLUMNS = (
+    _column("lambda_e", _num),
+    _column("d_star", _num),
+    _column("f_at_d_star", _num),
+    _column("r_g_star", _num),
+    _column("gamma_star", _num),
+    _column("p_cov_gz", _prob),
+    _column("p_cov_an", _prob),
+    _column("p_sec", _prob),
+    _column("verdict", _text),
+)
+SWEEP_LAMBDA_HEADER = _header(SWEEP_LAMBDA_COLUMNS)
+
+
+def _sweep_lambda_row(params: SystemParams, lam: float, threshold: float) -> dict:
     point = replace(params, lambda_e=lam)
     gz = optimal_guard_radius(point)
     an = optimal_power_split(point)
-    if lam < threshold:
-        return SweepRow(
-            variable="lambda_e",
-            value=lam,
-            f_value=None,
-            r_g_star=gz.parameter,
-            gamma_star=an.parameter,
-            p_cov_gz=None,
-            p_sec_gz=gz.metrics.p_sec,
-            p_cov_an=None,
-            p_sec_an=an.metrics.p_sec,
-            mc_p_cov_gz=None,
-            mc_p_cov_an=None,
-            d_star=None,
-            verdict=NO_ENHANCEMENT,
+    row = {
+        "lambda_e": lam,
+        "d_star": None,
+        "f_at_d_star": None,
+        "r_g_star": gz.parameter,
+        "gamma_star": an.parameter,
+        "p_cov_gz": None,
+        "p_cov_an": None,
+        "p_sec": gz.metrics.p_sec,
+        "verdict": NO_ENHANCEMENT,
+    }
+    if lam >= threshold:
+        at_star = replace(point, d=critical_distance(point).d_star)
+        selection = selection_function(at_star)
+        row.update(
+            d_star=at_star.d,
+            f_at_d_star=selection.f_value,
+            p_cov_gz=selection.gz_design.metrics.p_cov,
+            p_cov_an=selection.an_design.metrics.p_cov,
+            verdict="ok",
         )
-    try:
-        d_star = critical_distance(point).d_star
-    except NoCrossingError:
-        return SweepRow(
-            variable="lambda_e",
-            value=lam,
-            f_value=None,
-            r_g_star=gz.parameter,
-            gamma_star=an.parameter,
-            p_cov_gz=None,
-            p_sec_gz=gz.metrics.p_sec,
-            p_cov_an=None,
-            p_sec_an=an.metrics.p_sec,
-            mc_p_cov_gz=None,
-            mc_p_cov_an=None,
-            d_star=None,
-            verdict=NO_CROSSING,
-        )
-    at_star = replace(point, d=d_star)
-    selection = selection_function(at_star)
-    return SweepRow(
-        variable="lambda_e",
-        value=lam,
-        f_value=selection.f_value,
-        r_g_star=selection.gz_design.parameter,
-        gamma_star=selection.an_design.parameter,
-        p_cov_gz=selection.gz_design.metrics.p_cov,
-        p_sec_gz=selection.gz_design.metrics.p_sec,
-        p_cov_an=selection.an_design.metrics.p_cov,
-        p_sec_an=selection.an_design.metrics.p_sec,
-        mc_p_cov_gz=None,
-        mc_p_cov_an=None,
-        d_star=d_star,
-        verdict="ok",
-    )
+    return row
 
 
-def cmd_sweep_lambda(cfg: RunConfig) -> tuple[dict, list[list[str]], int]:
+def cmd_sweep_lambda(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     params = cfg.params
     threshold = lambda_threshold(params)
     rows = [_sweep_lambda_row(params, lam, threshold) for lam in cfg.grid]
-    solved = [row.d_star for row in rows if row.d_star is not None]
+    solved = [row["d_star"] for row in rows if row["d_star"] is not None]
     monotone = all(a <= b for a, b in zip(solved, solved[1:]))
     report = {
         "command": "sweep-lambda",
         "params": _params_json(params, cfg.d_supplied),
         "lambda_threshold": threshold,
         "monotone_nondecreasing": monotone,
-        "rows": [
-            {
-                "lambda_e": row.value,
-                "d_star": row.d_star,
-                "f_at_d_star": row.f_value,
-                "r_g_star": row.r_g_star,
-                "gamma_star": row.gamma_star,
-                "p_cov_gz": row.p_cov_gz,
-                "p_cov_an": row.p_cov_an,
-                "p_sec": row.p_sec_gz,
-                "verdict": row.verdict,
-            }
-            for row in rows
-        ],
+        "rows": rows,
     }
-    csv_rows = [
-        [
-            _num(row.value),
-            _num(row.d_star),
-            _num(row.f_value),
-            _num(row.r_g_star),
-            _num(row.gamma_star),
-            _prob(row.p_cov_gz),
-            _prob(row.p_cov_an),
-            _prob(row.p_sec_gz),
-            row.verdict,
-        ]
-        for row in rows
-    ]
     exit_code = 0
     if not monotone:
         print(
             "error: critical-distance curve is not nondecreasing", file=sys.stderr
         )
         exit_code = 3
-    return report, csv_rows, exit_code
+    return report, rows, exit_code
 
 
 _COMMANDS = {
-    "analytic": (cmd_analytic, ANALYTIC_HEADER),
-    "optimize": (cmd_optimize, OPTIMIZE_HEADER),
-    "select": (cmd_select, SELECT_HEADER),
-    "mc-validate": (cmd_mc_validate, MC_VALIDATE_HEADER),
-    "sweep-d": (cmd_sweep_d, SWEEP_D_HEADER),
-    "sweep-lambda": (cmd_sweep_lambda, SWEEP_LAMBDA_HEADER),
+    "analytic": (cmd_analytic, ANALYTIC_COLUMNS),
+    "optimize": (cmd_optimize, OPTIMIZE_COLUMNS),
+    "select": (cmd_select, SELECT_COLUMNS),
+    "mc-validate": (cmd_mc_validate, MC_VALIDATE_COLUMNS),
+    "sweep-d": (cmd_sweep_d, SWEEP_D_COLUMNS),
+    "sweep-lambda": (cmd_sweep_lambda, SWEEP_LAMBDA_COLUMNS),
 }
 
 
@@ -900,7 +781,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _make_config(args)
-        command, header = _COMMANDS[args.command]
+        command, columns = _COMMANDS[args.command]
         report, csv_rows, exit_code = command(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -917,7 +798,7 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.output_format == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
-        text = _csv_text(header, csv_rows)
+        text = _csv_text(columns, csv_rows)
     _emit(text, cfg.output_path)
     return exit_code
 

@@ -37,10 +37,13 @@ class NumericalError(RuntimeError):
         self.context = context
 
 
-class NoCrossingError(NumericalError):
-    """A root bracket could not be established: the function does not
-    change sign over the searched interval."""
-
-
 class InsufficientDataError(RuntimeError):
-    """A conditional Monte-Carlo estimate has an empty conditioning set."""
+    """A conditional Monte-Carlo estimate has an empty conditioning set.
+
+    partial maps the names of the estimates that did not need that set
+    to their values; it is empty when there are none.
+    """
+
+    def __init__(self, message: str, partial: dict[str, object] | None = None):
+        super().__init__(message)
+        self.partial = {} if partial is None else partial

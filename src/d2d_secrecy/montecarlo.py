@@ -343,15 +343,14 @@ def run_gz_trials(
     p_cov_est = _binomial_estimate(k_cov, n)
     p_sec_all = _binomial_estimate(k_sec_all, n)
     if k_active == 0:
-        error = InsufficientDataError(
-            "no active trials; the conditional secrecy probability is undefined"
+        raise InsufficientDataError(
+            "no active trials; the conditional secrecy probability is undefined",
+            partial={
+                "p_active": p_active_est,
+                "p_cov": p_cov_est,
+                "p_sec_unconditioned": p_sec_all,
+            },
         )
-        error.partial = {
-            "p_active": p_active_est,
-            "p_cov": p_cov_est,
-            "p_sec_unconditioned": p_sec_all,
-        }
-        raise error
     return GzTrialEstimates(
         p_active=p_active_est,
         p_cov=p_cov_est,

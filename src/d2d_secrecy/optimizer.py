@@ -6,8 +6,10 @@ p_sec >= epsilon the best choice of that scalar has a closed form: the
 guard radius comes from inverting an incomplete gamma, the power split
 is explicit. Which optimized technique covers better at a given link
 distance reduces to the sign of a selection function F(d); F increases
-with d and crosses zero once, at the critical distance d_star. Short
-links favor artificial noise, long links favor the guard zone.
+with d and crosses zero once, at the critical distance d_star, where
+the two optimal coverage exponents are equal. That equality gives d_star
+in closed form. Short links favor artificial noise, long links favor the
+guard zone.
 
 Below the density threshold lambda_threshold() plain transmission
 already meets the secrecy target and both optima degenerate to the null
@@ -20,14 +22,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, NoCrossingError, RegimeError
+from .errors import RegimeError
 from .model import (
     GuardZoneDesign,
     NoiseSplitDesign,
     SystemParams,
     TechniqueMetrics,
     _power,
-    density_factor,
     order,
     p_cov_an,
     p_cov_gz,
@@ -53,11 +54,6 @@ __all__ = [
     "selection_function",
     "critical_distance",
 ]
-
-# bisection width on d for the critical-distance solver
-_D_TOL = 1e-10
-_DEFAULT_BRACKET = (1e-3, 10.0)
-_MAX_EXPANSIONS = 60
 
 
 class Technique(Enum):
@@ -89,10 +85,9 @@ class SelectionVerdict:
 
 @dataclass(frozen=True)
 class CriticalDistance:
-    """Root of the selection function, with the bracket that contained it."""
+    """Root of the selection function."""
 
     d_star: float
-    bracket: tuple[float, float]
 
 
 def lambda_threshold(params: SystemParams) -> float:
@@ -206,16 +201,22 @@ def selection_function(params: SystemParams) -> SelectionVerdict:
     )
 
 
-def critical_distance(
-    params: SystemParams, bracket_hint: tuple[float, float] | None = None
-) -> CriticalDistance:
+def critical_distance(params: SystemParams) -> CriticalDistance:
     """Distance at which the preferred technique flips.
 
-    Bisection on the monotone selection function, starting from
-    bracket_hint (default [1e-3, 10]) and expanding geometrically until
-    the sign change is contained. Exactly at the threshold density the
-    selection function is numerically zero everywhere; the solver then
-    reports the lower bracket edge.
+    F(d) = 0 exactly where the two optimal coverage exponents are equal,
+    lambda_e*pi*r_g*^2 = (beta_t*sigma2_p*d^alpha/p_t) * (1/gamma* - 1),
+    which gives
+
+        d*^alpha = lambda_e*pi*r_g*^2 * p_t*gamma* / (beta_t*sigma2_p*(1 - gamma*)).
+
+    At the threshold density both optima are null and the ratio is 0/0;
+    d* is then its limit as lambda_e approaches the threshold from above,
+
+        d*^alpha = 2*(1 + beta_e)*p_t*(-ln epsilon) / (alpha*beta_t*sigma2_p).
+
+    Rounding can leave only one of the two optima null there, so either
+    one being null selects the limit.
     """
     lam_star = lambda_threshold(params)
     if params.lambda_e < lam_star:
@@ -223,47 +224,16 @@ def critical_distance(
             f"lambda_e = {params.lambda_e:g} is below the enhancement "
             f"threshold {lam_star:g}; the selection function has no root"
         )
-    lo, hi = bracket_hint if bracket_hint is not None else _DEFAULT_BRACKET
-    if not (0.0 < lo < hi) or not math.isfinite(hi):
-        raise DomainError(f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
-
+    r_star = optimal_guard_radius(params).parameter
     g = optimal_power_split(params).parameter
-
-    def f(d: float) -> float:
-        return _selection_f(params, g, d)[0]
-
-    f_lo = f(lo)
-    flat_tol = 1e-14 * max(1.0, complete_gamma(order(params)))
-    if abs(f_lo) <= flat_tol:
-        # F is indistinguishable from zero at double precision (threshold
-        # density); any distance is a root, report the lower edge
-        return CriticalDistance(d_star=lo, bracket=(lo, hi))
-
-    f_hi = f(hi)
-    for _ in range(_MAX_EXPANSIONS):
-        if f_lo > 0.0:
-            hi, f_hi = lo, f_lo
-            lo /= 10.0
-            f_lo = f(lo)
-        elif f_hi < 0.0:
-            lo, f_lo = hi, f_hi
-            hi *= 2.0
-            f_hi = f(hi)
-        else:
-            break
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise NoCrossingError(
-            "no sign change of the selection function within "
-            f"[{lo:g}, {hi:g}]: F(lo) = {f_lo:g}, F(hi) = {f_hi:g}"
+    if r_star == 0.0 or g == 1.0:
+        # at the threshold gamma* -> 1 and
+        # lambda_e*pi*r_g*^2 / (1 - gamma*) -> 2*(1 + beta_e)*(-ln eps)/alpha
+        g = 1.0
+        exponent_ratio = (
+            2.0 * (1.0 + params.beta_e) * -math.log(params.epsilon) / params.alpha
         )
-
-    bracket = (lo, hi)
-    while hi - lo > _D_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return CriticalDistance(d_star=0.5 * (lo + hi), bracket=bracket)
+    else:
+        exponent_ratio = params.lambda_e * math.pi * (r_star * r_star) / (1.0 - g)
+    d_alpha = exponent_ratio * params.p_t * g / (params.beta_t * params.sigma2_p)
+    return CriticalDistance(d_star=d_alpha ** (1.0 / params.alpha))

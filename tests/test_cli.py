@@ -346,12 +346,23 @@ class TestSweepLambda:
         assert below["r_g_star"] == 0.0
         assert below["gamma_star"] == 1.0
 
-    def test_boundary_density_clamps_small(self, capsys):
-        lam_star = "0.03784278358522515"
+    # lambda_threshold at each alpha, and the limit of d* there:
+    # d*^alpha = 2 (1 + beta_e) p_t (-ln epsilon) / (alpha beta_t sigma2_p)
+    @pytest.mark.parametrize(
+        "alpha, lam_star, limit",
+        [
+            ("3", "0.0371503390925252", 0.41259966986709196),
+            ("4", "0.03784278358522515", 0.47908433757868807),
+            ("6", "0.03755662175089827", 0.5722591851550981),
+        ],
+        ids=["alpha3", "alpha4", "alpha6"],
+    )
+    def test_boundary_density_reports_the_limit(self, capsys, alpha, lam_star, limit):
         code, report, _ = run_json(
             capsys,
             [
                 "sweep-lambda",
+                "--alpha", alpha,
                 "--grid-start", lam_star,
                 "--grid-stop", lam_star,
                 "--grid-step", "1",
@@ -360,7 +371,8 @@ class TestSweepLambda:
         assert code == 0
         row = report["rows"][0]
         assert row["verdict"] == "ok"
-        assert row["d_star"] == pytest.approx(1e-3, abs=1e-6)
+        assert row["d_star"] == pytest.approx(limit, rel=1e-12)
+        assert row["p_cov_gz"] == pytest.approx(row["p_cov_an"], rel=1e-12)
 
     def test_csv_header(self, capsys):
         code, header, rows = run_csv(

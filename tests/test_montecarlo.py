@@ -261,6 +261,8 @@ class TestGuardZoneTrials:
         partial = excinfo.value.partial
         assert partial["p_active"].mean == 0.0
         assert set(partial) == {"p_active", "p_cov", "p_sec_unconditioned"}
+        # an error raised without estimates still carries the field
+        assert InsufficientDataError("no trials").partial == {}
 
     def test_window_insensitivity(self):
         # doubling the window may only move estimates by the documented

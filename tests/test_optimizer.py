@@ -3,7 +3,8 @@
 Frozen values were produced by an independent oracle (scipy.special
 forward evaluations inverted with brentq). The grid-search optimality
 oracle lives in the acceptance suite; here the focus is contracts and
-analytic identities.
+analytic identities. The closed-form critical distance is checked
+against a bisection on the sign of the selection function.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d2d_secrecy.errors import DomainError, NoCrossingError, RegimeError
+from d2d_secrecy.errors import RegimeError
 from d2d_secrecy.model import (
     GuardZoneDesign,
     NoiseSplitDesign,
@@ -187,13 +188,45 @@ def test_selection_increases_with_distance():
     assert all(a < b for a, b in zip(strict, strict[1:]))
 
 
+def _bisect_critical_distance(params: SystemParams) -> float:
+    """Oracle for d*: bisection on the sign of the selection function."""
+
+    def f(d: float) -> float:
+        return selection_function(replace(params, d=d)).f_value
+
+    lo, hi = 1e-3, 10.0
+    while f(lo) > 0.0:
+        lo, hi = lo / 10.0, lo
+    while f(hi) < 0.0:
+        lo, hi = hi, hi * 2.0
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def test_critical_distance_reference_root():
     result = critical_distance(BASE)
     assert isinstance(result, CriticalDistance)
     assert result.d_star == pytest.approx(D_STAR, abs=1e-8)
-    assert result.bracket[0] <= result.d_star <= result.bracket[1]
     assert selection_function(replace(BASE, d=0.9 * result.d_star)).f_value < 0.0
     assert selection_function(replace(BASE, d=1.1 * result.d_star)).f_value > 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=binding_params())
+def test_critical_distance_matches_bisection_and_equalizes_coverage(params):
+    d_star = critical_distance(params).d_star
+    assert d_star == pytest.approx(_bisect_critical_distance(params), rel=1e-9)
+    at_star = replace(params, d=d_star)
+    gz_cov = optimal_guard_radius(at_star).metrics.p_cov
+    an_cov = optimal_power_split(at_star).metrics.p_cov
+    if min(gz_cov, an_cov) <= 1e-300:
+        return  # coverage underflowed; the equality is invisible in doubles
+    assert gz_cov == pytest.approx(an_cov, rel=1e-12)
 
 
 def test_critical_distance_grows_with_density():
@@ -203,31 +236,25 @@ def test_critical_distance_grows_with_density():
     assert d2 > d1
 
 
-def test_critical_distance_accepts_bracket_hint():
-    result = critical_distance(BASE, bracket_hint=(0.2, 2.0))
-    assert result.d_star == pytest.approx(D_STAR, abs=1e-8)
-    with pytest.raises(DomainError):
-        critical_distance(BASE, bracket_hint=(2.0, 0.2))
-
-
-def test_critical_distance_at_threshold_returns_lower_edge():
-    at_threshold = replace(BASE, lambda_e=lambda_threshold(BASE))
-    result = critical_distance(at_threshold)
-    assert result.d_star == result.bracket[0]
-    hinted = critical_distance(at_threshold, bracket_hint=(0.05, 2.0))
-    assert hinted.d_star == 0.05
+# d*^alpha = 2 (1 + beta_e) p_t (-ln epsilon) / (alpha beta_t sigma2_p) at the
+# threshold. Rounding leaves r_g* = 0 but gamma* = 1 - 2e-16 at alpha = 3,
+# and gamma* = 1 but r_g* = 8.5e-7 at alpha = 6.
+@pytest.mark.parametrize(
+    "alpha, limit",
+    [(3.0, 0.41259966986709196), (4.0, 0.47908433757868807), (6.0, 0.5722591851550981)],
+    ids=["alpha3", "alpha4", "alpha6"],
+)
+def test_critical_distance_at_threshold_is_the_limit(alpha, limit):
+    params = replace(BASE, alpha=alpha)
+    lam_star = lambda_threshold(params)
+    expected = (2.0 * 2.0 * -math.log(0.9) / (alpha * 2.0)) ** (1.0 / alpha)
+    assert limit == pytest.approx(expected, rel=1e-15)
+    at_threshold = critical_distance(replace(params, lambda_e=lam_star)).d_star
+    assert at_threshold == pytest.approx(limit, rel=1e-12)
+    just_above = critical_distance(replace(params, lambda_e=lam_star * (1.0 + 1e-4)))
+    assert just_above.d_star == pytest.approx(limit, rel=1e-4)
 
 
 def test_critical_distance_below_threshold_rejected():
     with pytest.raises(RegimeError):
         critical_distance(replace(BASE, lambda_e=0.01))
-
-
-def test_no_crossing_reports_both_signs(monkeypatch):
-    import d2d_secrecy.optimizer as mod
-
-    monkeypatch.setattr(mod, "_MAX_EXPANSIONS", 0)
-    with pytest.raises(NoCrossingError) as excinfo:
-        critical_distance(BASE, bracket_hint=(5.0, 6.0))
-    message = str(excinfo.value)
-    assert "F(lo)" in message and "F(hi)" in message
