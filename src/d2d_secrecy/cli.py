@@ -776,7 +776,35 @@ def _emit(text: str, path: str) -> None:
             handle.write(text)
 
 
+# glibc mallopt parameters, and the size below which freed memory is kept
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_FREED_BYTES = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc reuse the Monte-Carlo batch arrays instead of unmapping them.
+
+    Every batch of trials frees a few MB of arrays and allocates them again.
+    By default glibc returns that memory to the kernel after each batch and
+    faults it back in, zeroed, for the next: `sweep-d --mc 150000` took
+    125 000 page faults and 0.3-0.45 s of system time that way, a cost that
+    swings with the host's memory load. Allocations below 32 MB now come
+    from the heap, and the heap shrinks only past 32 MB free at its top.
+    The setting is process-wide, so only the CLI makes it; where mallopt
+    is missing it does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _KEEP_FREED_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .errors import (
     DomainError,
@@ -68,6 +67,11 @@ _S_COUNTS, _S_POINTS, _S_LINK, _S_RESAMPLE = range(4)
 _MIN_POINT_DISTANCE = 1e-9
 # window used when the field is empty anyway
 _EMPTY_FIELD_RADIUS = 1.0
+# below this count in either tally the normal approximation gives way to
+# Clopper-Pearson; it also caps the binomial sums the exact bounds take
+_EXACT_BELOW = 10
+# each 95% Clopper-Pearson bound leaves this much probability outside it
+_CP_TAIL = 0.025
 
 
 @dataclass(frozen=True)
@@ -267,20 +271,64 @@ def strongest_received_power(field: EavesdropperField, params: SystemParams) -> 
     return float(np.max(field.fading * distances**-params.alpha))
 
 
+def _binomial_cdf(k: int, n: int, p: float) -> float:
+    """P[X <= k] for X ~ Binomial(n, p), 0 < p < 1, summed from j = 0.
+
+    Takes k + 1 terms, so callers keep k below _EXACT_BELOW; each term is
+    the previous one times (n - j)/(j + 1) * p/(1 - p).
+    """
+    term = math.exp(n * math.log1p(-p))
+    ratio = p / (1.0 - p)
+    total = term
+    for j in range(k):
+        term *= (n - j) / (j + 1) * ratio
+        total += term
+    return total
+
+
+def _cdf_root(k: int, n: int, target: float) -> tuple[float, float]:
+    """Adjacent floats lo < hi with _binomial_cdf(k, n, .) above target at
+    lo and not above it at hi (the cdf falls as p rises), by bisection."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo, hi
+        if _binomial_cdf(k, n, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """Exact 95% interval for k successes in n trials, min(k, n - k) small.
+
+    The lower bound solves P[X >= k] = 0.025 and the upper bound
+    P[X <= k] = 0.025 (Clopper & Pearson, Biometrika 1934). Both are
+    rounded outward. A large k is mirrored onto the failures, so no sum
+    ever runs over the large tally.
+    """
+    if k >= _EXACT_BELOW:
+        lower, upper = _clopper_pearson(n - k, n)
+        return 1.0 - upper, 1.0 - lower
+    lower = 0.0 if k == 0 else _cdf_root(k - 1, n, 1.0 - _CP_TAIL)[0]
+    upper = 1.0 if k == n else _cdf_root(k, n, _CP_TAIL)[1]
+    return lower, upper
+
+
 def _binomial_estimate(successes: int, n: int) -> McEstimate:
+    """Mean of successes/n with a 95% confidence half-width.
+
+    The half-width is the normal approximation 1.96 * sqrt(p(1-p)/n),
+    except when either tally (successes or failures) is below 10, where
+    the normal approximation breaks down: there it is the larger
+    distance from the mean to an exact Clopper-Pearson bound.
+    """
     if n == 0:
         raise InsufficientDataError("no trials entered the estimate")
     mean = successes / n
-    if min(successes, n - successes) < 10:
-        # Clopper-Pearson: exact coverage where the normal approximation
-        # breaks down (the spec point is p*n < 10; applying it to both
-        # tails is strictly safer)
-        lower = 0.0 if successes == 0 else float(
-            _beta_dist.ppf(0.025, successes, n - successes + 1)
-        )
-        upper = 1.0 if successes == n else float(
-            _beta_dist.ppf(0.975, successes + 1, n - successes)
-        )
+    if min(successes, n - successes) < _EXACT_BELOW:
+        lower, upper = _clopper_pearson(successes, n)
         half_width = max(upper - mean, mean - lower)
     else:
         half_width = 1.96 * math.sqrt(mean * (1.0 - mean) / n)

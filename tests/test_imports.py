@@ -1,0 +1,46 @@
+"""Checks on fresh interpreters: what importing the package pulls in, and
+what running the CLI costs the process."""
+
+import os
+import platform
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is a test oracle only: importing it costs a fresh CLI process
+    # about a second, so no module of the package may reach it
+    probe = (
+        "import sys, d2d_secrecy, d2d_secrecy.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh(["-c", probe]).stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_cli_reuses_batch_memory():
+    # 4 and 16 batches of 65 536 trials: with glibc's default trimming each
+    # extra batch faulted about 200 pages back in (2 300 for the 12), with
+    # the freed arrays kept the count barely moves
+    faults = []
+    for trials in (4 << 16, 16 << 16):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        _fresh(["-m", "d2d_secrecy.cli", "mc-validate", "--d", "0.6", "--r-g", "0.79",
+                "--trials", str(trials), "--seed", "1"])
+        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+    assert faults[1] - faults[0] < 200, faults

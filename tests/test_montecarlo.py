@@ -435,3 +435,37 @@ class TestEstimateIntervals:
         small = run_gz_trials(BASE, design, TrialConfig(n_trials=10_000, seed=9))
         large = run_gz_trials(BASE, design, TrialConfig(n_trials=640_000, seed=9))
         assert large.p_active.half_width < small.p_active.half_width / 4.0
+
+
+# n below 20 makes both tails exact at once; the large n have one huge
+# tally, and 2e6 and 2**31 on both tails would take millions of terms if
+# a bound were ever summed over the large tally
+CP_NS = [*range(1, 60), 100, 1000, 16330, 20000, 100_000, 150_000, 1_000_000,
+         2_000_000, 2**31]
+
+
+def _exact_counts(n):
+    """Every k with min(k, n - k) < 10, without walking the whole range."""
+    return sorted({*range(min(10, n + 1)), *range(max(0, n - 9), n + 1)})
+
+
+class TestClopperPearson:
+    @pytest.mark.parametrize("n", CP_NS)
+    def test_half_width_matches_beta_quantiles(self, n):
+        beta = pytest.importorskip("scipy.stats").beta
+        for k in _exact_counts(n):
+            lower = 0.0 if k == 0 else beta.ppf(0.025, k, n - k + 1)
+            upper = 1.0 if k == n else beta.ppf(0.975, k + 1, n - k)
+            expected = max(upper - k / n, k / n - lower)
+            got = mc._binomial_estimate(k, n).half_width
+            assert got == pytest.approx(expected, rel=0, abs=1e-12), (k, n)
+
+    @pytest.mark.parametrize("n", CP_NS)
+    def test_all_or_nothing_bounds_are_closed_form(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            root = mpmath.mpf("0.025") ** (mpmath.mpf(1) / n)
+            upper_at_0, lower_at_n = float(1 - root), float(root)
+        exact = {"rel": 1e-14, "abs": 0.0}
+        assert mc._clopper_pearson(0, n) == pytest.approx((0.0, upper_at_0), **exact)
+        assert mc._clopper_pearson(n, n) == pytest.approx((lower_at_n, 1.0), **exact)
