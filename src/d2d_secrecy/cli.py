@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import (
     DomainError,
@@ -175,27 +175,11 @@ def _header(columns: tuple[Column, ...]) -> list[str]:
 
 
 def _estimate_json(est: McEstimate | None) -> dict | None:
-    if est is None:
-        return None
-    return {
-        "mean": est.mean,
-        "half_width": est.half_width,
-        "n_effective": est.n_effective,
-    }
+    return None if est is None else asdict(est)
 
 
 def _params_json(params: SystemParams, d_supplied: bool) -> dict:
-    return {
-        "alpha": params.alpha,
-        "p_t": params.p_t,
-        "beta_t": params.beta_t,
-        "beta_e": params.beta_e,
-        "epsilon": params.epsilon,
-        "sigma2_p": params.sigma2_p,
-        "sigma2_s": params.sigma2_s,
-        "lambda_e": params.lambda_e,
-        "d": params.d if d_supplied else None,
-    }
+    return {**asdict(params), "d": params.d if d_supplied else None}
 
 
 def _csv_text(columns: tuple[Column, ...], rows: list[dict]) -> str:
@@ -636,13 +620,14 @@ def _sweep_d_row(
     params: SystemParams, d_value: float, threshold: float, cfg: RunConfig
 ) -> dict:
     point = replace(params, d=d_value)
-    gz = optimal_guard_radius(point)
-    an = optimal_power_split(point)
     if point.lambda_e < threshold:
+        gz = optimal_guard_radius(point)
+        an = optimal_power_split(point)
         f_value = None
         verdict = NO_ENHANCEMENT
     else:
         selection = selection_function(point)
+        gz, an = selection.gz_design, selection.an_design
         f_value = selection.f_value
         verdict = selection.better.value
     mc_gz = mc_an = None
@@ -653,9 +638,13 @@ def _sweep_d_row(
             window_radius=cfg.window_radius,
             tail_prob=cfg.tail_prob,
         )
-        mc_gz = run_gz_trials(
-            point, GuardZoneDesign(r_g=gz.parameter), trial_cfg
-        ).p_cov
+        try:
+            mc_gz = run_gz_trials(
+                point, GuardZoneDesign(r_g=gz.parameter), trial_cfg
+            ).p_cov
+        except InsufficientDataError as exc:
+            # coverage is unconditional, so it is estimated without active trials
+            mc_gz = exc.partial["p_cov"]
         mc_an = run_an_trials(
             point, NoiseSplitDesign(gamma=an.parameter), trial_cfg
         ).p_cov
@@ -710,30 +699,30 @@ SWEEP_LAMBDA_HEADER = _header(SWEEP_LAMBDA_COLUMNS)
 
 def _sweep_lambda_row(params: SystemParams, lam: float, threshold: float) -> dict:
     point = replace(params, lambda_e=lam)
-    gz = optimal_guard_radius(point)
-    an = optimal_power_split(point)
-    row = {
+    if lam < threshold:
+        gz = optimal_guard_radius(point)
+        an = optimal_power_split(point)
+        d_star = f_value = p_cov_gz = p_cov_an = None
+        verdict = NO_ENHANCEMENT
+    else:
+        # r_g*, gamma* and p_sec do not depend on d, so the optima at d* serve
+        d_star = critical_distance(point).d_star
+        selection = selection_function(replace(point, d=d_star))
+        gz, an = selection.gz_design, selection.an_design
+        f_value = selection.f_value
+        p_cov_gz, p_cov_an = gz.metrics.p_cov, an.metrics.p_cov
+        verdict = "ok"
+    return {
         "lambda_e": lam,
-        "d_star": None,
-        "f_at_d_star": None,
+        "d_star": d_star,
+        "f_at_d_star": f_value,
         "r_g_star": gz.parameter,
         "gamma_star": an.parameter,
-        "p_cov_gz": None,
-        "p_cov_an": None,
+        "p_cov_gz": p_cov_gz,
+        "p_cov_an": p_cov_an,
         "p_sec": gz.metrics.p_sec,
-        "verdict": NO_ENHANCEMENT,
+        "verdict": verdict,
     }
-    if lam >= threshold:
-        at_star = replace(point, d=critical_distance(point).d_star)
-        selection = selection_function(at_star)
-        row.update(
-            d_star=at_star.d,
-            f_at_d_star=selection.f_value,
-            p_cov_gz=selection.gz_design.metrics.p_cov,
-            p_cov_an=selection.an_design.metrics.p_cov,
-            verdict="ok",
-        )
-    return row
 
 
 def cmd_sweep_lambda(cfg: RunConfig) -> tuple[dict, list[dict], int]:

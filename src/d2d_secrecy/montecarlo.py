@@ -6,6 +6,14 @@ exponential power gains per eavesdropper, and a fresh legitimate-channel
 gain. Indicator outcomes (active, covered, secure) aggregate into
 binomial estimates with 95% confidence half-widths.
 
+Both techniques run through one kernel: each is one link with two
+settings (silence radius, signal fraction), (r_g, 1) for the guard zone
+and (0, gamma) for artificial noise. A batch is reduced to a scene no
+design changes (per trial the strongest eavesdropper path gain, the
+nearest eavesdropper distance and the link gain h), and a design's
+indicators are read off it. trial_outcome applies the same steps to one
+trial's rows, so per-trial outcomes sum exactly to the batch tallies.
+
 Randomness is counter-based so that results never depend on execution
 order: every batch of trials owns Philox generators keyed on
 (seed, stream, batch_index), with separate streams for point counts,
@@ -55,8 +63,7 @@ __all__ = [
     "strongest_received_power",
     "run_gz_trials",
     "run_an_trials",
-    "gz_trial_outcome",
-    "an_trial_outcome",
+    "trial_outcome",
 ]
 
 _TRIALS_PER_BATCH = 1 << 16
@@ -231,6 +238,36 @@ def _link_gains(seed: int, batch: int) -> np.ndarray:
     return -np.log1p(-u)
 
 
+def _trial_rows(
+    params: SystemParams, radius: float, seed: int, trial_index: int
+) -> tuple[int, int, np.ndarray]:
+    """(batch, position in batch, point-attribute rows) of one trial."""
+    if trial_index < 0:
+        raise DomainError(f"trial_index must be nonnegative, got {trial_index}")
+    batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
+    counts, attrs = _batch_points(params, radius, seed, batch)
+    start = int(counts[:pos].sum())
+    return batch, pos, attrs[start : start + int(counts[pos])]
+
+
+def _decode(radius: float, attrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances to the transmitter and power gains of the points in attrs."""
+    return radius * np.sqrt(attrs[:, 0]), -np.log1p(-attrs[:, 2])
+
+
+def _reduce(
+    params: SystemParams, counts: np.ndarray, radii: np.ndarray, gains: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial strongest path gain and nearest point distance, where
+    trial i owns the next counts[i] points."""
+    index = np.repeat(np.arange(len(counts)), counts)
+    strongest = np.zeros(len(counts))
+    np.maximum.at(strongest, index, gains * radii**-params.alpha)
+    nearest = np.full(len(counts), np.inf)
+    np.minimum.at(nearest, index, radii)
+    return strongest, nearest
+
+
 def sample_field(
     params: SystemParams, radius: float, trial_index: int, seed: int
 ) -> EavesdropperField:
@@ -241,16 +278,10 @@ def sample_field(
     """
     if not (radius > 0.0) or not math.isfinite(radius):
         raise DomainError(f"radius must be positive and finite, got {radius}")
-    if trial_index < 0:
-        raise DomainError(f"trial_index must be nonnegative, got {trial_index}")
-    batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
-    counts, attrs = _batch_points(params, radius, seed, batch)
-    start = int(counts[:pos].sum())
-    rows = attrs[start : start + int(counts[pos])]
-    radii = radius * np.sqrt(rows[:, 0])
+    _, _, rows = _trial_rows(params, radius, seed, trial_index)
+    radii, fading = _decode(radius, rows)
     angles = 2.0 * math.pi * rows[:, 1]
     points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    fading = -np.log1p(-rows[:, 2])
     return EavesdropperField(points=points, fading=fading)
 
 
@@ -260,15 +291,14 @@ def strongest_received_power(field: EavesdropperField, params: SystemParams) -> 
     This is the quantity the strongest eavesdropper receives per unit
     transmit power; 0 for an empty field.
     """
-    if len(field.fading) == 0:
-        return 0.0
     distances = np.hypot(field.points[:, 0], field.points[:, 1])
     if np.any(distances < _MIN_POINT_DISTANCE):
         raise ExcludedRegionError(
             "an eavesdropper coincides with the transmitter; the path-loss "
             "model is undefined there"
         )
-    return float(np.max(field.fading * distances**-params.alpha))
+    strongest, _ = _reduce(params, np.array([len(distances)]), distances, field.fading)
+    return float(strongest[0])
 
 
 def _binomial_cdf(k: int, n: int, p: float) -> float:
@@ -335,32 +365,81 @@ def _binomial_estimate(successes: int, n: int) -> McEstimate:
     return McEstimate(mean=mean, half_width=half_width, n_effective=n)
 
 
-def _gz_window(params: SystemParams, design: GuardZoneDesign, cfg: TrialConfig) -> float:
+def _settings(design: GuardZoneDesign | NoiseSplitDesign) -> tuple[float, float]:
+    """A design as (silence radius, signal fraction): the guard zone is
+    (r_g, 1) and artificial noise is (0, gamma)."""
+    if isinstance(design, GuardZoneDesign):
+        return design.r_g, 1.0
+    return 0.0, design.gamma
+
+
+def _window(
+    params: SystemParams, design: GuardZoneDesign | NoiseSplitDesign, cfg: TrialConfig
+) -> float:
+    """Simulation-disk radius for a design; rejects one it cannot simulate."""
+    r_g, gamma = _settings(design)
+    if gamma == 0.0:
+        raise DomainError("gamma = 0 leaves no power on the information signal")
     if cfg.window_radius is not None:
-        if cfg.window_radius <= design.r_g:
+        if cfg.window_radius <= r_g:
             raise DomainError(
                 f"window_radius {cfg.window_radius} must exceed the guard "
-                f"radius {design.r_g}"
+                f"radius {r_g}"
             )
         return cfg.window_radius
     # the guard zone must be fully visible for the active test; beyond
     # r_g the auto rule already bounds the neglected secrecy mass
-    return max(auto_window_radius(params, cfg.tail_prob), design.r_g)
+    return max(auto_window_radius(params, cfg.tail_prob), r_g)
 
 
 def _batch_reductions(
     params: SystemParams, radius: float, seed: int, batch: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial strongest path gain, nearest point distance, and h."""
+    """The scene of one batch: per-trial strongest path gain, nearest
+    point distance, and h. It does not depend on the design."""
     counts, attrs = _batch_points(params, radius, seed, batch)
-    radii = radius * np.sqrt(attrs[:, 0])
-    gains = -np.log1p(-attrs[:, 2])
-    index = np.repeat(np.arange(_TRIALS_PER_BATCH), counts)
-    strongest = np.zeros(_TRIALS_PER_BATCH)
-    np.maximum.at(strongest, index, gains * radii**-params.alpha)
-    nearest = np.full(_TRIALS_PER_BATCH, np.inf)
-    np.minimum.at(nearest, index, radii)
+    strongest, nearest = _reduce(params, counts, *_decode(radius, attrs))
     return strongest, nearest, _link_gains(seed, batch)
+
+
+def _indicators(
+    params: SystemParams,
+    r_g: float,
+    gamma: float,
+    strongest: np.ndarray,
+    nearest: np.ndarray,
+    h: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(active, snr_p, snr_s, covered, secure) per trial for the design
+    with silence radius r_g and signal fraction gamma."""
+    active = nearest >= r_g
+    snr_p = gamma * params.p_t * h * params.d**-params.alpha / params.sigma2_p
+    received = params.p_t * strongest
+    # no jamming term at gamma = 1: 0 * inf would turn an overflowed
+    # received power into nan
+    jamming = (1.0 - gamma) * received if gamma < 1.0 else 0.0
+    snr_s = gamma * received / (jamming + params.sigma2_s)
+    covered = active & (snr_p >= params.beta_t)
+    return active, snr_p, snr_s, covered, snr_s <= params.beta_e
+
+
+def _tallies(
+    params: SystemParams, design: GuardZoneDesign | NoiseSplitDesign, cfg: TrialConfig
+) -> tuple[int, int, int, int]:
+    """Counts of active, covered, active-and-secure and secure trials."""
+    radius = _window(params, design, cfg)
+    r_g, gamma = _settings(design)
+    n = cfg.n_trials
+    k_active = k_cov = k_sec_active = k_sec_all = 0
+    for batch in range((n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH):
+        m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
+        scene = (x[:m] for x in _batch_reductions(params, radius, cfg.seed, batch))
+        active, _, _, covered, secure = _indicators(params, r_g, gamma, *scene)
+        k_active += int(active.sum())
+        k_cov += int(covered.sum())
+        k_sec_active += int((active & secure).sum())
+        k_sec_all += int(secure.sum())
+    return k_active, k_cov, k_sec_active, k_sec_all
 
 
 def run_gz_trials(
@@ -372,21 +451,8 @@ def run_gz_trials(
     conditional secrecy estimate does not exist); the exception carries
     the unconditional estimates as .partial.
     """
-    radius = _gz_window(params, design, cfg)
+    k_active, k_cov, k_sec_active, k_sec_all = _tallies(params, design, cfg)
     n = cfg.n_trials
-    k_active = k_cov = k_sec_active = k_sec_all = 0
-    for batch in range((n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH):
-        strongest, nearest, h = _batch_reductions(params, radius, cfg.seed, batch)
-        m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
-        strongest, nearest, h = strongest[:m], nearest[:m], h[:m]
-        active = nearest >= design.r_g
-        snr_p = params.p_t * h * params.d**-params.alpha / params.sigma2_p
-        covered = active & (snr_p >= params.beta_t)
-        secure = params.p_t * strongest / params.sigma2_s <= params.beta_e
-        k_active += int(active.sum())
-        k_cov += int(covered.sum())
-        k_sec_active += int((active & secure).sum())
-        k_sec_all += int(secure.sum())
     p_active_est = _binomial_estimate(k_active, n)
     p_cov_est = _binomial_estimate(k_cov, n)
     p_sec_all = _binomial_estimate(k_sec_all, n)
@@ -411,89 +477,33 @@ def run_an_trials(
     params: SystemParams, design: NoiseSplitDesign, cfg: TrialConfig
 ) -> AnTrialEstimates:
     """Simulate the artificial-noise technique (always active)."""
-    if design.gamma == 0.0:
-        raise DomainError("gamma = 0 leaves no power on the information signal")
-    radius = (
-        cfg.window_radius
-        if cfg.window_radius is not None
-        else auto_window_radius(params, cfg.tail_prob)
-    )
-    n = cfg.n_trials
-    k_cov = k_sec = 0
-    for batch in range((n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH):
-        strongest, _, h = _batch_reductions(params, radius, cfg.seed, batch)
-        m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
-        strongest, h = strongest[:m], h[:m]
-        snr_p = (
-            design.gamma * params.p_t * h * params.d**-params.alpha / params.sigma2_p
-        )
-        received = params.p_t * strongest
-        snr_s = design.gamma * received / ((1.0 - design.gamma) * received + params.sigma2_s)
-        k_cov += int((snr_p >= params.beta_t).sum())
-        k_sec += int((snr_s <= params.beta_e).sum())
+    _, k_cov, k_sec, _ = _tallies(params, design, cfg)
     return AnTrialEstimates(
-        p_cov=_binomial_estimate(k_cov, n),
-        p_sec=_binomial_estimate(k_sec, n),
+        p_cov=_binomial_estimate(k_cov, cfg.n_trials),
+        p_sec=_binomial_estimate(k_sec, cfg.n_trials),
     )
 
 
-def _trial_arrays(
-    params: SystemParams, radius: float, seed: int, trial_index: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
-    counts, attrs = _batch_points(params, radius, seed, batch)
-    start = int(counts[:pos].sum())
-    rows = attrs[start : start + int(counts[pos])]
-    radii = radius * np.sqrt(rows[:, 0])
-    gains = -np.log1p(-rows[:, 2])
-    h = float(_link_gains(seed, batch)[pos])
-    return radii, gains, h
-
-
-def gz_trial_outcome(
+def trial_outcome(
     params: SystemParams,
-    design: GuardZoneDesign,
+    design: GuardZoneDesign | NoiseSplitDesign,
     cfg: TrialConfig,
     trial_index: int,
 ) -> TrialOutcome:
-    """Indicator view of one guard-zone trial, bit-consistent with the
-    aggregates from run_gz_trials."""
-    radius = _gz_window(params, design, cfg)
-    radii, gains, h = _trial_arrays(params, radius, cfg.seed, trial_index)
-    strongest = float(np.max(gains * radii**-params.alpha)) if len(radii) else 0.0
-    active = bool(np.all(radii >= design.r_g))
-    snr_p = params.p_t * h * params.d**-params.alpha / params.sigma2_p
-    snr_s = params.p_t * strongest / params.sigma2_s
-    covered = active and snr_p >= params.beta_t
-    secure = (snr_s <= params.beta_e) if active else None
-    return TrialOutcome(
-        active=active, snr_p=snr_p, snr_s=snr_s, covered=covered, secure=secure
+    """Indicator view of one trial, bit-consistent with the aggregates
+    from run_gz_trials / run_an_trials: the same kernel applied to the
+    trial's own rows of its batch."""
+    radius = _window(params, design, cfg)
+    batch, pos, rows = _trial_rows(params, radius, cfg.seed, trial_index)
+    strongest, nearest = _reduce(params, np.array([len(rows)]), *_decode(radius, rows))
+    h = _link_gains(cfg.seed, batch)[pos : pos + 1]
+    active, snr_p, snr_s, covered, secure = (
+        x[0] for x in _indicators(params, *_settings(design), strongest, nearest, h)
     )
-
-
-def an_trial_outcome(
-    params: SystemParams,
-    design: NoiseSplitDesign,
-    cfg: TrialConfig,
-    trial_index: int,
-) -> TrialOutcome:
-    """Indicator view of one artificial-noise trial."""
-    if design.gamma == 0.0:
-        raise DomainError("gamma = 0 leaves no power on the information signal")
-    radius = (
-        cfg.window_radius
-        if cfg.window_radius is not None
-        else auto_window_radius(params, cfg.tail_prob)
-    )
-    radii, gains, h = _trial_arrays(params, radius, cfg.seed, trial_index)
-    strongest = float(np.max(gains * radii**-params.alpha)) if len(radii) else 0.0
-    snr_p = design.gamma * params.p_t * h * params.d**-params.alpha / params.sigma2_p
-    received = params.p_t * strongest
-    snr_s = design.gamma * received / ((1.0 - design.gamma) * received + params.sigma2_s)
     return TrialOutcome(
-        active=True,
-        snr_p=snr_p,
-        snr_s=snr_s,
-        covered=snr_p >= params.beta_t,
-        secure=snr_s <= params.beta_e,
+        active=bool(active),
+        snr_p=float(snr_p),
+        snr_s=float(snr_s),
+        covered=bool(covered),
+        secure=bool(secure) if active else None,
     )

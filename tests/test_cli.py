@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from d2d_secrecy import cli
+from d2d_secrecy import cli, optimizer
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
@@ -388,6 +388,27 @@ class TestSweepLambda:
         assert code == 0
         assert header == cli.SWEEP_LAMBDA_HEADER
         assert len(rows) == 1
+
+
+class TestSweepSolves:
+    # r_g* does not depend on d, so a sweep solves its incomplete-gamma
+    # inverse only where an optimum is new: once per sweep-d row plus once
+    # for d*, and per sweep-lambda row once for d* and once at d*
+    @pytest.mark.parametrize(
+        "argv, solves", [(["sweep-d"], 30), (["sweep-lambda"], 18)], ids=["d", "lambda"]
+    )
+    def test_inverse_solves_per_sweep(self, capsys, monkeypatch, argv, solves):
+        calls = []
+        inverse = optimizer.inverse_upper_incomplete_gamma
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "inverse_upper_incomplete_gamma", counted)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == solves
 
 
 class TestConfigFile:

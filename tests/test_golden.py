@@ -37,6 +37,9 @@ CASES = [
      ["sweep-d", "--grid-start", "0.2", "--grid-stop", "1.0", "--grid-step", "0.2",
       "--mc", "2000", "--seed", "1"], 0),
     ("sweep-d-default", ["sweep-d"], 0),
+    ("sweep-d-inactive",
+     ["sweep-d", "--lambda-e", "3", "--grid-start", "0.4", "--grid-stop", "0.8",
+      "--grid-step", "0.2", "--mc", "2000", "--seed", "1"], 0),
     ("sweep-d-empty", ["sweep-d", "--lambda-e", "0", "--grid-stop", "0.3"], 0),
     ("sweep-lambda", ["sweep-lambda"], 0),
     ("sweep-lambda-below",

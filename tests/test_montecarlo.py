@@ -32,13 +32,12 @@ from d2d_secrecy import montecarlo as mc
 from d2d_secrecy.montecarlo import (
     EavesdropperField,
     TrialConfig,
-    an_trial_outcome,
     auto_window_radius,
-    gz_trial_outcome,
     run_an_trials,
     run_gz_trials,
     sample_field,
     strongest_received_power,
+    trial_outcome,
 )
 from d2d_secrecy.specfun import upper_incomplete_gamma
 
@@ -171,6 +170,8 @@ class TestSampleField:
     def test_rejects_negative_trial_index(self):
         with pytest.raises(DomainError):
             sample_field(BASE, 2.0, trial_index=-1, seed=1)
+        with pytest.raises(DomainError):
+            trial_outcome(BASE, GuardZoneDesign(r_g=1.0), TrialConfig(1, seed=1), -1)
 
 
 class TestStrongestReceivedPower:
@@ -340,31 +341,41 @@ class TestNullDesignEquivalence:
         assert gz.p_cov == an.p_cov
         assert gz.p_sec == an.p_sec
 
+    def test_null_designs_give_identical_trial_outcomes(self):
+        cfg = TrialConfig(n_trials=64, seed=12)
+        for i in range(64):
+            gz = trial_outcome(BASE, GuardZoneDesign(r_g=0.0), cfg, i)
+            an = trial_outcome(BASE, NoiseSplitDesign(gamma=1.0), cfg, i)
+            assert gz == an
+
 
 class TestTrialOutcomes:
     def test_gz_outcomes_aggregate_to_run_estimates(self):
         # per-trial indicators summed by hand must hit the batched run's
-        # tallies exactly; this pins the per-trial purity of the engine
+        # tallies exactly; this pins the per-trial purity of the engine,
+        # with the auto window and with an explicit one
         n = 150
-        cfg = TrialConfig(n_trials=n, seed=5)
         design = GuardZoneDesign(r_g=1.0)
-        outcomes = [gz_trial_outcome(BASE, design, cfg, i) for i in range(n)]
-        result = run_gz_trials(BASE, design, cfg)
-        k_active = sum(o.active for o in outcomes)
-        k_cov = sum(o.covered for o in outcomes)
-        k_sec = sum(bool(o.secure) for o in outcomes if o.active)
-        assert result.p_active.mean == k_active / n
-        assert result.p_cov.mean == k_cov / n
-        assert result.p_sec.mean == k_sec / k_active
+        for window_radius in (None, 2.5):
+            cfg = TrialConfig(n_trials=n, seed=5, window_radius=window_radius)
+            outcomes = [trial_outcome(BASE, design, cfg, i) for i in range(n)]
+            result = run_gz_trials(BASE, design, cfg)
+            k_active = sum(o.active for o in outcomes)
+            k_cov = sum(o.covered for o in outcomes)
+            k_sec = sum(bool(o.secure) for o in outcomes if o.active)
+            assert result.p_active.mean == k_active / n
+            assert result.p_cov.mean == k_cov / n
+            assert result.p_sec.mean == k_sec / k_active
 
     def test_an_outcomes_aggregate_to_run_estimates(self):
         n = 150
-        cfg = TrialConfig(n_trials=n, seed=5)
         design = NoiseSplitDesign(gamma=0.8)
-        outcomes = [an_trial_outcome(BASE, design, cfg, i) for i in range(n)]
-        result = run_an_trials(BASE, design, cfg)
-        assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
-        assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
+        for window_radius in (None, 2.5):
+            cfg = TrialConfig(n_trials=n, seed=5, window_radius=window_radius)
+            outcomes = [trial_outcome(BASE, design, cfg, i) for i in range(n)]
+            result = run_an_trials(BASE, design, cfg)
+            assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
+            assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
 
     def test_runs_agree_on_common_prefix_across_batches(self):
         # extending a run by one trial changes the tallies by exactly
@@ -375,12 +386,22 @@ class TestTrialOutcomes:
         longer = run_gz_trials(
             BASE, design, TrialConfig(n_trials=boundary + 1, seed=17)
         )
-        extra = gz_trial_outcome(
+        extra = trial_outcome(
             BASE, design, TrialConfig(n_trials=boundary + 1, seed=17), boundary
         )
         k_short = round(short.p_active.mean * boundary)
         k_long = round(longer.p_active.mean * (boundary + 1))
         assert k_long == k_short + int(extra.active)
+        noise = NoiseSplitDesign(gamma=0.8)
+        short = run_an_trials(BASE, noise, TrialConfig(n_trials=boundary, seed=17))
+        longer = run_an_trials(BASE, noise, TrialConfig(n_trials=boundary + 1, seed=17))
+        extra = trial_outcome(
+            BASE, noise, TrialConfig(n_trials=boundary + 1, seed=17), boundary
+        )
+        for name, flag in (("p_cov", extra.covered), ("p_sec", extra.secure)):
+            k_short = round(getattr(short, name).mean * boundary)
+            k_long = round(getattr(longer, name).mean * (boundary + 1))
+            assert k_long == k_short + int(flag)
 
     def test_outcome_matches_field_inspection(self):
         # the public field API and the trial outcome must describe the
@@ -389,7 +410,7 @@ class TestTrialOutcomes:
         design = GuardZoneDesign(r_g=1.0)
         radius = max(auto_window_radius(BASE, cfg.tail_prob), design.r_g)
         for i in range(32):
-            outcome = gz_trial_outcome(BASE, design, cfg, i)
+            outcome = trial_outcome(BASE, design, cfg, i)
             field = sample_field(BASE, radius, i, cfg.seed)
             strongest = strongest_received_power(field, BASE)
             assert outcome.snr_s == pytest.approx(
@@ -403,7 +424,7 @@ class TestTrialOutcomes:
         params = replace(BASE, lambda_e=1.0)
         cfg = TrialConfig(n_trials=64, seed=3)
         design = GuardZoneDesign(r_g=3.0)
-        outcomes = [gz_trial_outcome(params, design, cfg, i) for i in range(20)]
+        outcomes = [trial_outcome(params, design, cfg, i) for i in range(20)]
         assert any(not o.active for o in outcomes)
         for o in outcomes:
             if not o.active:
@@ -415,7 +436,7 @@ class TestTrialOutcomes:
         grid = (0.3, 0.5, 0.7, 0.9)
         for i in range(16):
             ratios = [
-                an_trial_outcome(BASE, NoiseSplitDesign(gamma=g), cfg, i).snr_s
+                trial_outcome(BASE, NoiseSplitDesign(gamma=g), cfg, i).snr_s
                 for g in grid
             ]
             assert all(a <= b for a, b in zip(ratios, ratios[1:]))
