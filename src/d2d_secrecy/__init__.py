@@ -52,8 +52,6 @@ from .optimizer import (
     selection_function,
 )
 from .specfun import (
-    DEFAULT_TOLERANCE,
-    NumericTolerance,
     complete_gamma,
     inverse_upper_incomplete_gamma,
     upper_incomplete_gamma,
@@ -98,8 +96,6 @@ __all__ = [
     "strongest_received_power",
     "run_gz_trials",
     "run_an_trials",
-    "NumericTolerance",
-    "DEFAULT_TOLERANCE",
     "complete_gamma",
     "upper_incomplete_gamma",
     "inverse_upper_incomplete_gamma",

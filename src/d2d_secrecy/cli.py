@@ -9,11 +9,17 @@ Subcommands:
 * ``sweep-d``       selection function across link distances
 * ``sweep-lambda``  critical distance across eavesdropper densities
 
+Every option is declared once, in ``_OPTIONS``: its INI section, its key,
+type and default, and the subcommands that take it. The flag is ``--``
+plus the key with ``_`` as ``-``. A value comes from the flag, else from
+the INI config file (``--config``), else from the default; a subcommand
+rejects the flags of options it does not take and ignores their keys in
+a config file.
+
 Output is JSON (full precision) or CSV (fixed headers, probabilities at
-6 significant digits) to stdout or ``--out``. Parameters come from
-flags, optionally seeded by an INI config file (``--config``); explicit
-flags win. Exit codes: 0 success, 2 usage or validation error,
-3 numerical failure, 4 insufficient Monte-Carlo data.
+6 significant digits) to stdout or ``--out``. Exit codes: 0 success,
+2 usage or validation error, 3 numerical failure, 4 insufficient
+Monte-Carlo data.
 """
 
 from __future__ import annotations
@@ -62,73 +68,71 @@ NO_ENHANCEMENT = "no-enhancement-needed"
 # that run without --d must never emit anything derived from it
 _PLACEHOLDER_D = 1.0
 
-_DEFAULTS = {
-    "alpha": 4.0,
-    "pt": 1.0,
-    "beta_t": 2.0,
-    "beta_e": 1.0,
-    "epsilon": 0.9,
-    "sigma2_p": 1.0,
-    "sigma2_s": 1.0,
-    "lambda_e": 0.1,
-    "trials": 1_000_000,
-    "seed": 0,
-    "tail_prob": 1e-4,
-    "format": "json",
-    "out": "-",
-}
-
 _GRID_DEFAULTS = {
     "sweep-d": (0.1, 1.5, 0.05),
     "sweep-lambda": (0.05, 0.25, 0.025),
 }
 
-# config file layout: one section per module, keys match the flag names
-_CONFIG_SECTIONS = {
-    "params": {
-        "alpha": float,
-        "pt": float,
-        "beta_t": float,
-        "beta_e": float,
-        "epsilon": float,
-        "sigma2_p": float,
-        "sigma2_s": float,
-        "lambda_e": float,
-        "d": float,
-    },
-    "design": {"r_g": float, "gamma": float},
-    "mc": {
-        "trials": int,
-        "seed": int,
-        "window_radius": float,
-        "tail_prob": float,
-    },
-    "sweep": {
-        "grid_start": float,
-        "grid_stop": float,
-        "grid_step": float,
-        "mc": int,
-    },
-    "output": {"format": str, "out": str},
-}
+_EVERY = ("analytic", "optimize", "select", "mc-validate", "sweep-d", "sweep-lambda")
+_DESIGN_COMMANDS = ("analytic", "mc-validate")
+_MC_COMMANDS = ("mc-validate", "sweep-d")
+_GRID_COMMANDS = tuple(_GRID_DEFAULTS)
+
+# Every option, declared once: (config section, key, type, default, the
+# subcommands that take it). The flag is "--" + key with "_" as "-"; a
+# subcommand sees None for an option it does not take.
+_OPTIONS = (
+    ("params", "alpha", float, 4.0, _EVERY),
+    ("params", "pt", float, 1.0, _EVERY),
+    ("params", "beta_t", float, 2.0, _EVERY),
+    ("params", "beta_e", float, 1.0, _EVERY),
+    ("params", "epsilon", float, 0.9, _EVERY),
+    ("params", "sigma2_p", float, 1.0, _EVERY),
+    ("params", "sigma2_s", float, 1.0, _EVERY),
+    ("params", "lambda_e", float, 0.1, _EVERY),
+    ("params", "d", float, None, _EVERY),
+    ("design", "r_g", float, None, _DESIGN_COMMANDS),
+    ("design", "gamma", float, None, _DESIGN_COMMANDS),
+    ("mc", "trials", int, 1_000_000, ("mc-validate",)),
+    ("mc", "seed", int, 0, _MC_COMMANDS),
+    ("mc", "window_radius", float, None, _MC_COMMANDS),
+    ("mc", "tail_prob", float, 1e-4, _MC_COMMANDS),
+    # the grid defaults depend on the subcommand: see _GRID_DEFAULTS
+    ("sweep", "grid_start", float, None, _GRID_COMMANDS),
+    ("sweep", "grid_stop", float, None, _GRID_COMMANDS),
+    ("sweep", "grid_step", float, None, _GRID_COMMANDS),
+    ("sweep", "mc", int, None, ("sweep-d",)),
+    ("output", "format", str, "json", _EVERY),
+    ("output", "out", str, "-", _EVERY),
+)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved inputs for one CLI invocation."""
+    """Fully resolved inputs for one CLI invocation; None where the
+    subcommand does not take the option."""
 
     params: SystemParams
     d_supplied: bool
-    r_g: float | None = None
-    gamma: float | None = None
-    trials: int = 1_000_000
-    seed: int = 0
-    window_radius: float | None = None
-    tail_prob: float = 1e-4
-    grid: tuple[float, ...] = ()
-    mc_trials: int | None = None
-    output_format: str = "json"
-    output_path: str = "-"
+    r_g: float | None
+    gamma: float | None
+    trials: int | None
+    seed: int | None
+    window_radius: float | None
+    tail_prob: float | None
+    grid: tuple[float, ...]
+    mc_trials: int | None
+    output_format: str
+    output_path: str
+
+    def trial_config(self, n_trials: int) -> TrialConfig:
+        """Monte-Carlo settings for a run of n_trials."""
+        return TrialConfig(
+            n_trials=n_trials,
+            seed=self.seed,
+            window_radius=self.window_radius,
+            tail_prob=self.tail_prob,
+        )
 
 
 class UsageError(Exception):
@@ -195,16 +199,16 @@ def _load_config(path: str) -> dict[str, object]:
     read = parser.read(path)
     if not read:
         raise UsageError(f"config file not found: {path}")
+    kinds = {(section, key): kind for section, key, kind, _, _ in _OPTIONS}
     values: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _CONFIG_SECTIONS:
+        if section not in {known for known, _ in kinds}:
             raise UsageError(f"unknown config section [{section}]")
-        known = _CONFIG_SECTIONS[section]
         for key, raw in parser.items(section):
-            if key not in known:
+            if (section, key) not in kinds:
                 raise UsageError(f"unknown config key '{key}' in [{section}]")
             try:
-                values[key] = known[key](raw)
+                values[key] = kinds[section, key](raw)
             except ValueError as exc:
                 raise UsageError(
                     f"bad value for '{key}' in [{section}]: {raw!r}"
@@ -213,87 +217,20 @@ def _load_config(path: str) -> dict[str, object]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--config", help="INI config file; flags override it")
-    params.add_argument("--alpha", type=float)
-    params.add_argument("--pt", type=float, dest="pt")
-    params.add_argument("--beta-t", type=float, dest="beta_t")
-    params.add_argument("--beta-e", type=float, dest="beta_e")
-    params.add_argument("--epsilon", type=float)
-    params.add_argument("--sigma2-p", type=float, dest="sigma2_p")
-    params.add_argument("--sigma2-s", type=float, dest="sigma2_s")
-    params.add_argument("--lambda-e", type=float, dest="lambda_e")
-    params.add_argument("--d", type=float)
-    params.add_argument("--format", choices=("csv", "json"))
-    params.add_argument("--out")
-
-    design = argparse.ArgumentParser(add_help=False)
-    design.add_argument("--r-g", type=float, dest="r_g")
-    design.add_argument("--gamma", type=float)
-
-    mc = argparse.ArgumentParser(add_help=False)
-    mc.add_argument("--trials", type=int)
-    mc.add_argument("--seed", type=int)
-    mc.add_argument("--window-radius", type=float, dest="window_radius")
-    mc.add_argument("--tail-prob", type=float, dest="tail_prob")
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-start", type=float, dest="grid_start")
-    grid.add_argument("--grid-stop", type=float, dest="grid_stop")
-    grid.add_argument("--grid-step", type=float, dest="grid_step")
-
     parser = argparse.ArgumentParser(
         prog="d2d-secrecy",
         description="Secrecy-enhancement analysis for a noise-limited D2D link "
         "under a Poisson field of eavesdroppers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "analytic",
-        parents=[params, design],
-        help="evaluate closed forms for one design",
-    )
-    sub.add_parser(
-        "optimize",
-        parents=[params],
-        help="density threshold and optimal designs",
-    )
-    sub.add_parser(
-        "select",
-        parents=[params],
-        help="pick the better technique at a link distance",
-    )
-    sub.add_parser(
-        "mc-validate",
-        parents=[params, design, mc],
-        help="compare closed forms against simulation",
-    )
-    sweep_d = sub.add_parser(
-        "sweep-d",
-        parents=[params, mc, grid],
-        help="selection function across link distances",
-    )
-    sweep_d.add_argument(
-        "--mc",
-        type=int,
-        dest="mc",
-        help="add Monte-Carlo coverage columns with this many trials",
-    )
-    sub.add_parser(
-        "sweep-lambda",
-        parents=[params, grid],
-        help="critical distance across eavesdropper densities",
-    )
+    for command, (_, _, summary) in _COMMANDS.items():
+        options = sub.add_parser(command, help=summary)
+        options.add_argument("--config", help="INI config file; flags override it")
+        for _, key, kind, _, commands in _OPTIONS:
+            if command in commands:
+                flag = "--" + key.replace("_", "-")
+                options.add_argument(flag, type=kind, dest=key)
     return parser
-
-
-def _resolve(args: argparse.Namespace, file_values: dict, key: str):
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        return file_values[key]
-    return _DEFAULTS.get(key)
 
 
 def _build_grid(start: float, stop: float, step: float, variable: str) -> tuple[float, ...]:
@@ -314,75 +251,69 @@ def _build_grid(start: float, stop: float, step: float, variable: str) -> tuple[
 
 def _make_config(args: argparse.Namespace) -> RunConfig:
     file_values = _load_config(args.config) if args.config else {}
+    command = args.command
+    # flag, else config file, else default; None where the command lacks it
+    values: dict[str, object] = {}
+    for _, key, _, default, commands in _OPTIONS:
+        if command not in commands:
+            values[key] = None
+        elif getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+        else:
+            values[key] = file_values.get(key, default)
 
-    def get(key):
-        return _resolve(args, file_values, key)
-
-    d_value = get("d")
-    d_supplied = d_value is not None
+    d_supplied = values["d"] is not None
     try:
         params = SystemParams(
-            alpha=get("alpha"),
-            p_t=get("pt"),
-            beta_t=get("beta_t"),
-            beta_e=get("beta_e"),
-            epsilon=get("epsilon"),
-            sigma2_p=get("sigma2_p"),
-            sigma2_s=get("sigma2_s"),
-            lambda_e=get("lambda_e"),
-            d=d_value if d_supplied else _PLACEHOLDER_D,
+            alpha=values["alpha"],
+            p_t=values["pt"],
+            beta_t=values["beta_t"],
+            beta_e=values["beta_e"],
+            epsilon=values["epsilon"],
+            sigma2_p=values["sigma2_p"],
+            sigma2_s=values["sigma2_s"],
+            lambda_e=values["lambda_e"],
+            d=values["d"] if d_supplied else _PLACEHOLDER_D,
         )
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
 
-    command = args.command
     if command in ("analytic", "select", "mc-validate") and not d_supplied:
         raise UsageError(f"--d is required for {command}")
-
-    r_g = get("r_g") if command in ("analytic", "mc-validate") else None
-    gamma = get("gamma") if command in ("analytic", "mc-validate") else None
-    if command in ("analytic", "mc-validate"):
-        if (r_g is None) == (gamma is None):
+    if command in _DESIGN_COMMANDS:
+        if (values["r_g"] is None) == (values["gamma"] is None):
             raise UsageError(
                 f"{command} needs exactly one design: pass --r-g or --gamma"
             )
 
     grid: tuple[float, ...] = ()
     if command in _GRID_DEFAULTS:
-        start_default, stop_default, step_default = _GRID_DEFAULTS[command]
-        start = get("grid_start")
-        stop = get("grid_stop")
-        step = get("grid_step")
-        grid = _build_grid(
-            start if start is not None else start_default,
-            stop if stop is not None else stop_default,
-            step if step is not None else step_default,
-            "d" if command == "sweep-d" else "lambda_e",
-        )
+        keys = ("grid_start", "grid_stop", "grid_step")
+        bounds = [
+            default if values[key] is None else values[key]
+            for key, default in zip(keys, _GRID_DEFAULTS[command])
+        ]
+        grid = _build_grid(*bounds, "d" if command == "sweep-d" else "lambda_e")
 
-    mc_trials = get("mc") if command == "sweep-d" else None
-    if mc_trials is not None and mc_trials < 1:
-        raise UsageError(f"--mc must be at least 1, got {mc_trials}")
-    trials = get("trials")
-    if trials is not None and trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {trials}")
-    output_format = get("format")
-    if output_format not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {output_format!r}")
+    for key in ("mc", "trials"):
+        if values[key] is not None and values[key] < 1:
+            raise UsageError(f"--{key} must be at least 1, got {values[key]}")
+    if values["format"] not in ("csv", "json"):
+        raise UsageError(f"format must be csv or json, got {values['format']!r}")
 
     return RunConfig(
         params=params,
         d_supplied=d_supplied,
-        r_g=r_g,
-        gamma=gamma,
-        trials=trials,
-        seed=get("seed"),
-        window_radius=get("window_radius"),
-        tail_prob=get("tail_prob"),
+        r_g=values["r_g"],
+        gamma=values["gamma"],
+        trials=values["trials"],
+        seed=values["seed"],
+        window_radius=values["window_radius"],
+        tail_prob=values["tail_prob"],
         grid=grid,
-        mc_trials=mc_trials,
-        output_format=output_format,
-        output_path=get("out"),
+        mc_trials=values["mc"],
+        output_format=values["format"],
+        output_path=values["out"],
     )
 
 
@@ -398,28 +329,38 @@ ANALYTIC_COLUMNS = (
 ANALYTIC_HEADER = _header(ANALYTIC_COLUMNS)
 
 
-def cmd_analytic(cfg: RunConfig) -> tuple[dict, list[dict], int]:
+def _design_forms(
+    cfg: RunConfig,
+) -> tuple[GuardZoneDesign | NoiseSplitDesign, str, dict]:
+    """The one design cfg names, its technique and its closed forms."""
     params = cfg.params
     if cfg.r_g is not None:
         design = GuardZoneDesign(r_g=cfg.r_g)
-        technique = Technique.GUARD_ZONE.value
-        active = p_active(params, design)
-        cov = p_cov_gz(params, design)
-        sec = p_sec_gz(params, design)
-    else:
-        design = NoiseSplitDesign(gamma=cfg.gamma)
-        technique = Technique.ARTIFICIAL_NOISE.value
-        active = None
-        cov = p_cov_an(params, design)
-        sec = p_sec_an(params, design)
+        forms = {
+            "p_active": p_active(params, design),
+            "p_cov": p_cov_gz(params, design),
+            "p_sec": p_sec_gz(params, design),
+        }
+        return design, Technique.GUARD_ZONE.value, forms
+    design = NoiseSplitDesign(gamma=cfg.gamma)
+    forms = {
+        "p_cov": p_cov_an(params, design),
+        "p_sec": p_sec_an(params, design),
+    }
+    return design, Technique.ARTIFICIAL_NOISE.value, forms
+
+
+def cmd_analytic(cfg: RunConfig) -> tuple[dict, list[dict], int]:
+    params = cfg.params
+    _, technique, forms = _design_forms(cfg)
     report = {
         "command": "analytic",
         "technique": technique,
         "params": _params_json(params, cfg.d_supplied),
         "design": {"r_g": cfg.r_g, "gamma": cfg.gamma},
-        "p_active": active,
-        "p_cov": cov,
-        "p_sec": sec,
+        "p_active": forms.get("p_active"),
+        "p_cov": forms["p_cov"],
+        "p_sec": forms["p_sec"],
     }
     return report, [report], 0
 
@@ -549,34 +490,15 @@ def _check_entry(analytic: float, estimate: McEstimate | None) -> dict:
 
 def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     params = cfg.params
-    trial_cfg = TrialConfig(
-        n_trials=cfg.trials,
-        seed=cfg.seed,
-        window_radius=cfg.window_radius,
-        tail_prob=cfg.tail_prob,
-    )
+    design, technique, analytic = _design_forms(cfg)
+    run = run_gz_trials if isinstance(design, GuardZoneDesign) else run_an_trials
     exit_code = 0
-    if cfg.r_g is not None:
-        design = GuardZoneDesign(r_g=cfg.r_g)
-        technique = Technique.GUARD_ZONE.value
-        analytic = {
-            "p_active": p_active(params, design),
-            "p_cov": p_cov_gz(params, design),
-            "p_sec": p_sec_gz(params, design),
-        }
-        try:
-            estimates = vars(run_gz_trials(params, design, trial_cfg))
-        except InsufficientDataError as exc:
-            estimates = exc.partial
-            exit_code = 4
-    else:
-        design = NoiseSplitDesign(gamma=cfg.gamma)
-        technique = Technique.ARTIFICIAL_NOISE.value
-        analytic = {
-            "p_cov": p_cov_an(params, design),
-            "p_sec": p_sec_an(params, design),
-        }
-        estimates = vars(run_an_trials(params, design, trial_cfg))
+    try:
+        estimates = vars(run(params, design, cfg.trial_config(cfg.trials)))
+    except InsufficientDataError as exc:
+        # only a guard-zone run can lack active trials
+        estimates = exc.partial
+        exit_code = 4
     checks = {
         name: _check_entry(value, estimates.get(name))
         for name, value in analytic.items()
@@ -632,12 +554,7 @@ def _sweep_d_row(
         verdict = selection.better.value
     mc_gz = mc_an = None
     if cfg.mc_trials is not None:
-        trial_cfg = TrialConfig(
-            n_trials=cfg.mc_trials,
-            seed=cfg.seed,
-            window_radius=cfg.window_radius,
-            tail_prob=cfg.tail_prob,
-        )
+        trial_cfg = cfg.trial_config(cfg.mc_trials)
         try:
             mc_gz = run_gz_trials(
                 point, GuardZoneDesign(r_g=gz.parameter), trial_cfg
@@ -747,13 +664,28 @@ def cmd_sweep_lambda(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     return report, rows, exit_code
 
 
+# subcommand: (command function, CSV columns, --help summary)
 _COMMANDS = {
-    "analytic": (cmd_analytic, ANALYTIC_COLUMNS),
-    "optimize": (cmd_optimize, OPTIMIZE_COLUMNS),
-    "select": (cmd_select, SELECT_COLUMNS),
-    "mc-validate": (cmd_mc_validate, MC_VALIDATE_COLUMNS),
-    "sweep-d": (cmd_sweep_d, SWEEP_D_COLUMNS),
-    "sweep-lambda": (cmd_sweep_lambda, SWEEP_LAMBDA_COLUMNS),
+    "analytic": (
+        cmd_analytic, ANALYTIC_COLUMNS, "evaluate closed forms for one design"
+    ),
+    "optimize": (
+        cmd_optimize, OPTIMIZE_COLUMNS, "density threshold and optimal designs"
+    ),
+    "select": (
+        cmd_select, SELECT_COLUMNS, "pick the better technique at a link distance"
+    ),
+    "mc-validate": (
+        cmd_mc_validate, MC_VALIDATE_COLUMNS, "compare closed forms against simulation"
+    ),
+    "sweep-d": (
+        cmd_sweep_d, SWEEP_D_COLUMNS, "selection function across link distances"
+    ),
+    "sweep-lambda": (
+        cmd_sweep_lambda,
+        SWEEP_LAMBDA_COLUMNS,
+        "critical distance across eavesdropper densities",
+    ),
 }
 
 
@@ -798,7 +730,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _make_config(args)
-        command, columns = _COMMANDS[args.command]
+        command, columns, _ = _COMMANDS[args.command]
         report, csv_rows, exit_code = command(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,37 +15,20 @@ root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
 
 __all__ = [
-    "NumericTolerance",
-    "DEFAULT_TOLERANCE",
     "complete_gamma",
     "upper_incomplete_gamma",
     "inverse_upper_incomplete_gamma",
 ]
 
 
-@dataclass(frozen=True)
-class NumericTolerance:
-    """Convergence controls for the iterative routines in this module."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_iter: int = 500
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
-
-
-DEFAULT_TOLERANCE = NumericTolerance()
+# Convergence controls for the iterative routines in this module
+_REL_TOL = 1e-12
+_ABS_TOL = 1e-14
+_MAX_ITER = 500
 
 # Values of Gamma(a, x) below roughly exp(a*log(x) - x) ~ 1e-290 underflow
 # through the prefactor; callers treat an exact 0.0 as "negligibly small".
@@ -63,9 +46,7 @@ def complete_gamma(a: float) -> float:
     return math.gamma(a)
 
 
-def upper_incomplete_gamma(
-    a: float, x: float, tol: NumericTolerance = DEFAULT_TOLERANCE
-) -> float:
+def upper_incomplete_gamma(a: float, x: float) -> float:
     """Gamma(a, x) = integral of t^(a-1) exp(-t) from x to infinity.
 
     Requires a in (0, 1] and x >= 0. Results too small for double
@@ -79,32 +60,32 @@ def upper_incomplete_gamma(
     if math.isinf(x):
         return 0.0
     if x < a + 1.0:
-        return math.gamma(a) - _lower_series(a, x, tol)
-    return _upper_continued_fraction(a, x, tol)
+        return math.gamma(a) - _lower_series(a, x)
+    return _upper_continued_fraction(a, x)
 
 
-def _lower_series(a: float, x: float, tol: NumericTolerance) -> float:
+def _lower_series(a: float, x: float) -> float:
     # gamma_lower(a, x) = x^a e^-x * sum_n x^n / (a (a+1) ... (a+n))
     term = 1.0 / a
     total = term
-    for n in range(1, tol.max_iter + 1):
+    for n in range(1, _MAX_ITER + 1):
         term *= x / (a + n)
         total += term
-        if abs(term) < abs(total) * tol.rel_tol + tol.abs_tol:
+        if abs(term) < abs(total) * _REL_TOL + _ABS_TOL:
             return math.exp(a * math.log(x) - x) * total
     raise NumericalError(
         "power series for the lower incomplete gamma did not converge", a=a, x=x
     )
 
 
-def _upper_continued_fraction(a: float, x: float, tol: NumericTolerance) -> float:
+def _upper_continued_fraction(a: float, x: float) -> float:
     # Modified Lentz evaluation of the standard continued fraction
     #   Gamma(a, x) = x^a e^-x / (x + 1 - a - 1(1-a)/(x + 3 - a - ...))
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, tol.max_iter + 1):
+    for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -116,16 +97,14 @@ def _upper_continued_fraction(a: float, x: float, tol: NumericTolerance) -> floa
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol.rel_tol:
+        if abs(delta - 1.0) < _REL_TOL:
             return math.exp(a * math.log(x) - x) * h
     raise NumericalError(
         "continued fraction for the upper incomplete gamma did not converge", a=a, x=x
     )
 
 
-def inverse_upper_incomplete_gamma(
-    a: float, target: float, tol: NumericTolerance = DEFAULT_TOLERANCE
-) -> float:
+def inverse_upper_incomplete_gamma(a: float, target: float) -> float:
     """Solve Gamma(a, x) = target for x >= 0.
 
     The target must satisfy 0 < target <= Gamma(a); the boundary value
@@ -143,8 +122,8 @@ def inverse_upper_incomplete_gamma(
         return 0.0
 
     hi = 1.0
-    for _ in range(tol.max_iter):
-        if upper_incomplete_gamma(a, hi, tol) <= target:
+    for _ in range(_MAX_ITER):
+        if upper_incomplete_gamma(a, hi) <= target:
             break
         hi *= 2.0
     else:
@@ -157,12 +136,12 @@ def inverse_upper_incomplete_gamma(
     # stop far from the root. The midpoint collision check above ends
     # the search once float resolution is exhausted.
     lo = 0.0
-    for _ in range(tol.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        value = upper_incomplete_gamma(a, mid, tol)
-        if abs(value - target) <= tol.rel_tol * target:
+        value = upper_incomplete_gamma(a, mid)
+        if abs(value - target) <= _REL_TOL * target:
             return mid
         if value > target:
             lo = mid

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -441,6 +442,30 @@ class TestConfigFile:
         assert report["trials"] == 30000
         assert report["seed"] == 12
 
+    def test_keys_of_other_subcommands_ignored(self, capsys, tmp_path):
+        # select takes no design, trial count or --mc, so neither their
+        # values nor their bounds matter to it
+        base = "[params]\nlambda_e = 0.2\nd = 1.2\n"
+        other = "[design]\nr_g = 1.0\n[mc]\ntrials = 0\n[sweep]\nmc = 0\n"
+        outputs = []
+        for text in (base, base + other):
+            config = tmp_path / "run.ini"
+            config.write_text(text)
+            assert cli.main(["select", "--config", str(config)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_readme_example_loads(self, tmp_path):
+        # only loaded: running a command on it would write its results.csv
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        config = tmp_path / "run.ini"
+        config.write_text(block)
+        assert cli._load_config(str(config))["out"] == "results.csv"
+        # it names every key, the alternatives in comments
+        for _, key, _, _, _ in cli._OPTIONS:
+            assert re.search(rf"\b{key} = ", block), key
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text("[params]\nbogus = 1\n")
@@ -451,6 +476,32 @@ class TestConfigFile:
         missing = tmp_path / "nope.ini"
         assert cli.main(["select", "--config", str(missing), "--d", "1"]) == 2
         capsys.readouterr()
+
+
+# every flag each subcommand accepts, as listed by --help
+_PARAM_FLAGS = [
+    "--alpha", "--beta-e", "--beta-t", "--config", "--d", "--epsilon", "--format",
+    "--help", "--lambda-e", "--out", "--pt", "--sigma2-p", "--sigma2-s",
+]
+_MC_FLAGS = ["--seed", "--tail-prob", "--window-radius"]
+_GRID_FLAGS = ["--grid-start", "--grid-step", "--grid-stop"]
+FLAGS = {
+    "analytic": [*_PARAM_FLAGS, "--gamma", "--r-g"],
+    "optimize": _PARAM_FLAGS,
+    "select": _PARAM_FLAGS,
+    "mc-validate": [*_PARAM_FLAGS, "--gamma", "--r-g", *_MC_FLAGS, "--trials"],
+    "sweep-d": [*_PARAM_FLAGS, *_MC_FLAGS, *_GRID_FLAGS, "--mc"],
+    "sweep-lambda": [*_PARAM_FLAGS, *_GRID_FLAGS],
+}
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_option_surface(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--help"])
+    assert excinfo.value.code == 0
+    listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    assert sorted(listed) == sorted(FLAGS[command])
 
 
 class TestOutputPlumbing:
@@ -471,9 +522,11 @@ class TestOutputPlumbing:
         capsys.readouterr()
 
     def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["optimize", "--bogus", "1"])
-        assert excinfo.value.code == 2
+        # sweep-d takes its trial count from --mc, so --trials is unknown there
+        for argv in (["optimize", "--bogus", "1"], ["sweep-d", "--trials", "5"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 2
 
     def test_csv_probabilities_use_six_significant_digits(self, capsys):
         _, _, rows = run_csv(
