@@ -12,7 +12,6 @@ from .errors import (
     DegenerateDesignError,
     DomainError,
     ExcludedRegionError,
-    InsufficientDataError,
     NumericalError,
     RegimeError,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ExcludedRegionError",
     "RegimeError",
     "NumericalError",
-    "InsufficientDataError",
     "SystemParams",
     "GuardZoneDesign",
     "NoiseSplitDesign",

@@ -18,8 +18,8 @@ a config file.
 
 Output is JSON (full precision) or CSV (fixed headers, probabilities at
 6 significant digits) to stdout or ``--out``. Exit codes: 0 success,
-2 usage or validation error, 3 numerical failure, 4 insufficient
-Monte-Carlo data.
+2 usage or validation error, 3 numerical failure, 4 an ``mc-validate``
+check without a Monte-Carlo estimate.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .errors import (
     DomainError,
-    InsufficientDataError,
     NumericalError,
-    RegimeError,
 )
 from .model import (
     GuardZoneDesign,
@@ -52,6 +50,8 @@ from .model import (
 )
 from .montecarlo import McEstimate, TrialConfig, run_an_trials, run_gz_trials
 from .optimizer import (
+    OptimalDesign,
+    SelectionVerdict,
     Technique,
     critical_distance,
     lambda_threshold,
@@ -195,7 +195,9 @@ def _csv_text(columns: tuple[Column, ...], rows: list[dict]) -> str:
 
 
 def _load_config(path: str) -> dict[str, object]:
-    parser = configparser.ConfigParser()
+    # [DEFAULT] would merge into every section; no header line can spell a
+    # name holding a newline, so [DEFAULT] stays an ordinary, unknown section
+    parser = configparser.ConfigParser(default_section="\n")
     read = parser.read(path)
     if not read:
         raise UsageError(f"config file not found: {path}")
@@ -406,6 +408,21 @@ def cmd_optimize(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     return report, [report], 0
 
 
+def _optima(
+    point: SystemParams, threshold: float
+) -> tuple[OptimalDesign, OptimalDesign, SelectionVerdict | None, str]:
+    """Both optima at point, the selection verdict and its token.
+
+    Below the threshold no technique is needed: both optima are the null
+    designs, there is no verdict (None) and the token says so.
+    """
+    if point.lambda_e < threshold:
+        gz, an = optimal_guard_radius(point), optimal_power_split(point)
+        return gz, an, None, NO_ENHANCEMENT
+    selection = selection_function(point)
+    return selection.gz_design, selection.an_design, selection, selection.better.value
+
+
 SELECT_COLUMNS = (
     _column("verdict", _text),
     _column("f_value", _num),
@@ -421,29 +438,16 @@ SELECT_HEADER = _header(SELECT_COLUMNS)
 def cmd_select(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     params = cfg.params
     threshold = lambda_threshold(params)
-    try:
-        verdict = selection_function(params)
-        fields = {
-            "verdict": verdict.better.value,
-            "f_value": verdict.f_value,
-            "h_value": verdict.h_value,
-            "g_value": verdict.g_value,
-            "r_g_star": verdict.gz_design.parameter,
-            "gamma_star": verdict.an_design.parameter,
-        }
-    except RegimeError:
-        fields = {
-            "verdict": NO_ENHANCEMENT,
-            "f_value": None,
-            "h_value": None,
-            "g_value": None,
-            "r_g_star": 0.0,
-            "gamma_star": 1.0,
-        }
+    gz, an, selection, verdict = _optima(params, threshold)
     report = {
         "command": "select",
         "params": _params_json(params, cfg.d_supplied),
-        **fields,
+        "verdict": verdict,
+        "f_value": None if selection is None else selection.f_value,
+        "h_value": None if selection is None else selection.h_value,
+        "g_value": None if selection is None else selection.g_value,
+        "r_g_star": gz.parameter,
+        "gamma_star": an.parameter,
         "lambda_threshold": threshold,
     }
     print(report["verdict"], file=sys.stderr)
@@ -492,15 +496,9 @@ def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     params = cfg.params
     design, technique, analytic = _design_forms(cfg)
     run = run_gz_trials if isinstance(design, GuardZoneDesign) else run_an_trials
-    exit_code = 0
-    try:
-        estimates = vars(run(params, design, cfg.trial_config(cfg.trials)))
-    except InsufficientDataError as exc:
-        # only a guard-zone run can lack active trials
-        estimates = exc.partial
-        exit_code = 4
+    estimates = vars(run(params, design, cfg.trial_config(cfg.trials)))
     checks = {
-        name: _check_entry(value, estimates.get(name))
+        name: _check_entry(value, estimates[name])
         for name, value in analytic.items()
     }
     passes = [entry["pass"] for entry in checks.values()]
@@ -515,7 +513,8 @@ def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[dict], int]:
         "all_pass": all(p is True for p in passes) if passes else False,
     }
     rows = [{"check": name, **entry} for name, entry in checks.items()]
-    return report, rows, exit_code
+    # a check without an estimate (pass None) has nothing to validate
+    return report, rows, 4 if None in passes else 0
 
 
 SWEEP_D_COLUMNS = (
@@ -542,32 +541,20 @@ def _sweep_d_row(
     params: SystemParams, d_value: float, threshold: float, cfg: RunConfig
 ) -> dict:
     point = replace(params, d=d_value)
-    if point.lambda_e < threshold:
-        gz = optimal_guard_radius(point)
-        an = optimal_power_split(point)
-        f_value = None
-        verdict = NO_ENHANCEMENT
-    else:
-        selection = selection_function(point)
-        gz, an = selection.gz_design, selection.an_design
-        f_value = selection.f_value
-        verdict = selection.better.value
+    gz, an, selection, verdict = _optima(point, threshold)
     mc_gz = mc_an = None
     if cfg.mc_trials is not None:
         trial_cfg = cfg.trial_config(cfg.mc_trials)
-        try:
-            mc_gz = run_gz_trials(
-                point, GuardZoneDesign(r_g=gz.parameter), trial_cfg
-            ).p_cov
-        except InsufficientDataError as exc:
-            # coverage is unconditional, so it is estimated without active trials
-            mc_gz = exc.partial["p_cov"]
+        # coverage is unconditional, so it has an estimate without active trials
+        mc_gz = run_gz_trials(
+            point, GuardZoneDesign(r_g=gz.parameter), trial_cfg
+        ).p_cov
         mc_an = run_an_trials(
             point, NoiseSplitDesign(gamma=an.parameter), trial_cfg
         ).p_cov
     return {
         "d": d_value,
-        "f_value": f_value,
+        "f_value": None if selection is None else selection.f_value,
         "r_g_star": gz.parameter,
         "gamma_star": an.parameter,
         "p_cov_gz": gz.metrics.p_cov,
@@ -732,15 +719,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _make_config(args)
         command, columns, _ = _COMMANDS[args.command]
         report, csv_rows, exit_code = command(cfg)
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -36,14 +36,3 @@ class NumericalError(RuntimeError):
         super().__init__(message)
         self.context = context
 
-
-class InsufficientDataError(RuntimeError):
-    """A conditional Monte-Carlo estimate has an empty conditioning set.
-
-    partial maps the names of the estimates that did not need that set
-    to their values; it is empty when there are none.
-    """
-
-    def __init__(self, message: str, partial: dict[str, object] | None = None):
-        super().__init__(message)
-        self.partial = {} if partial is None else partial

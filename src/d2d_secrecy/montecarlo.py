@@ -38,7 +38,6 @@ import numpy as np
 from .errors import (
     DomainError,
     ExcludedRegionError,
-    InsufficientDataError,
     NumericalError,
 )
 from .model import (
@@ -145,15 +144,16 @@ class McEstimate:
 class GzTrialEstimates:
     """Guard-zone run summary.
 
-    p_sec conditions on active trials per the model's definition;
-    p_sec_unconditioned averages the same indicator over all trials and
-    exists as the negative control - it matches the r_g = 0 closed form,
-    not the guard-zone one.
+    p_sec conditions on active trials per the model's definition, so it
+    is None when no trial was active: there is nothing to estimate it
+    from. p_sec_unconditioned averages the same indicator over all
+    trials and exists as the negative control - it matches the r_g = 0
+    closed form, not the guard-zone one.
     """
 
     p_active: McEstimate
     p_cov: McEstimate
-    p_sec: McEstimate
+    p_sec: McEstimate | None
     p_sec_unconditioned: McEstimate
 
 
@@ -347,15 +347,13 @@ def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
 
 
 def _binomial_estimate(successes: int, n: int) -> McEstimate:
-    """Mean of successes/n with a 95% confidence half-width.
+    """Mean of successes/n, n >= 1, with a 95% confidence half-width.
 
     The half-width is the normal approximation 1.96 * sqrt(p(1-p)/n),
     except when either tally (successes or failures) is below 10, where
     the normal approximation breaks down: there it is the larger
     distance from the mean to an exact Clopper-Pearson bound.
     """
-    if n == 0:
-        raise InsufficientDataError("no trials entered the estimate")
     mean = successes / n
     if min(successes, n - successes) < _EXACT_BELOW:
         lower, upper = _clopper_pearson(successes, n)
@@ -447,29 +445,17 @@ def run_gz_trials(
 ) -> GzTrialEstimates:
     """Simulate the guard-zone technique.
 
-    Raises InsufficientDataError when no trial was active (the
-    conditional secrecy estimate does not exist); the exception carries
-    the unconditional estimates as .partial.
+    p_sec is None when no trial was active: the conditional secrecy
+    probability has no trial to be estimated from. The other estimates
+    take every trial and always exist.
     """
     k_active, k_cov, k_sec_active, k_sec_all = _tallies(params, design, cfg)
     n = cfg.n_trials
-    p_active_est = _binomial_estimate(k_active, n)
-    p_cov_est = _binomial_estimate(k_cov, n)
-    p_sec_all = _binomial_estimate(k_sec_all, n)
-    if k_active == 0:
-        raise InsufficientDataError(
-            "no active trials; the conditional secrecy probability is undefined",
-            partial={
-                "p_active": p_active_est,
-                "p_cov": p_cov_est,
-                "p_sec_unconditioned": p_sec_all,
-            },
-        )
     return GzTrialEstimates(
-        p_active=p_active_est,
-        p_cov=p_cov_est,
-        p_sec=_binomial_estimate(k_sec_active, k_active),
-        p_sec_unconditioned=p_sec_all,
+        p_active=_binomial_estimate(k_active, n),
+        p_cov=_binomial_estimate(k_cov, n),
+        p_sec=_binomial_estimate(k_sec_active, k_active) if k_active else None,
+        p_sec_unconditioned=_binomial_estimate(k_sec_all, n),
     )
 
 

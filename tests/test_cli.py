@@ -472,6 +472,22 @@ class TestConfigFile:
         assert cli.main(["select", "--config", str(config), "--d", "1"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\nalpha = 3\n[params]\nd = 1\n[output]\nformat = json\n",
+            "[DEFAULT]\nalpha = 3\nd = 1\n",
+        ],
+        ids=["with-sections", "alone"],
+    )
+    def test_default_section_rejected(self, capsys, tmp_path, text):
+        # configparser would merge [DEFAULT] into every section: the first
+        # file then failed on 'alpha' in [output], the second ran on alpha 4
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        assert cli.main(["select", "--config", str(config), "--d", "1"]) == 2
+        assert "[DEFAULT]" in capsys.readouterr().err
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         missing = tmp_path / "nope.ini"
         assert cli.main(["select", "--config", str(missing), "--d", "1"]) == 2

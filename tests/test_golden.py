@@ -1,20 +1,27 @@
 """Byte-for-byte checks of the CLI's stdout against recorded reports.
 
 Each case runs one subcommand in both output formats and compares
-stdout with tests/golden/<case>.<format>. The cases cover every
+stdout with tests/golden/<case>.<format>; a JSON report must also
+validate against docs/output_schema.json. The cases cover every
 subcommand plus the edge rows each report can emit (no distance given,
 no enhancement needed, no active Monte-Carlo trial, densities below and
 at the threshold). Monte-Carlo cases use few trials, so their figures
 pin the random stream rather than the closed forms.
 """
 
+import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from d2d_secrecy import cli
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+VALIDATOR = jsonschema.Draft202012Validator(
+    json.loads((ROOT / "docs" / "output_schema.json").read_text())
+)
 
 LAMBDA_STAR = "0.03784278358522515"
 
@@ -55,4 +62,7 @@ CASES = [
 def test_stdout_matches_golden(capsys, name, argv, exit_code, fmt):
     assert cli.main([*argv, "--format", fmt]) == exit_code
     expected = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == expected
+    out = capsys.readouterr().out
+    assert out == expected
+    if fmt == "json":
+        VALIDATOR.validate(json.loads(out))

@@ -1,7 +1,9 @@
-"""Checks on fresh interpreters: what importing the package pulls in, and
-what running the CLI costs the process."""
+"""Checks on what importing the package offers and pulls in, the latter
+on fresh interpreters, and on what running the CLI costs the process."""
 
+import importlib
 import os
+import pkgutil
 import platform
 import resource
 import subprocess
@@ -10,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
+import d2d_secrecy
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+MODULES = ["d2d_secrecy"] + [
+    f"d2d_secrecy.{info.name}" for info in pkgutil.iter_modules(d2d_secrecy.__path__)
+]
 
 
 def _fresh(args):
@@ -20,6 +28,15 @@ def _fresh(args):
         [sys.executable, *args], env=env, capture_output=True, text=True,
         timeout=120, check=True,
     )
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_names_resolve(name):
+    # a name removed from a module but left in an __all__ would otherwise
+    # only fail on a star import
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert missing == []
 
 
 def test_package_import_loads_no_scipy():

@@ -14,7 +14,6 @@ import pytest
 from d2d_secrecy.errors import (
     DomainError,
     ExcludedRegionError,
-    InsufficientDataError,
     NumericalError,
 )
 from d2d_secrecy.model import (
@@ -31,6 +30,7 @@ from d2d_secrecy.model import (
 from d2d_secrecy import montecarlo as mc
 from d2d_secrecy.montecarlo import (
     EavesdropperField,
+    McEstimate,
     TrialConfig,
     auto_window_radius,
     run_an_trials,
@@ -254,16 +254,17 @@ class TestGuardZoneTrials:
         with pytest.raises(DomainError):
             run_gz_trials(BASE, GuardZoneDesign(r_g=1.0), cfg)
 
-    def test_no_active_trials_raises_with_partial(self):
+    def test_no_active_trials_leave_only_p_sec_missing(self):
+        # the conditional secrecy estimate has no trial to come from; every
+        # other estimate takes all trials
         params = replace(BASE, lambda_e=1.0)
         cfg = TrialConfig(n_trials=10, seed=3)
-        with pytest.raises(InsufficientDataError) as excinfo:
-            run_gz_trials(params, GuardZoneDesign(r_g=3.0), cfg)
-        partial = excinfo.value.partial
-        assert partial["p_active"].mean == 0.0
-        assert set(partial) == {"p_active", "p_cov", "p_sec_unconditioned"}
-        # an error raised without estimates still carries the field
-        assert InsufficientDataError("no trials").partial == {}
+        result = run_gz_trials(params, GuardZoneDesign(r_g=3.0), cfg)
+        assert result.p_sec is None
+        assert result.p_active.mean == 0.0
+        for estimate in (result.p_active, result.p_cov, result.p_sec_unconditioned):
+            assert isinstance(estimate, McEstimate)
+            assert estimate.n_effective == cfg.n_trials
 
     def test_window_insensitivity(self):
         # doubling the window may only move estimates by the documented
