@@ -198,7 +198,10 @@ def _load_config(path: str) -> dict[str, object]:
     # [DEFAULT] would merge into every section; no header line can spell a
     # name holding a newline, so [DEFAULT] stays an ordinary, unknown section
     parser = configparser.ConfigParser(default_section="\n")
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise UsageError(f"config file not found: {path}")
     kinds = {(section, key): kind for section, key, kind, _, _ in _OPTIONS}
@@ -722,7 +725,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if cfg.output_format == "json":

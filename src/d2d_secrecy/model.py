@@ -28,7 +28,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateDesignError, DomainError
-from .specfun import complete_gamma, upper_incomplete_gamma
+from .specfun import (
+    complete_gamma,
+    inverse_upper_incomplete_gamma,
+    upper_incomplete_gamma,
+)
 
 __all__ = [
     "SystemParams",
@@ -152,8 +156,7 @@ def density_factor(params: SystemParams) -> float:
 
 
 def secrecy_scale(params: SystemParams) -> float:
-    """Factor multiplying the incomplete gamma in the guard-zone secrecy
-    exponent; shared with the optimizer, which inverts it."""
+    """Factor multiplying the incomplete gamma in the guard-zone secrecy exponent."""
     a = order(params)
     return density_factor(params) * (params.p_t / (params.sigma2_s * params.beta_e)) ** a
 
@@ -161,11 +164,6 @@ def secrecy_scale(params: SystemParams) -> float:
 def guard_argument(params: SystemParams, r_g: float) -> float:
     """Map a guard radius to the incomplete-gamma argument it induces."""
     return _power(r_g, params.alpha) * params.beta_e * params.sigma2_s / params.p_t
-
-
-def radius_from_argument(params: SystemParams, x: float) -> float:
-    """Inverse of guard_argument."""
-    return (x * params.p_t / (params.beta_e * params.sigma2_s)) ** (1.0 / params.alpha)
 
 
 def _silence_exponent(params: SystemParams, r_g: float) -> float:
@@ -198,6 +196,17 @@ def p_sec_gz(params: SystemParams, design: GuardZoneDesign) -> float:
     a = order(params)
     scale = secrecy_scale(params)
     return math.exp(-scale * upper_incomplete_gamma(a, guard_argument(params, design.r_g)))
+
+
+def guard_radius(params: SystemParams, exponent: float) -> float:
+    """Smallest r_g with -ln p_sec_gz <= exponent (inverts p_sec_gz); 0 when
+    exponent / secrecy_scale >= Gamma(a), since then no guard zone is needed."""
+    a = order(params)
+    target = exponent / secrecy_scale(params)
+    if target >= complete_gamma(a):
+        return 0.0
+    x = inverse_upper_incomplete_gamma(a, target)
+    return (x * params.p_t / (params.beta_e * params.sigma2_s)) ** (1.0 / params.alpha)
 
 
 def p_cov_an(params: SystemParams, design: NoiseSplitDesign) -> float:

@@ -25,7 +25,7 @@ their common prefix of trials.
 
 The infinite plane is truncated to a disk: auto_window_radius picks the
 smallest radius whose neglected outer region shifts any secrecy estimate
-by less than tail_prob.
+by less than tail_prob, via the guard-zone inverse model.guard_radius.
 """
 
 from __future__ import annotations
@@ -44,11 +44,8 @@ from .model import (
     GuardZoneDesign,
     NoiseSplitDesign,
     SystemParams,
-    order,
-    radius_from_argument,
-    secrecy_scale,
+    guard_radius,
 )
-from .specfun import complete_gamma, inverse_upper_incomplete_gamma
 
 __all__ = [
     "TrialConfig",
@@ -169,23 +166,18 @@ def auto_window_radius(params: SystemParams, tail_prob: float = 1e-4) -> float:
     """Smallest simulation-disk radius whose neglected outer region biases
     secrecy estimates by less than tail_prob.
 
-    Inverts the closed-form secrecy exponent: the contribution of
-    eavesdroppers beyond R is the incomplete-gamma tail at R. Returns 0
-    when even the full exponent stays below tail_prob, and a fixed small
+    The contribution of eavesdroppers beyond R is the guard-zone secrecy
+    exponent at r_g = R, so model.guard_radius inverts it. Returns 0 when
+    even the full exponent stays below tail_prob, and a fixed small
     radius when the field is empty.
     """
     if not (0.0 < tail_prob < 1.0):
         raise DomainError(f"tail_prob must lie in (0, 1), got {tail_prob}")
     if params.lambda_e == 0.0:
         return _EMPTY_FIELD_RADIUS
-    a = order(params)
-    target = tail_prob / secrecy_scale(params)
-    if target >= complete_gamma(a):
-        return 0.0
     # shade the target slightly so the forward bound holds strictly after
     # the inverse solver's residual tolerance
-    x = inverse_upper_incomplete_gamma(a, target * (1.0 - 1e-9))
-    return radius_from_argument(params, x)
+    return guard_radius(params, tail_prob * (1.0 - 1e-9))
 
 
 def _stream(seed: int, stream: int, batch: int) -> np.random.Generator:

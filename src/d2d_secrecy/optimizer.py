@@ -3,17 +3,19 @@
 Both techniques trade coverage against secrecy through a single scalar
 (guard radius r_g, power split gamma). Under the constraint
 p_sec >= epsilon the best choice of that scalar has a closed form: the
-guard radius comes from inverting an incomplete gamma, the power split
-is explicit. Which optimized technique covers better at a given link
-distance reduces to the sign of a selection function F(d); F increases
-with d and crosses zero once, at the critical distance d_star, where
-the two optimal coverage exponents are equal. That equality gives d_star
-in closed form. Short links favor artificial noise, long links favor the
-guard zone.
+guard radius is model.guard_radius, the inverse of the guard-zone
+secrecy exponent, and the power split is explicit. Which optimized
+technique covers better at a given link distance reduces to the sign of
+a selection function F(d); F increases with d and crosses zero once, at
+the critical distance d_star, where the two optimal coverage exponents
+are equal. That equality gives d_star in closed form. Short links favor
+artificial noise, long links favor the guard zone.
 
 Below the density threshold lambda_threshold() plain transmission
 already meets the secrecy target and both optima degenerate to the null
-design (r_g = 0, gamma = 1).
+design (r_g = 0, gamma = 1). One comparison of lambda_e with the threshold
+decides that regime for both optima, their constraint_active flags, the
+selection function and d*; rounding can still null one optimum just above.
 """
 
 from __future__ import annotations
@@ -29,17 +31,16 @@ from .model import (
     SystemParams,
     TechniqueMetrics,
     _power,
+    guard_radius,
     order,
     p_cov_an,
     p_cov_gz,
     p_sec_an,
     p_sec_gz,
-    radius_from_argument,
     secrecy_scale,
 )
 from .specfun import (
     complete_gamma,
-    inverse_upper_incomplete_gamma,
     upper_incomplete_gamma,
 )
 
@@ -106,33 +107,36 @@ def lambda_threshold(params: SystemParams) -> float:
     )
 
 
+def _enhancement_needed(params: SystemParams) -> bool:
+    # the one regime decision: below the threshold both optima are null
+    return params.lambda_e >= lambda_threshold(params)
+
+
+def _require_enhancement(params: SystemParams, consequence: str) -> None:
+    if not _enhancement_needed(params):
+        raise RegimeError(
+            f"lambda_e = {params.lambda_e:g} is below the enhancement "
+            f"threshold {lambda_threshold(params):g}; {consequence}"
+        )
+
+
 def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
     """Largest guard radius is never wanted; this returns the smallest
     radius that still meets the secrecy target, which maximizes coverage."""
-    a = order(params)
-    if params.lambda_e == 0.0:
-        r_star, binding = 0.0, False
-    else:
-        target = -math.log(params.epsilon) / secrecy_scale(params)
-        if target >= complete_gamma(a):
-            # plain transmission is already secret enough
-            r_star, binding = 0.0, False
-        else:
-            x_star = inverse_upper_incomplete_gamma(a, target)
-            r_star = radius_from_argument(params, x_star)
-            binding = True
+    needed = _enhancement_needed(params)
+    r_star = guard_radius(params, -math.log(params.epsilon)) if needed else 0.0
     design = GuardZoneDesign(r_star)
     metrics = TechniqueMetrics(
         p_cov=p_cov_gz(params, design), p_sec=p_sec_gz(params, design)
     )
-    return OptimalDesign(Technique.GUARD_ZONE, r_star, metrics, binding)
+    return OptimalDesign(Technique.GUARD_ZONE, r_star, metrics, needed)
 
 
 def optimal_power_split(params: SystemParams) -> OptimalDesign:
     """Largest signal fraction that still meets the secrecy target."""
-    if params.lambda_e == 0.0:
-        unclamped = math.inf
-    else:
+    needed = _enhancement_needed(params)
+    gamma_star = 1.0
+    if needed:
         a = order(params)
         lift = (params.sigma2_s / params.p_t) * _power(
             params.alpha
@@ -140,15 +144,12 @@ def optimal_power_split(params: SystemParams) -> OptimalDesign:
             / (2.0 * math.pi * params.lambda_e * complete_gamma(a)),
             params.alpha / 2.0,
         )
-        unclamped = params.beta_e / (1.0 + params.beta_e) * (1.0 + lift)
-    gamma_star = min(1.0, unclamped)
+        gamma_star = min(1.0, params.beta_e / (1.0 + params.beta_e) * (1.0 + lift))
     design = NoiseSplitDesign(gamma_star)
     metrics = TechniqueMetrics(
         p_cov=p_cov_an(params, design), p_sec=p_sec_an(params, design)
     )
-    return OptimalDesign(
-        Technique.ARTIFICIAL_NOISE, gamma_star, metrics, unclamped < 1.0
-    )
+    return OptimalDesign(Technique.ARTIFICIAL_NOISE, gamma_star, metrics, needed)
 
 
 def _selection_f(params: SystemParams, g: float, d: float) -> tuple[float, float]:
@@ -181,12 +182,7 @@ def selection_function(params: SystemParams) -> SelectionVerdict:
     threshold density where both optima are null) artificial noise is
     reported.
     """
-    lam_star = lambda_threshold(params)
-    if params.lambda_e < lam_star:
-        raise RegimeError(
-            f"lambda_e = {params.lambda_e:g} is below the enhancement "
-            f"threshold {lam_star:g}; no technique is needed"
-        )
+    _require_enhancement(params, "no technique is needed")
     gz = optimal_guard_radius(params)
     an = optimal_power_split(params)
     f_value, h_value = _selection_f(params, an.parameter, params.d)
@@ -218,12 +214,7 @@ def critical_distance(params: SystemParams) -> CriticalDistance:
     Rounding can leave only one of the two optima null there, so either
     one being null selects the limit.
     """
-    lam_star = lambda_threshold(params)
-    if params.lambda_e < lam_star:
-        raise RegimeError(
-            f"lambda_e = {params.lambda_e:g} is below the enhancement "
-            f"threshold {lam_star:g}; the selection function has no root"
-        )
+    _require_enhancement(params, "the selection function has no root")
     r_star = optimal_guard_radius(params).parameter
     g = optimal_power_split(params).parameter
     if r_star == 0.0 or g == 1.0:

@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from d2d_secrecy import cli, optimizer
+from d2d_secrecy import cli, model
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
@@ -400,13 +400,13 @@ class TestSweepSolves:
     )
     def test_inverse_solves_per_sweep(self, capsys, monkeypatch, argv, solves):
         calls = []
-        inverse = optimizer.inverse_upper_incomplete_gamma
+        inverse = model.inverse_upper_incomplete_gamma
 
         def counted(*args, **kwargs):
             calls.append(args)
             return inverse(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "inverse_upper_incomplete_gamma", counted)
+        monkeypatch.setattr(model, "inverse_upper_incomplete_gamma", counted)
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert len(calls) == solves
@@ -488,6 +488,22 @@ class TestConfigFile:
         assert cli.main(["select", "--config", str(config), "--d", "1"]) == 2
         assert "[DEFAULT]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"alpha = 3\n",
+            b"[params]\nalpha = 3\nalpha = 4\n",
+            b"[params]\nalpha = \xff3\n",
+        ],
+        ids=["no-section-header", "duplicate-key", "not-utf8"],
+    )
+    def test_unparsable_file_rejected(self, capsys, tmp_path, content):
+        config = tmp_path / "run.ini"
+        config.write_bytes(content)
+        assert cli.main(["select", "--config", str(config), "--d", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(config) in err
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         missing = tmp_path / "nope.ini"
         assert cli.main(["select", "--config", str(missing), "--d", "1"]) == 2
@@ -543,6 +559,30 @@ class TestOutputPlumbing:
             with pytest.raises(SystemExit) as excinfo:
                 cli.main(argv)
             assert excinfo.value.code == 2
+
+    def test_float_underflow_exits_3(self, capsys):
+        # sigma2_s * beta_e underflows to 0, a zero divisor in the threshold
+        argv = ["optimize", "--d", "1", "--sigma2-s", "1e-200", "--beta-e", "1e-200"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_readme_examples_run(self, capsys, tmp_path, monkeypatch):
+        # the examples write files (sweep-d --out), so they run in tmp_path
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        commands = [
+            line.split("#", 1)[0].split()[1:]
+            for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("d2d-secrecy ")
+        ]
+        assert len(commands) == 6
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+            capsys.readouterr()
+        assert (tmp_path / "fig_selection.csv").is_file()
 
     def test_csv_probabilities_use_six_significant_digits(self, capsys):
         _, _, rows = run_csv(

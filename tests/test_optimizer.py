@@ -11,7 +11,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from d2d_secrecy.errors import RegimeError
 from d2d_secrecy.model import (
@@ -114,6 +114,46 @@ def test_threshold_density_is_the_boundary_case():
     assert gz.parameter == pytest.approx(0.0, abs=1e-6)
     assert an.parameter == pytest.approx(1.0, abs=1e-6)
     assert gz.metrics.p_sec == pytest.approx(0.9, abs=1e-9)
+
+
+@st.composite
+def threshold_neighbours(draw):
+    # lambda_e within 20 ulps of the threshold, on either side
+    base = replace(draw(binding_params()), lambda_e=0.0)
+    lam = lambda_threshold(base)
+    steps = draw(st.integers(-20, 20))
+    toward = math.inf if steps > 0 else 0.0
+    for _ in range(abs(steps)):
+        lam = math.nextafter(lam, toward)
+    return replace(base, lambda_e=lam)
+
+
+# a few ulps below the threshold, where the explicit power split rounds
+# to 0.9999999999999999 instead of clamping to 1
+_ULPS_BELOW = SystemParams(
+    alpha=5.637045896521574,
+    p_t=5.096399872592164,
+    beta_t=2.0,
+    beta_e=1.4810054375585489,
+    epsilon=0.8703440600370398,
+    sigma2_p=1.0,
+    sigma2_s=3.130008083709125,
+    lambda_e=0.047987119119018706,
+    d=1.0,
+)
+
+
+@settings(max_examples=300)
+@given(params=threshold_neighbours())
+@example(params=_ULPS_BELOW)
+def test_one_regime_decision_near_threshold(params):
+    needed = params.lambda_e >= lambda_threshold(params)
+    gz = optimal_guard_radius(params)
+    an = optimal_power_split(params)
+    assert gz.constraint_active == an.constraint_active == needed
+    if not needed:
+        assert gz.parameter == 0.0
+        assert an.parameter == 1.0
 
 
 def test_below_threshold_metrics_coincide():
