@@ -27,7 +27,8 @@ class RegimeError(DomainError):
 
 
 class NumericalError(RuntimeError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed: an iteration did not converge, or a
+    float overflowed or underflowed where a finite value is needed."""
 
     def __init__(self, message: str, **context: float):
         if context:

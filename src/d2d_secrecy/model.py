@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDesignError, DomainError
+from .errors import DegenerateDesignError, DomainError, NumericalError
 from .specfun import (
     complete_gamma,
     inverse_upper_incomplete_gamma,
@@ -155,10 +155,25 @@ def density_factor(params: SystemParams) -> float:
     return 2.0 * math.pi * params.lambda_e / params.alpha
 
 
+def _require_finite_positive(name: str, value: float) -> float:
+    # a float overflow or underflow here would turn into a wrong threshold
+    # or a wrong target downstream, so it fails as a numerical error
+    if not 0.0 < value < math.inf:
+        raise NumericalError(f"{name} = {value} is not a positive finite float")
+    return value
+
+
+def _snr_ratio(params: SystemParams) -> float:
+    """p_t / (sigma2_s * beta_e), which both secrecy exponents scale with."""
+    return _require_finite_positive(
+        "p_t / (sigma2_s * beta_e)", params.p_t / (params.sigma2_s * params.beta_e)
+    )
+
+
 def secrecy_scale(params: SystemParams) -> float:
     """Factor multiplying the incomplete gamma in the guard-zone secrecy exponent."""
     a = order(params)
-    return density_factor(params) * (params.p_t / (params.sigma2_s * params.beta_e)) ** a
+    return density_factor(params) * _snr_ratio(params) ** a
 
 
 def guard_argument(params: SystemParams, r_g: float) -> float:

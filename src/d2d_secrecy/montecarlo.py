@@ -175,8 +175,8 @@ def auto_window_radius(params: SystemParams, tail_prob: float = 1e-4) -> float:
         raise DomainError(f"tail_prob must lie in (0, 1), got {tail_prob}")
     if params.lambda_e == 0.0:
         return _EMPTY_FIELD_RADIUS
-    # shade the target slightly so the forward bound holds strictly after
-    # the inverse solver's residual tolerance
+    # shade the target slightly so the forward bound holds strictly: the
+    # inverse returns the root only to the rounding of its smaller tail
     return guard_radius(params, tail_prob * (1.0 - 1e-9))
 
 

@@ -31,6 +31,8 @@ from .model import (
     SystemParams,
     TechniqueMetrics,
     _power,
+    _require_finite_positive,
+    _snr_ratio,
     guard_radius,
     order,
     p_cov_an,
@@ -99,11 +101,12 @@ def lambda_threshold(params: SystemParams) -> float:
     ignored.
     """
     a = order(params)
-    return (
+    return _require_finite_positive(
+        "lambda_threshold",
         params.alpha
         / (2.0 * math.pi * complete_gamma(a))
         * -math.log(params.epsilon)
-        * (params.p_t / (params.sigma2_s * params.beta_e)) ** -a
+        * _snr_ratio(params) ** -a,
     )
 
 

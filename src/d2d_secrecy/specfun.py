@@ -3,18 +3,32 @@
 Every closed-form expression in this package evaluates Gamma(a, x) with
 order a = 2/alpha for a path-loss exponent alpha > 2, so the order never
 leaves (0, 1]. Restricting the domain keeps the implementation compact
-and easy to audit: a power series around x = 0 and a continued fraction
-for large x, stitched at x = a + 1 where both converge quickly.
+and easy to audit. Below x = a + 1 the small-order series of Gautschi
+(ACM TOMS 1979) and DiDonato & Morris (ACM TOMS 1986),
 
-The inverse (solving Gamma(a, x) = target for x) is a bracketed
-bisection. The function is strictly decreasing in x, so doubling the
-upper edge until the value falls below the target always brackets the
-root.
+    Gamma(a, x) = (Gamma(a) - 1/a) - expm1(a ln x)/a
+                  - x^a sum_{n>=1} (-x)^n / (n! (a + n)),
+
+gives the upper tail for every order. Computing it as Gamma(a) -
+gamma(a, x) subtracts two numbers of size 1/a at small order; here that
+leading part, Gamma(a) - x^a/a, comes from Gamma(a) only while x^a <= 1/2,
+where at least half of Gamma(a) survives, and otherwise from a polynomial
+for Gamma(a) - 1/a. From a + 1 on a continued fraction takes over.
+
+The inverse (solving Gamma(a, x) = target for x) is a safeguarded Halley
+iteration in log space on the smaller tail: ln gamma(a, x) = ln(Gamma(a)
+- target) from the lower series when target > Gamma(a)/2, else
+ln Gamma(a, x) = ln target. Either way the residual is relative to a tail
+that does not cancel. The derivative is the exact x^(a-1) e^-x over the
+tail, every step stays inside a bracket that holds the root, and the
+starting values follow DiDonato & Morris, so a solve takes a few forward
+evaluations.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .errors import DomainError, NumericalError
 
@@ -25,18 +39,24 @@ __all__ = [
 ]
 
 
-# Convergence controls for the iterative routines in this module
-_REL_TOL = 1e-12
-_ABS_TOL = 1e-14
+# Convergence controls for the iterative routines in this module: the
+# series stop at machine precision, the continued fraction a few ulps
+# above it (its last factor jitters by rounding), and the inverse at the
+# forward function's own accuracy in log space
+_EPS = 2.0**-52
+_FRACTION_TOL = 1e-15
+_STEP_TOL = 1e-14
 _MAX_ITER = 500
 
 # Values of Gamma(a, x) below roughly exp(a*log(x) - x) ~ 1e-290 underflow
 # through the prefactor; callers treat an exact 0.0 as "negligibly small".
 _TINY = 1e-300
 
+_EULER = 0.5772156649015329
+
 
 def _check_order(a: float) -> None:
-    if not (0.0 < a <= 1.0) or not math.isfinite(a):
+    if not 0.0 < a <= 1.0:  # also rejects nan
         raise DomainError(f"order must lie in (0, 1], got {a}")
 
 
@@ -53,26 +73,68 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     precision underflow to 0.0 rather than raising.
     """
     _check_order(a)
-    if math.isnan(x) or x < 0.0:
+    if not x >= 0.0:  # also rejects nan
         raise DomainError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return math.gamma(a)
-    if math.isinf(x):
-        return 0.0
     if x < a + 1.0:
-        return math.gamma(a) - _lower_series(a, x)
-    return _upper_continued_fraction(a, x)
+        return _upper_series(a, x) if x > 0.0 else math.gamma(a)
+    if x == math.inf:
+        return 0.0
+    return math.exp(a * math.log(x) - x) * _upper_continued_fraction(a, x)
+
+
+def _upper_series(a: float, x: float) -> float:
+    # Gamma(a, x) for x < a + 1 from the small-order series above
+    power_m1 = math.expm1(a * math.log(x))  # x^a - 1
+    power = 1.0 + power_m1
+    if power == 0.0:
+        return math.gamma(a)
+    # below a + 1, Gamma(a, x) > Gamma(1, 2) = e^-2, so stopping once x^a
+    # times a term is below half an ulp of 1 keeps the error at a few ulps.
+    # The test compares squares and the counter is a float: neither abs()
+    # nor int-float arithmetic runs in the loop.
+    tol2 = (0.5 * _EPS / power) ** 2
+    neg_x = -x
+    term = neg_x  # (-x)^n / n!
+    total = term / (a + 1.0)
+    n = 1.0
+    while term * term > tol2:
+        if n >= _MAX_ITER:
+            raise NumericalError(
+                "power series for the upper incomplete gamma did not converge", a=a, x=x
+            )
+        n += 1.0
+        term *= neg_x / n
+        total += term / (a + n)
+    if power <= 0.5:
+        # Gamma(a) - x^a/a keeps at least half of Gamma(a): no cancellation
+        return math.gamma(a) - power * (1.0 / a + total)
+    # h = (1/Gamma(1 + a) - 1)/a on [0, 1] in Horner form: a degree-14
+    # Chebyshev fit (mpmath) to its Taylor series (Abramowitz & Stegun
+    # 6.1.34), within 2e-18
+    h = 0.5772156649015329 + a * (-0.6558780715202535 + a * (
+        -0.042002635034127836 + a * (0.16653861138323703 + a * (
+            -0.042197734569778066 + a * (-0.009621971400288845 + a * (
+                0.007218942511576732 + a * (-0.0011651647525430678 + a * (
+                    -0.00021524914822683067 + a * (0.000128063513304448 + a * (
+                        -2.0149457390763776e-05 + a * (-1.2436534652553382e-06 + a * (
+                            1.1389962411508655e-06 + a * (-2.1896988906648608e-07
+                            + a * 1.7200070946431934e-08)))))))))))))
+    # Gamma(a) - 1/a = (1/g - 1)/a = -h/g with g = 1/Gamma(1 + a) = 1 + a*h
+    return -h / (1.0 + a * h) - power_m1 / a - power * total
 
 
 def _lower_series(a: float, x: float) -> float:
-    # gamma_lower(a, x) = x^a e^-x * sum_n x^n / (a (a+1) ... (a+n))
+    # gamma_lower(a, x) = x^a e^-x * sum_n x^n / (a (a+1) ... (a+n));
+    # returns the sum, whose reciprocal is d ln gamma_lower / d ln x
     term = 1.0 / a
     total = term
-    for n in range(1, _MAX_ITER + 1):
+    n = 0.0
+    while n < _MAX_ITER:
+        n += 1.0
         term *= x / (a + n)
         total += term
-        if abs(term) < abs(total) * _REL_TOL + _ABS_TOL:
-            return math.exp(a * math.log(x) - x) * total
+        if term <= _EPS * total:
+            return total
     raise NumericalError(
         "power series for the lower incomplete gamma did not converge", a=a, x=x
     )
@@ -80,12 +142,15 @@ def _lower_series(a: float, x: float) -> float:
 
 def _upper_continued_fraction(a: float, x: float) -> float:
     # Modified Lentz evaluation of the standard continued fraction
-    #   Gamma(a, x) = x^a e^-x / (x + 1 - a - 1(1-a)/(x + 3 - a - ...))
+    #   Gamma(a, x) = x^a e^-x / (x + 1 - a - 1(1-a)/(x + 3 - a - ...));
+    # returns the fraction without the x^a e^-x prefactor
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER + 1):
+    i = 0.0
+    while i < _MAX_ITER:
+        i += 1.0
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -97,8 +162,8 @@ def _upper_continued_fraction(a: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _REL_TOL:
-            return math.exp(a * math.log(x) - x) * h
+        if abs(delta - 1.0) < _FRACTION_TOL:
+            return h
     raise NumericalError(
         "continued fraction for the upper incomplete gamma did not converge", a=a, x=x
     )
@@ -121,30 +186,83 @@ def inverse_upper_incomplete_gamma(a: float, target: float) -> float:
     if target == gamma_a:
         return 0.0
 
-    hi = 1.0
-    for _ in range(_MAX_ITER):
-        if upper_incomplete_gamma(a, hi) <= target:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("failed to bracket the inverse", a=a, target=target)
+    # gamma_lower(a, x) <= x^a / a, so this never exceeds the root; near
+    # x = 0 it is the root to within a factor 1 + O(x)
+    lo = math.exp(math.log(a * (gamma_a - target)) / a)
+    if lo == 0.0:
+        return 0.0
+    near_zero = lo / (1.0 - lo / (a + 1.0))
 
-    # converge on the residual, not the interval width: near x = 0 the
-    # derivative x^(a-1) blows up and a fixed x-width would leave the
-    # function value far from the target. The test is purely relative;
-    # an absolute term would let deep-tail targets (tiny Gamma values)
-    # stop far from the root. The midpoint collision check above ends
-    # the search once float resolution is exhausted.
-    lo = 0.0
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        value = upper_incomplete_gamma(a, mid)
-        if abs(value - target) <= _REL_TOL * target:
-            return mid
-        if value > target:
-            lo = mid
+    if target > 0.5 * gamma_a:
+        # the root lies below the median, which is at most ln 2
+        log_lower = math.log(gamma_a - target)
+
+        def residual(x: float) -> tuple[float, float, float]:
+            total = _lower_series(a, x)
+            slope = 1.0 / total
+            return a * math.log(x) - x + math.log(total) - log_lower, slope, a - x - slope
+
+        return _halley(residual, near_zero, lo, 1.0)
+
+    log_target = math.log(target)
+
+    def residual(x: float) -> tuple[float, float, float]:
+        log_x = math.log(x)
+        if x < a + 1.0:
+            log_tail = math.log(_upper_series(a, x))
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            log_tail = a * log_x - x + math.log(_upper_continued_fraction(a, x))
+        slope = math.exp(a * log_x - x - log_tail)
+        return log_target - log_tail, slope, a - x + slope
+
+    # Gamma(a, x) <= x^(a-1) e^-x <= e^-x once x >= 1
+    hi = max(1.0, -log_target)
+    # DiDonato & Morris's starting values for a < 1, by the size of target
+    if target > 0.6 or (target >= 0.45 and a >= 0.3):
+        start = near_zero
+    elif a < 0.3 and target >= 0.35:
+        # Gamma(0, x) = E1(x) ~ -Euler - ln x + x, iterated twice from x = 0
+        t = math.exp(-_EULER - target)
+        start = t * math.exp(t * math.exp(t))
+    else:
+        # Gamma(a, x) ~ x^(a-1) e^-x (1 - (1 - a)/x) for large x
+        y = -log_target
+        v = y - (1.0 - a) * math.log(y)
+        start = y - (1.0 - a) * math.log(v) - math.log1p((1.0 - a) / (1.0 + v))
+    return _halley(residual, start, lo, hi)
+
+
+def _halley(
+    residual: Callable[[float], tuple[float, float, float]], x: float, lo: float, hi: float
+) -> float:
+    """Root in [lo, hi] of residual, increasing in u = ln x.
+
+    residual(x) returns (f, f', f''/f') with derivatives in u. Halley
+    steps are taken in u; a step that would leave the bracket is replaced
+    by the geometric midpoint of the bracket, which every residual sign
+    narrows.
+    """
+    if not lo <= x <= hi:
+        x = math.sqrt(lo) * math.sqrt(hi)
+    for _ in range(_MAX_ITER):
+        f, slope, curvature = residual(x)
+        if f < 0.0:
+            lo = x
+        elif f > 0.0:
+            hi = x
+        else:
+            return x
+        newton = -f / slope
+        # Halley's correction to the Newton step, capped so that a large
+        # curvature can at most double the step and never reverse it
+        step = newton / max(0.5, 1.0 + 0.5 * newton * curvature)
+        x_next = x * math.exp(step)
+        if abs(step) <= _STEP_TOL or abs(f) <= _STEP_TOL:
+            return x_next
+        if not lo < x_next < hi:
+            x_next = math.sqrt(lo) * math.sqrt(hi)
+        if x_next == x:
+            # float resolution is exhausted, as for a subnormal root
+            return x
+        x = x_next
+    raise NumericalError("Halley iteration for the inverse did not converge", x=x)

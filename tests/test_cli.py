@@ -568,6 +568,17 @@ class TestOutputPlumbing:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("lambda_e", [[], ["--lambda-e", "0"]], ids=["default", "zero"])
+    def test_float_overflow_exits_3(self, capsys, lambda_e):
+        # p_t / (sigma2_s * beta_e) overflows to inf, which would make the
+        # threshold 0.0 and the inverse's target 0.0 or nan
+        argv = ["optimize", "--pt", "1e300", "--sigma2-s", "1e-300", *lambda_e]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "not a positive finite float" in captured.err
+
     def test_readme_examples_run(self, capsys, tmp_path, monkeypatch):
         # the examples write files (sweep-d --out), so they run in tmp_path
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -8,7 +8,7 @@ probabilities with scipy as an implementation-independent route.
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import special
 
 from d2d_secrecy.errors import DegenerateDesignError, DomainError
@@ -17,13 +17,17 @@ from d2d_secrecy.model import (
     NoiseSplitDesign,
     SystemParams,
     TechniqueMetrics,
+    guard_argument,
+    order,
     p_active,
     p_cov_an,
     p_cov_gz,
     p_sec_an,
     p_sec_gz,
     rate_to_threshold,
+    secrecy_scale,
 )
+from d2d_secrecy.specfun import upper_incomplete_gamma
 
 BASE = dict(
     alpha=4.0,
@@ -128,11 +132,26 @@ def test_p_sec_an_matches_scipy_route(params, gamma):
 
 
 @given(params=system_params(), r_g=st.floats(0.0, 4.0))
+# a secrecy exponent of 745.9, past where exp underflows to exactly 0.0
+@example(
+    params=make_params(
+        alpha=2.1015625, p_t=10.0, beta_e=0.0625, sigma2_s=0.5, lambda_e=1.0
+    ),
+    r_g=0.0,
+)
 def test_probabilities_lie_in_unit_interval(params, r_g):
     gz = GuardZoneDesign(r_g)
     assert 0.0 <= p_active(params, gz) <= 1.0
     assert 0.0 <= p_cov_gz(params, gz) <= 1.0
-    assert 0.0 < p_sec_gz(params, gz) <= 1.0
+    p_sec = p_sec_gz(params, gz)
+    assert p_sec <= 1.0
+    exponent = secrecy_scale(params) * upper_incomplete_gamma(
+        order(params), guard_argument(params, r_g)
+    )
+    if math.exp(-exponent) > 0.0:
+        assert p_sec > 0.0
+    else:
+        assert p_sec == 0.0
 
 
 @given(params=system_params(min_lambda=0.01), lo=st.floats(0.0, 2.0), step=st.floats(0.05, 2.0))

@@ -153,6 +153,15 @@ def test_inverse_round_trip(a, x):
     assert abs(recovered - x) <= 10.0 * 1e-12 * max(1.0, x)
 
 
+@pytest.mark.parametrize("a", [1e-4, 0.0019226835743779268, 0.05])
+def test_inverse_handles_roots_near_underflow(a):
+    # at small order a target O(1) below Gamma(a) has a root of about
+    # exp(-O(1/a)): subnormal or 0.0 in double precision
+    for q in (0.3, 0.5, 0.7597579059529755, 0.9, 0.999):
+        x = inverse_upper_incomplete_gamma(a, q * complete_gamma(a))
+        assert 0.0 <= x < 1.0
+
+
 @given(
     a=orders,
     t1=st.floats(min_value=1e-10, max_value=0.999),
