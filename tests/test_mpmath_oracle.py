@@ -125,6 +125,8 @@ def test_inverse_forward_evaluations_on_design_grid(monkeypatch):
     # every series or continued-fraction evaluation an inverse makes, over
     # the rows of four design-grid seeds, counted at the private kernels
     monkeypatch.syspath_prepend(str(BENCH))
+    # the benchmark's reference module sets mpmath's global precision
+    monkeypatch.setattr(mp.mp, "dps", mp.mp.dps)
     from reference import DEFAULT_PARAMS
     from workloads import DESIGN_GRID_D, grid_rows
 

@@ -156,7 +156,8 @@ def test_inverse_round_trip(a, x):
 @pytest.mark.parametrize("a", [1e-4, 0.0019226835743779268, 0.05])
 def test_inverse_handles_roots_near_underflow(a):
     # at small order a target O(1) below Gamma(a) has a root of about
-    # exp(-O(1/a)): subnormal or 0.0 in double precision
+    # exp(-O(1/a)): subnormal or 0.0 in double precision. The middle order
+    # with q = 0.7597579059529755 has the subnormal root 4e-323.
     for q in (0.3, 0.5, 0.7597579059529755, 0.9, 0.999):
         x = inverse_upper_incomplete_gamma(a, q * complete_gamma(a))
         assert 0.0 <= x < 1.0
