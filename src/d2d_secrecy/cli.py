@@ -18,8 +18,7 @@ a config file.
 
 Output is JSON (full precision) or CSV (fixed headers, probabilities at
 6 significant digits) to stdout or ``--out``. Exit codes: 0 success,
-2 usage or validation error, 3 numerical failure, 4 an ``mc-validate``
-check without a Monte-Carlo estimate.
+2 usage or validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -147,8 +146,8 @@ def _prob(x: float | None) -> str:
     return "" if x is None else format(float(x), ".6g")
 
 
-def _flag(b: bool | None) -> str:
-    return "" if b is None else ("true" if b else "false")
+def _flag(b: bool) -> str:
+    return "true" if b else "false"
 
 
 def _text(x: object) -> str:
@@ -176,10 +175,6 @@ def _column(header: str, fmt: Callable[[object], str], *path: str) -> Column:
 
 def _header(columns: tuple[Column, ...]) -> list[str]:
     return [header for header, _, _ in columns]
-
-
-def _estimate_json(est: McEstimate | None) -> dict | None:
-    return None if est is None else asdict(est)
 
 
 def _params_json(params: SystemParams, d_supplied: bool) -> dict:
@@ -462,36 +457,19 @@ MC_VALIDATE_COLUMNS = (
     _column("analytic", _prob),
     _column("mc", _prob),
     _column("half_width", _prob),
-    # a check without an estimate has n_effective 0 in JSON, blank in CSV
-    (
-        "n_effective",
-        lambda entry: None if entry["mc"] is None else entry["n_effective"],
-        _text,
-    ),
+    _column("n_effective", _text),
     _column("pass", _flag),
-    _column("note", _text),
 )
 MC_VALIDATE_HEADER = _header(MC_VALIDATE_COLUMNS)
 
 
-def _check_entry(analytic: float, estimate: McEstimate | None) -> dict:
-    if estimate is None:
-        # only the conditional secrecy estimate can be missing
-        return {
-            "analytic": analytic,
-            "mc": None,
-            "half_width": None,
-            "n_effective": 0,
-            "pass": None,
-            "note": "no-active-trials",
-        }
+def _check_entry(analytic: float, estimate: McEstimate) -> dict:
     return {
         "analytic": analytic,
         "mc": estimate.mean,
         "half_width": estimate.half_width,
         "n_effective": estimate.n_effective,
         "pass": abs(analytic - estimate.mean) <= 3.0 * estimate.half_width,
-        "note": None,
     }
 
 
@@ -504,7 +482,6 @@ def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[dict], int]:
         name: _check_entry(value, estimates[name])
         for name, value in analytic.items()
     }
-    passes = [entry["pass"] for entry in checks.values()]
     report = {
         "command": "mc-validate",
         "technique": technique,
@@ -513,11 +490,10 @@ def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[dict], int]:
         "trials": cfg.trials,
         "seed": cfg.seed,
         "checks": checks,
-        "all_pass": all(p is True for p in passes) if passes else False,
+        "all_pass": all(entry["pass"] for entry in checks.values()),
     }
     rows = [{"check": name, **entry} for name, entry in checks.items()]
-    # a check without an estimate (pass None) has nothing to validate
-    return report, rows, 4 if None in passes else 0
+    return report, rows, 0
 
 
 SWEEP_D_COLUMNS = (
@@ -548,13 +524,9 @@ def _sweep_d_row(
     mc_gz = mc_an = None
     if cfg.mc_trials is not None:
         trial_cfg = cfg.trial_config(cfg.mc_trials)
-        # coverage is unconditional, so it has an estimate without active trials
-        mc_gz = run_gz_trials(
-            point, GuardZoneDesign(r_g=gz.parameter), trial_cfg
-        ).p_cov
-        mc_an = run_an_trials(
-            point, NoiseSplitDesign(gamma=an.parameter), trial_cfg
-        ).p_cov
+        gz_run = run_gz_trials(point, GuardZoneDesign(r_g=gz.parameter), trial_cfg)
+        an_run = run_an_trials(point, NoiseSplitDesign(gamma=an.parameter), trial_cfg)
+        mc_gz, mc_an = asdict(gz_run.p_cov), asdict(an_run.p_cov)
     return {
         "d": d_value,
         "f_value": None if selection is None else selection.f_value,
@@ -564,8 +536,8 @@ def _sweep_d_row(
         "p_sec_gz": gz.metrics.p_sec,
         "p_cov_an": an.metrics.p_cov,
         "p_sec_an": an.metrics.p_sec,
-        "mc_p_cov_gz": _estimate_json(mc_gz),
-        "mc_p_cov_an": _estimate_json(mc_an),
+        "mc_p_cov_gz": mc_gz,
+        "mc_p_cov_an": mc_an,
         "verdict": verdict,
     }
 

@@ -172,8 +172,11 @@ def _snr_ratio(params: SystemParams) -> float:
 
 def secrecy_scale(params: SystemParams) -> float:
     """Factor multiplying the incomplete gamma in the guard-zone secrecy exponent."""
-    a = order(params)
-    return density_factor(params) * _snr_ratio(params) ** a
+    scale = density_factor(params) * _snr_ratio(params) ** order(params)
+    # 0 (an empty field, or an underflow) means certain secrecy; inf does not
+    if scale == math.inf:
+        raise NumericalError(f"secrecy scale = {scale} is not a finite float")
+    return scale
 
 
 def guard_argument(params: SystemParams, r_g: float) -> float:

@@ -8,11 +8,20 @@ binomial estimates with 95% confidence half-widths.
 
 Both techniques run through one kernel: each is one link with two
 settings (silence radius, signal fraction), (r_g, 1) for the guard zone
-and (0, gamma) for artificial noise. A batch is reduced to a scene no
-design changes (per trial the strongest eavesdropper path gain, the
-nearest eavesdropper distance and the link gain h), and a design's
-indicators are read off it. trial_outcome applies the same steps to one
-trial's rows, so per-trial outcomes sum exactly to the batch tallies.
+and (0, gamma) for artificial noise. A batch is reduced to a scene (per
+trial the strongest eavesdropper path gain over the whole disk and over
+the annulus at distance >= r_g, the nearest eavesdropper distance and
+the link gain h), and a design's indicators are read off it.
+trial_outcomes reads single trials off the same arrays, so per-trial
+outcomes sum exactly to the batch tallies.
+
+Guard-zone secrecy is defined given an active link, that is, given no
+eavesdropper inside r_g. A Poisson process is independent on disjoint
+sets, so given an empty guard disk the eavesdroppers are just the points
+on the annulus [r_g, R], and every trial's annulus points are a fair
+sample of them. The guard zone's p_sec is therefore the secrecy
+indicator over each trial's annulus, averaged over all trials; on an
+active trial it is the indicator over every point.
 
 Randomness is counter-based so that results never depend on execution
 order: every batch of trials owns Philox generators keyed on
@@ -31,7 +40,9 @@ by less than tail_prob, via the guard-zone inverse model.guard_radius.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -59,7 +70,7 @@ __all__ = [
     "strongest_received_power",
     "run_gz_trials",
     "run_an_trials",
-    "trial_outcome",
+    "trial_outcomes",
 ]
 
 _TRIALS_PER_BATCH = 1 << 16
@@ -117,15 +128,16 @@ class EavesdropperField:
 class TrialOutcome:
     """Indicator-level view of a single trial.
 
-    secure is None on inactive guard-zone trials: secrecy is only
-    assessed given a transmission happened.
+    snr_s is the strongest eavesdropper's ratio over the whole disk.
+    secure judges only the eavesdroppers at distance >= r_g, the field an
+    active link faces, so on an active trial it is snr_s <= beta_e.
     """
 
     active: bool
     snr_p: float
     snr_s: float
     covered: bool
-    secure: bool | None
+    secure: bool
 
 
 @dataclass(frozen=True)
@@ -139,18 +151,18 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class GzTrialEstimates:
-    """Guard-zone run summary.
+    """Guard-zone run summary; every estimate takes all trials.
 
-    p_sec conditions on active trials per the model's definition, so it
-    is None when no trial was active: there is nothing to estimate it
-    from. p_sec_unconditioned averages the same indicator over all
-    trials and exists as the negative control - it matches the r_g = 0
-    closed form, not the guard-zone one.
+    p_sec is secrecy given an active link, estimated on each trial's
+    annulus at distance >= r_g (see the module docstring).
+    p_sec_unconditioned judges every eavesdropper of every trial and
+    exists as the negative control - it matches the r_g = 0 closed form,
+    not the guard-zone one.
     """
 
     p_active: McEstimate
     p_cov: McEstimate
-    p_sec: McEstimate | None
+    p_sec: McEstimate
     p_sec_unconditioned: McEstimate
 
 
@@ -232,32 +244,19 @@ def _link_gains(seed: int, batch: int) -> np.ndarray:
 
 def _trial_rows(
     params: SystemParams, radius: float, seed: int, trial_index: int
-) -> tuple[int, int, np.ndarray]:
-    """(batch, position in batch, point-attribute rows) of one trial."""
+) -> np.ndarray:
+    """Point-attribute rows of one trial."""
     if trial_index < 0:
         raise DomainError(f"trial_index must be nonnegative, got {trial_index}")
     batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
     counts, attrs = _batch_points(params, radius, seed, batch)
     start = int(counts[:pos].sum())
-    return batch, pos, attrs[start : start + int(counts[pos])]
+    return attrs[start : start + int(counts[pos])]
 
 
 def _decode(radius: float, attrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances to the transmitter and power gains of the points in attrs."""
     return radius * np.sqrt(attrs[:, 0]), -np.log1p(-attrs[:, 2])
-
-
-def _reduce(
-    params: SystemParams, counts: np.ndarray, radii: np.ndarray, gains: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial strongest path gain and nearest point distance, where
-    trial i owns the next counts[i] points."""
-    index = np.repeat(np.arange(len(counts)), counts)
-    strongest = np.zeros(len(counts))
-    np.maximum.at(strongest, index, gains * radii**-params.alpha)
-    nearest = np.full(len(counts), np.inf)
-    np.minimum.at(nearest, index, radii)
-    return strongest, nearest
 
 
 def sample_field(
@@ -270,7 +269,7 @@ def sample_field(
     """
     if not (radius > 0.0) or not math.isfinite(radius):
         raise DomainError(f"radius must be positive and finite, got {radius}")
-    _, _, rows = _trial_rows(params, radius, seed, trial_index)
+    rows = _trial_rows(params, radius, seed, trial_index)
     radii, fading = _decode(radius, rows)
     angles = 2.0 * math.pi * rows[:, 1]
     points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
@@ -289,8 +288,7 @@ def strongest_received_power(field: EavesdropperField, params: SystemParams) -> 
             "an eavesdropper coincides with the transmitter; the path-loss "
             "model is undefined there"
         )
-    strongest, _ = _reduce(params, np.array([len(distances)]), distances, field.fading)
-    return float(strongest[0])
+    return float(np.max(field.fading * distances**-params.alpha, initial=0.0))
 
 
 def _binomial_cdf(k: int, n: int, p: float) -> float:
@@ -383,13 +381,40 @@ def _window(
 
 
 def _batch_reductions(
-    params: SystemParams, radius: float, seed: int, batch: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scene of one batch: per-trial strongest path gain, nearest
-    point distance, and h. It does not depend on the design."""
+    params: SystemParams, radius: float, r_g: float, seed: int, batch: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The scene of one batch for silence radius r_g: per trial the
+    strongest path gain over all points and over the points at distance
+    >= r_g, the nearest point distance, and h. Trial i owns the next
+    counts[i] points."""
     counts, attrs = _batch_points(params, radius, seed, batch)
-    strongest, nearest = _reduce(params, counts, *_decode(radius, attrs))
-    return strongest, nearest, _link_gains(seed, batch)
+    radii, path = _decode(radius, attrs)
+    # the largest array of the batch; nothing reads it once decoded
+    del attrs
+    path *= radii**-params.alpha
+    index = np.repeat(np.arange(len(counts)), counts)
+    strongest = np.zeros(len(counts))
+    np.maximum.at(strongest, index, path)
+    nearest = np.full(len(counts), np.inf)
+    np.minimum.at(nearest, index, radii)
+    outer = strongest
+    # without a guard disk the annulus is the whole disk
+    if r_g > 0.0:
+        path[radii < r_g] = 0.0
+        outer = np.zeros(len(counts))
+        np.maximum.at(outer, index, path)
+    return strongest, outer, nearest, _link_gains(seed, batch)
+
+
+def _eavesdropper_snr(
+    params: SystemParams, gamma: float, strongest: np.ndarray
+) -> np.ndarray:
+    """The strongest eavesdropper's ratio at signal fraction gamma."""
+    received = params.p_t * strongest
+    # no jamming term at gamma = 1: 0 * inf would turn an overflowed
+    # received power into nan
+    jamming = (1.0 - gamma) * received if gamma < 1.0 else 0.0
+    return gamma * received / (jamming + params.sigma2_s)
 
 
 def _indicators(
@@ -397,58 +422,52 @@ def _indicators(
     r_g: float,
     gamma: float,
     strongest: np.ndarray,
+    outer: np.ndarray,
     nearest: np.ndarray,
     h: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(active, snr_p, snr_s, covered, secure) per trial for the design
-    with silence radius r_g and signal fraction gamma."""
+    with silence radius r_g and signal fraction gamma: snr_s over every
+    point, secure over the points at distance >= r_g."""
     active = nearest >= r_g
     snr_p = gamma * params.p_t * h * params.d**-params.alpha / params.sigma2_p
-    received = params.p_t * strongest
-    # no jamming term at gamma = 1: 0 * inf would turn an overflowed
-    # received power into nan
-    jamming = (1.0 - gamma) * received if gamma < 1.0 else 0.0
-    snr_s = gamma * received / (jamming + params.sigma2_s)
     covered = active & (snr_p >= params.beta_t)
-    return active, snr_p, snr_s, covered, snr_s <= params.beta_e
+    secure = _eavesdropper_snr(params, gamma, outer) <= params.beta_e
+    return active, snr_p, _eavesdropper_snr(params, gamma, strongest), covered, secure
+
+
+def _batch_tallies(
+    params: SystemParams, r_g: float, gamma: float, scene: Iterable[np.ndarray]
+) -> list[int]:
+    """Active, covered, annulus-secure and secure trials of one scene. No
+    array of the batch outlives the call: ones kept into the next batch
+    raised the CLI's peak RSS by 1-3 MB."""
+    active, _, snr_s, covered, secure = _indicators(params, r_g, gamma, *scene)
+    return [int(x.sum()) for x in (active, covered, secure, snr_s <= params.beta_e)]
 
 
 def _tallies(
     params: SystemParams, design: GuardZoneDesign | NoiseSplitDesign, cfg: TrialConfig
-) -> tuple[int, int, int, int]:
-    """Counts of active, covered, active-and-secure and secure trials."""
+) -> list[int]:
+    """Counts of active, covered, annulus-secure and secure trials."""
     radius = _window(params, design, cfg)
     r_g, gamma = _settings(design)
     n = cfg.n_trials
-    k_active = k_cov = k_sec_active = k_sec_all = 0
+    tallies = [0, 0, 0, 0]
     for batch in range((n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH):
         m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
-        scene = (x[:m] for x in _batch_reductions(params, radius, cfg.seed, batch))
-        active, _, _, covered, secure = _indicators(params, r_g, gamma, *scene)
-        k_active += int(active.sum())
-        k_cov += int(covered.sum())
-        k_sec_active += int((active & secure).sum())
-        k_sec_all += int(secure.sum())
-    return k_active, k_cov, k_sec_active, k_sec_all
+        scene = (x[:m] for x in _batch_reductions(params, radius, r_g, cfg.seed, batch))
+        counts = _batch_tallies(params, r_g, gamma, scene)
+        tallies = [a + b for a, b in zip(tallies, counts)]
+    return tallies
 
 
 def run_gz_trials(
     params: SystemParams, design: GuardZoneDesign, cfg: TrialConfig
 ) -> GzTrialEstimates:
-    """Simulate the guard-zone technique.
-
-    p_sec is None when no trial was active: the conditional secrecy
-    probability has no trial to be estimated from. The other estimates
-    take every trial and always exist.
-    """
-    k_active, k_cov, k_sec_active, k_sec_all = _tallies(params, design, cfg)
-    n = cfg.n_trials
-    return GzTrialEstimates(
-        p_active=_binomial_estimate(k_active, n),
-        p_cov=_binomial_estimate(k_cov, n),
-        p_sec=_binomial_estimate(k_sec_active, k_active) if k_active else None,
-        p_sec_unconditioned=_binomial_estimate(k_sec_all, n),
-    )
+    """Simulate the guard-zone technique."""
+    tallies = _tallies(params, design, cfg)
+    return GzTrialEstimates(*(_binomial_estimate(k, cfg.n_trials) for k in tallies))
 
 
 def run_an_trials(
@@ -456,32 +475,31 @@ def run_an_trials(
 ) -> AnTrialEstimates:
     """Simulate the artificial-noise technique (always active)."""
     _, k_cov, k_sec, _ = _tallies(params, design, cfg)
-    return AnTrialEstimates(
-        p_cov=_binomial_estimate(k_cov, cfg.n_trials),
-        p_sec=_binomial_estimate(k_sec, cfg.n_trials),
-    )
+    return AnTrialEstimates(*(_binomial_estimate(k, cfg.n_trials) for k in (k_cov, k_sec)))
 
 
-def trial_outcome(
+def trial_outcomes(
     params: SystemParams,
     design: GuardZoneDesign | NoiseSplitDesign,
     cfg: TrialConfig,
-    trial_index: int,
-) -> TrialOutcome:
-    """Indicator view of one trial, bit-consistent with the aggregates
-    from run_gz_trials / run_an_trials: the same kernel applied to the
-    trial's own rows of its batch."""
+    indices: Sequence[int],
+) -> list[TrialOutcome]:
+    """Indicator views of the trials at indices, in that order.
+
+    Each batch the indices reach is built once, and each trial is read
+    off the same scene and indicator arrays run_gz_trials /
+    run_an_trials tally, so the outcomes sum exactly to their tallies.
+    """
+    if any(i < 0 for i in indices):
+        raise DomainError(f"trial indices must be nonnegative, got {min(indices)}")
     radius = _window(params, design, cfg)
-    batch, pos, rows = _trial_rows(params, radius, cfg.seed, trial_index)
-    strongest, nearest = _reduce(params, np.array([len(rows)]), *_decode(radius, rows))
-    h = _link_gains(cfg.seed, batch)[pos : pos + 1]
-    active, snr_p, snr_s, covered, secure = (
-        x[0] for x in _indicators(params, *_settings(design), strongest, nearest, h)
-    )
-    return TrialOutcome(
-        active=bool(active),
-        snr_p=float(snr_p),
-        snr_s=float(snr_s),
-        covered=bool(covered),
-        secure=bool(secure) if active else None,
-    )
+    r_g, gamma = _settings(design)
+    found = {}
+    batches = groupby(sorted(set(indices)), key=lambda i: i // _TRIALS_PER_BATCH)
+    for batch, group in batches:
+        scene = _batch_reductions(params, radius, r_g, cfg.seed, batch)
+        columns = _indicators(params, r_g, gamma, *scene)
+        for i in group:
+            pos = i % _TRIALS_PER_BATCH
+            found[i] = TrialOutcome(*(column[pos].item() for column in columns))
+    return [found[i] for i in indices]

@@ -189,7 +189,9 @@ class TestMcValidate:
         assert gz["checks"]["p_sec"]["mc"] == an["checks"]["p_sec"]["mc"]
         assert gz["checks"]["p_cov"]["mc"] == an["checks"]["p_cov"]["mc"]
 
-    def test_insufficient_data_partial_report(self, capsys):
+    def test_no_active_trials_full_report(self, capsys):
+        # p_sec is estimated on every trial's annulus, so a run without an
+        # active trial still checks it
         code, report, _ = run_json(
             capsys,
             [
@@ -201,12 +203,32 @@ class TestMcValidate:
                 "--seed", "3",
             ],
         )
-        assert code == 4
-        gap = report["checks"]["p_sec"]
-        assert gap["mc"] is None
-        assert gap["pass"] is None
-        assert gap["note"] == "no-active-trials"
+        assert code == 0
         assert report["checks"]["p_active"]["mc"] == 0.0
+        assert report["all_pass"] is True
+        for entry in report["checks"].values():
+            assert entry["n_effective"] == 20
+
+    def test_guard_zone_validates_where_it_rarely_transmits(self, capsys):
+        # at lambda_e = 3 the optimal guard zone is active in about 6e-8 of
+        # trials, yet p_sec gets every trial's annulus as a sample
+        _, optimum, _ = run_json(capsys, ["optimize", "--lambda-e", "3"])
+        r_g = repr(optimum["guard_zone"]["r_g_star"])
+        code, report, _ = run_json(
+            capsys,
+            [
+                "mc-validate",
+                "--d", "0.6",
+                "--lambda-e", "3",
+                "--r-g", r_g,
+                "--trials", "65536",
+                "--seed", "0",
+            ],
+        )
+        assert code == 0
+        assert report["all_pass"] is True
+        assert report["checks"]["p_active"]["mc"] == 0.0
+        assert report["checks"]["p_sec"]["n_effective"] == 65536
 
     def test_csv_has_one_row_per_check(self, capsys):
         code, header, rows = run_csv(
@@ -579,6 +601,15 @@ class TestOutputPlumbing:
         assert captured.err.startswith("error: ")
         assert "not a positive finite float" in captured.err
 
+    def test_secrecy_scale_overflow_exits_3(self, capsys):
+        # 2*pi*lambda_e/alpha * sqrt(p_t) overflows although each factor is
+        # finite; the inverse would get a target of 0.0
+        assert cli.main(["optimize", "--lambda-e", "1e308", "--pt", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "not a finite float" in captured.err
+
     def test_readme_examples_run(self, capsys, tmp_path, monkeypatch):
         # the examples write files (sweep-d --out), so they run in tmp_path
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -602,3 +633,22 @@ class TestOutputPlumbing:
         for cell in rows[0][1:]:
             if cell:
                 assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 6
+
+
+def _codes(text, pattern):
+    return {int(code) for code in re.findall(pattern, text)}
+
+
+def test_exit_codes_agree_across_docs_and_tests():
+    # the README's "Exit codes" paragraph and the cli docstring list the
+    # same codes, and those are exactly the codes the CLI tests expect
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    documented = _codes(readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0], r"`(\d+)`")
+    docstring = cli.__doc__.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    assert _codes(docstring, r"(\d+) [a-z]") == documented
+    tests = root / "tests"
+    expected = _codes(
+        (tests / "test_cli.py").read_text(), r"(?:\bcode|\bcli\.main\(.*\)) == (\d+)\b"
+    ) | _codes((tests / "test_golden.py").read_text(), r"\], (\d+)\),")
+    assert expected == documented

@@ -39,7 +39,7 @@ CASES = [
      ["mc-validate", "--d", "0.6", "--gamma", "0.57", "--trials", "20000", "--seed", "3"], 0),
     ("mc-validate-inactive",
      ["mc-validate", "--d", "0.6", "--r-g", "3", "--lambda-e", "1", "--trials", "20",
-      "--seed", "3"], 4),
+      "--seed", "3"], 0),
     ("sweep-d",
      ["sweep-d", "--grid-start", "0.2", "--grid-stop", "1.0", "--grid-step", "0.2",
       "--mc", "2000", "--seed", "1"], 0),

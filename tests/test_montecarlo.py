@@ -37,7 +37,7 @@ from d2d_secrecy.montecarlo import (
     run_gz_trials,
     sample_field,
     strongest_received_power,
-    trial_outcome,
+    trial_outcomes,
 )
 from d2d_secrecy.specfun import upper_incomplete_gamma
 
@@ -171,7 +171,7 @@ class TestSampleField:
         with pytest.raises(DomainError):
             sample_field(BASE, 2.0, trial_index=-1, seed=1)
         with pytest.raises(DomainError):
-            trial_outcome(BASE, GuardZoneDesign(r_g=1.0), TrialConfig(1, seed=1), -1)
+            trial_outcomes(BASE, GuardZoneDesign(r_g=1.0), TrialConfig(1, seed=1), [0, -1])
 
 
 class TestStrongestReceivedPower:
@@ -241,30 +241,32 @@ class TestGuardZoneTrials:
         assert agrees(unconditioned, P_SEC_R0)
         assert abs(unconditioned.mean - P_SEC_R1) > 10.0 * unconditioned.half_width
 
-    def test_conditional_estimate_uses_active_trials_only(self):
+    def test_conditional_estimate_uses_every_trial(self):
+        # secrecy given an active link is judged on each trial's annulus at
+        # distance >= r_g, so inactive trials count too
         cfg = TrialConfig(n_trials=50_000, seed=4)
         result = run_gz_trials(BASE, GuardZoneDesign(r_g=1.0), cfg)
-        assert result.p_sec.n_effective == round(
-            result.p_active.mean * cfg.n_trials
-        )
-        assert result.p_active.n_effective == cfg.n_trials
+        assert result.p_active.mean < 0.8
+        for estimate in vars(result).values():
+            assert estimate.n_effective == cfg.n_trials
 
     def test_window_must_exceed_guard_radius(self):
         cfg = TrialConfig(n_trials=100, seed=1, window_radius=0.5)
         with pytest.raises(DomainError):
             run_gz_trials(BASE, GuardZoneDesign(r_g=1.0), cfg)
 
-    def test_no_active_trials_leave_only_p_sec_missing(self):
-        # the conditional secrecy estimate has no trial to come from; every
-        # other estimate takes all trials
+    def test_no_active_trials_still_estimate_p_sec(self):
+        # without a single active trial the annulus still gives every trial
+        # a secrecy sample, and the estimate agrees with the closed form
         params = replace(BASE, lambda_e=1.0)
+        design = GuardZoneDesign(r_g=3.0)
         cfg = TrialConfig(n_trials=10, seed=3)
-        result = run_gz_trials(params, GuardZoneDesign(r_g=3.0), cfg)
-        assert result.p_sec is None
+        result = run_gz_trials(params, design, cfg)
         assert result.p_active.mean == 0.0
-        for estimate in (result.p_active, result.p_cov, result.p_sec_unconditioned):
+        for estimate in vars(result).values():
             assert isinstance(estimate, McEstimate)
             assert estimate.n_effective == cfg.n_trials
+        assert agrees(result.p_sec, p_sec_gz(params, design))
 
     def test_window_insensitivity(self):
         # doubling the window may only move estimates by the documented
@@ -344,10 +346,9 @@ class TestNullDesignEquivalence:
 
     def test_null_designs_give_identical_trial_outcomes(self):
         cfg = TrialConfig(n_trials=64, seed=12)
-        for i in range(64):
-            gz = trial_outcome(BASE, GuardZoneDesign(r_g=0.0), cfg, i)
-            an = trial_outcome(BASE, NoiseSplitDesign(gamma=1.0), cfg, i)
-            assert gz == an
+        gz = trial_outcomes(BASE, GuardZoneDesign(r_g=0.0), cfg, range(64))
+        an = trial_outcomes(BASE, NoiseSplitDesign(gamma=1.0), cfg, range(64))
+        assert gz == an
 
 
 class TestTrialOutcomes:
@@ -359,21 +360,21 @@ class TestTrialOutcomes:
         design = GuardZoneDesign(r_g=1.0)
         for window_radius in (None, 2.5):
             cfg = TrialConfig(n_trials=n, seed=5, window_radius=window_radius)
-            outcomes = [trial_outcome(BASE, design, cfg, i) for i in range(n)]
+            outcomes = trial_outcomes(BASE, design, cfg, range(n))
             result = run_gz_trials(BASE, design, cfg)
-            k_active = sum(o.active for o in outcomes)
-            k_cov = sum(o.covered for o in outcomes)
-            k_sec = sum(bool(o.secure) for o in outcomes if o.active)
-            assert result.p_active.mean == k_active / n
-            assert result.p_cov.mean == k_cov / n
-            assert result.p_sec.mean == k_sec / k_active
+            assert not all(o.active for o in outcomes)
+            k_sec_all = sum(o.snr_s <= BASE.beta_e for o in outcomes)
+            assert result.p_active.mean == sum(o.active for o in outcomes) / n
+            assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
+            assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
+            assert result.p_sec_unconditioned.mean == k_sec_all / n
 
     def test_an_outcomes_aggregate_to_run_estimates(self):
         n = 150
         design = NoiseSplitDesign(gamma=0.8)
         for window_radius in (None, 2.5):
             cfg = TrialConfig(n_trials=n, seed=5, window_radius=window_radius)
-            outcomes = [trial_outcome(BASE, design, cfg, i) for i in range(n)]
+            outcomes = trial_outcomes(BASE, design, cfg, range(n))
             result = run_an_trials(BASE, design, cfg)
             assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
             assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
@@ -387,8 +388,8 @@ class TestTrialOutcomes:
         longer = run_gz_trials(
             BASE, design, TrialConfig(n_trials=boundary + 1, seed=17)
         )
-        extra = trial_outcome(
-            BASE, design, TrialConfig(n_trials=boundary + 1, seed=17), boundary
+        [extra] = trial_outcomes(
+            BASE, design, TrialConfig(n_trials=boundary + 1, seed=17), [boundary]
         )
         k_short = round(short.p_active.mean * boundary)
         k_long = round(longer.p_active.mean * (boundary + 1))
@@ -396,8 +397,8 @@ class TestTrialOutcomes:
         noise = NoiseSplitDesign(gamma=0.8)
         short = run_an_trials(BASE, noise, TrialConfig(n_trials=boundary, seed=17))
         longer = run_an_trials(BASE, noise, TrialConfig(n_trials=boundary + 1, seed=17))
-        extra = trial_outcome(
-            BASE, noise, TrialConfig(n_trials=boundary + 1, seed=17), boundary
+        [extra] = trial_outcomes(
+            BASE, noise, TrialConfig(n_trials=boundary + 1, seed=17), [boundary]
         )
         for name, flag in (("p_cov", extra.covered), ("p_sec", extra.secure)):
             k_short = round(getattr(short, name).mean * boundary)
@@ -410,8 +411,7 @@ class TestTrialOutcomes:
         cfg = TrialConfig(n_trials=64, seed=23)
         design = GuardZoneDesign(r_g=1.0)
         radius = max(auto_window_radius(BASE, cfg.tail_prob), design.r_g)
-        for i in range(32):
-            outcome = trial_outcome(BASE, design, cfg, i)
+        for i, outcome in enumerate(trial_outcomes(BASE, design, cfg, range(32))):
             field = sample_field(BASE, radius, i, cfg.seed)
             strongest = strongest_received_power(field, BASE)
             assert outcome.snr_s == pytest.approx(
@@ -421,25 +421,52 @@ class TestTrialOutcomes:
             nearest = distances.min() if len(distances) else math.inf
             assert outcome.active == (nearest >= design.r_g - 1e-12)
 
-    def test_inactive_trial_has_undefined_secrecy(self):
+    def test_inactive_trial_still_judges_secrecy(self):
         params = replace(BASE, lambda_e=1.0)
         cfg = TrialConfig(n_trials=64, seed=3)
         design = GuardZoneDesign(r_g=3.0)
-        outcomes = [trial_outcome(params, design, cfg, i) for i in range(20)]
+        outcomes = trial_outcomes(params, design, cfg, range(20))
         assert any(not o.active for o in outcomes)
         for o in outcomes:
+            assert isinstance(o.secure, bool)
             if not o.active:
-                assert o.secure is None
                 assert not o.covered
+
+    def test_annulus_secrecy_matches_field_inspection(self):
+        # secure judges the eavesdroppers at distance >= r_g: on an active
+        # trial that is the whole field, on an inactive one part of it, so
+        # it is never less secure than the whole field there
+        params = replace(BASE, lambda_e=0.3)
+        design = GuardZoneDesign(r_g=1.2)
+        cfg = TrialConfig(n_trials=48, seed=29, window_radius=1.6)
+        outcomes = trial_outcomes(params, design, cfg, range(48))
+        gained = 0
+        for i, outcome in enumerate(outcomes):
+            field = sample_field(params, 1.6, i, cfg.seed)
+            outer = np.hypot(field.points[:, 0], field.points[:, 1]) >= design.r_g
+            annulus = EavesdropperField(field.points[outer], field.fading[outer])
+            secure, secure_all = (
+                params.p_t * strongest_received_power(f, params) / params.sigma2_s
+                <= params.beta_e
+                for f in (annulus, field)
+            )
+            assert outcome.secure == secure
+            if outcome.active:
+                assert secure == secure_all == (outcome.snr_s <= params.beta_e)
+            else:
+                assert secure >= secure_all
+                gained += secure > secure_all
+        assert 0 < sum(o.active for o in outcomes) < len(outcomes)
+        assert gained > 0
 
     def test_an_split_monotone_per_trial(self):
         cfg = TrialConfig(n_trials=64, seed=40)
         grid = (0.3, 0.5, 0.7, 0.9)
-        for i in range(16):
-            ratios = [
-                trial_outcome(BASE, NoiseSplitDesign(gamma=g), cfg, i).snr_s
-                for g in grid
-            ]
+        per_split = [
+            trial_outcomes(BASE, NoiseSplitDesign(gamma=g), cfg, range(16)) for g in grid
+        ]
+        for outcomes in zip(*per_split):
+            ratios = [o.snr_s for o in outcomes]
             assert all(a <= b for a, b in zip(ratios, ratios[1:]))
 
 
