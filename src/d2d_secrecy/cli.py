@@ -10,11 +10,15 @@ Subcommands:
 * ``sweep-lambda``  critical distance across eavesdropper densities
 
 Every option is declared once, in ``_OPTIONS``: its INI section, its key,
-type and default, and the subcommands that take it. The flag is ``--``
-plus the key with ``_`` as ``-``. A value comes from the flag, else from
-the INI config file (``--config``), else from the default; a subcommand
-rejects the flags of options it does not take and ignores their keys in
-a config file.
+type and default, and the subcommands that take it. An option whose default
+depends on the subcommand, such as the sweep grid, has one row per default.
+The flag is ``--`` plus the key with ``_`` as ``-``. A value comes from the
+flag, else from the INI config file (``--config``), else from the default;
+a subcommand rejects the flags of options it does not take and ignores
+their keys in a config file. The values are resolved onto the parsed
+namespace, so a subcommand reads each option as ``cfg.<key>`` (None where
+it does not take the option), next to the ``params`` and ``grid`` built
+from them.
 
 Output is JSON (full precision) or CSV (fixed headers, probabilities at
 6 significant digits) to stdout or ``--out``. Exit codes: 0 success,
@@ -31,12 +35,9 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
-from .errors import (
-    DomainError,
-    NumericalError,
-)
+from .errors import DomainError, NumericalError
 from .model import (
     GuardZoneDesign,
     NoiseSplitDesign,
@@ -59,7 +60,7 @@ from .optimizer import (
     selection_function,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 NO_ENHANCEMENT = "no-enhancement-needed"
 
@@ -67,19 +68,13 @@ NO_ENHANCEMENT = "no-enhancement-needed"
 # that run without --d must never emit anything derived from it
 _PLACEHOLDER_D = 1.0
 
-_GRID_DEFAULTS = {
-    "sweep-d": (0.1, 1.5, 0.05),
-    "sweep-lambda": (0.05, 0.25, 0.025),
-}
-
 _EVERY = ("analytic", "optimize", "select", "mc-validate", "sweep-d", "sweep-lambda")
 _DESIGN_COMMANDS = ("analytic", "mc-validate")
 _MC_COMMANDS = ("mc-validate", "sweep-d")
-_GRID_COMMANDS = tuple(_GRID_DEFAULTS)
 
 # Every option, declared once: (config section, key, type, default, the
-# subcommands that take it). The flag is "--" + key with "_" as "-"; a
-# subcommand sees None for an option it does not take.
+# subcommands that take it), one row per default. The flag is "--" + key
+# with "_" as "-"; a subcommand sees None for an option it does not take.
 _OPTIONS = (
     ("params", "alpha", float, 4.0, _EVERY),
     ("params", "pt", float, 1.0, _EVERY),
@@ -96,42 +91,16 @@ _OPTIONS = (
     ("mc", "seed", int, 0, _MC_COMMANDS),
     ("mc", "window_radius", float, None, _MC_COMMANDS),
     ("mc", "tail_prob", float, 1e-4, _MC_COMMANDS),
-    # the grid defaults depend on the subcommand: see _GRID_DEFAULTS
-    ("sweep", "grid_start", float, None, _GRID_COMMANDS),
-    ("sweep", "grid_stop", float, None, _GRID_COMMANDS),
-    ("sweep", "grid_step", float, None, _GRID_COMMANDS),
+    ("sweep", "grid_start", float, 0.1, ("sweep-d",)),
+    ("sweep", "grid_stop", float, 1.5, ("sweep-d",)),
+    ("sweep", "grid_step", float, 0.05, ("sweep-d",)),
+    ("sweep", "grid_start", float, 0.05, ("sweep-lambda",)),
+    ("sweep", "grid_stop", float, 0.25, ("sweep-lambda",)),
+    ("sweep", "grid_step", float, 0.025, ("sweep-lambda",)),
     ("sweep", "mc", int, None, ("sweep-d",)),
     ("output", "format", str, "json", _EVERY),
     ("output", "out", str, "-", _EVERY),
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved inputs for one CLI invocation; None where the
-    subcommand does not take the option."""
-
-    params: SystemParams
-    d_supplied: bool
-    r_g: float | None
-    gamma: float | None
-    trials: int | None
-    seed: int | None
-    window_radius: float | None
-    tail_prob: float | None
-    grid: tuple[float, ...]
-    mc_trials: int | None
-    output_format: str
-    output_path: str
-
-    def trial_config(self, n_trials: int) -> TrialConfig:
-        """Monte-Carlo settings for a run of n_trials."""
-        return TrialConfig(
-            n_trials=n_trials,
-            seed=self.seed,
-            window_radius=self.window_radius,
-            tail_prob=self.tail_prob,
-        )
 
 
 class UsageError(Exception):
@@ -177,8 +146,18 @@ def _header(columns: tuple[Column, ...]) -> list[str]:
     return [header for header, _, _ in columns]
 
 
-def _params_json(params: SystemParams, d_supplied: bool) -> dict:
-    return {**asdict(params), "d": params.d if d_supplied else None}
+def _params_json(cfg: argparse.Namespace) -> dict:
+    return {**asdict(cfg.params), "d": cfg.d}
+
+
+def _trial_config(cfg: argparse.Namespace, n_trials: int) -> TrialConfig:
+    """Monte-Carlo settings for a run of n_trials."""
+    return TrialConfig(
+        n_trials=n_trials,
+        seed=cfg.seed,
+        window_radius=cfg.window_radius,
+        tail_prob=cfg.tail_prob,
+    )
 
 
 def _csv_text(columns: tuple[Column, ...], rows: list[dict]) -> str:
@@ -249,72 +228,45 @@ def _build_grid(start: float, stop: float, step: float, variable: str) -> tuple[
     return tuple(start + i * step for i in range(count))
 
 
-def _make_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config(args.config) if args.config else {}
-    command = args.command
+def _make_config(cfg: argparse.Namespace) -> None:
+    """Resolve every option onto the parsed namespace in place, then add
+    the system parameters and the sweep grid built from them."""
+    file_values = _load_config(cfg.config) if cfg.config else {}
+    command = cfg.command
     # flag, else config file, else default; None where the command lacks it
-    values: dict[str, object] = {}
     for _, key, _, default, commands in _OPTIONS:
         if command not in commands:
-            values[key] = None
-        elif getattr(args, key) is not None:
-            values[key] = getattr(args, key)
-        else:
-            values[key] = file_values.get(key, default)
+            vars(cfg).setdefault(key, None)
+        elif getattr(cfg, key) is None:
+            setattr(cfg, key, file_values.get(key, default))
 
-    d_supplied = values["d"] is not None
-    try:
-        params = SystemParams(
-            alpha=values["alpha"],
-            p_t=values["pt"],
-            beta_t=values["beta_t"],
-            beta_e=values["beta_e"],
-            epsilon=values["epsilon"],
-            sigma2_p=values["sigma2_p"],
-            sigma2_s=values["sigma2_s"],
-            lambda_e=values["lambda_e"],
-            d=values["d"] if d_supplied else _PLACEHOLDER_D,
-        )
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-    if command in ("analytic", "select", "mc-validate") and not d_supplied:
+    cfg.params = SystemParams(
+        alpha=cfg.alpha,
+        p_t=cfg.pt,
+        beta_t=cfg.beta_t,
+        beta_e=cfg.beta_e,
+        epsilon=cfg.epsilon,
+        sigma2_p=cfg.sigma2_p,
+        sigma2_s=cfg.sigma2_s,
+        lambda_e=cfg.lambda_e,
+        d=_PLACEHOLDER_D if cfg.d is None else cfg.d,
+    )
+    if command in ("analytic", "select", "mc-validate") and cfg.d is None:
         raise UsageError(f"--d is required for {command}")
-    if command in _DESIGN_COMMANDS:
-        if (values["r_g"] is None) == (values["gamma"] is None):
-            raise UsageError(
-                f"{command} needs exactly one design: pass --r-g or --gamma"
-            )
+    if command in _DESIGN_COMMANDS and (cfg.r_g is None) == (cfg.gamma is None):
+        raise UsageError(f"{command} needs exactly one design: pass --r-g or --gamma")
 
-    grid: tuple[float, ...] = ()
-    if command in _GRID_DEFAULTS:
-        keys = ("grid_start", "grid_stop", "grid_step")
-        bounds = [
-            default if values[key] is None else values[key]
-            for key, default in zip(keys, _GRID_DEFAULTS[command])
-        ]
-        grid = _build_grid(*bounds, "d" if command == "sweep-d" else "lambda_e")
+    cfg.grid = ()
+    if cfg.grid_start is not None:
+        variable = "d" if command == "sweep-d" else "lambda_e"
+        cfg.grid = _build_grid(cfg.grid_start, cfg.grid_stop, cfg.grid_step, variable)
 
     for key in ("mc", "trials"):
-        if values[key] is not None and values[key] < 1:
-            raise UsageError(f"--{key} must be at least 1, got {values[key]}")
-    if values["format"] not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {values['format']!r}")
-
-    return RunConfig(
-        params=params,
-        d_supplied=d_supplied,
-        r_g=values["r_g"],
-        gamma=values["gamma"],
-        trials=values["trials"],
-        seed=values["seed"],
-        window_radius=values["window_radius"],
-        tail_prob=values["tail_prob"],
-        grid=grid,
-        mc_trials=values["mc"],
-        output_format=values["format"],
-        output_path=values["out"],
-    )
+        count = getattr(cfg, key)
+        if count is not None and count < 1:
+            raise UsageError(f"--{key} must be at least 1, got {count}")
+    if cfg.format not in ("csv", "json"):
+        raise UsageError(f"format must be csv or json, got {cfg.format!r}")
 
 
 # Each report declares its CSV columns once; every CSV cell is read from
@@ -330,7 +282,7 @@ ANALYTIC_HEADER = _header(ANALYTIC_COLUMNS)
 
 
 def _design_forms(
-    cfg: RunConfig,
+    cfg: argparse.Namespace,
 ) -> tuple[GuardZoneDesign | NoiseSplitDesign, str, dict]:
     """The one design cfg names, its technique and its closed forms."""
     params = cfg.params
@@ -350,13 +302,13 @@ def _design_forms(
     return design, Technique.ARTIFICIAL_NOISE.value, forms
 
 
-def cmd_analytic(cfg: RunConfig) -> tuple[dict, list[dict], int]:
+def cmd_analytic(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
     params = cfg.params
     _, technique, forms = _design_forms(cfg)
     report = {
         "command": "analytic",
         "technique": technique,
-        "params": _params_json(params, cfg.d_supplied),
+        "params": _params_json(cfg),
         "design": {"r_g": cfg.r_g, "gamma": cfg.gamma},
         "p_active": forms.get("p_active"),
         "p_cov": forms["p_cov"],
@@ -380,26 +332,26 @@ OPTIMIZE_COLUMNS = (
 OPTIMIZE_HEADER = _header(OPTIMIZE_COLUMNS)
 
 
-def cmd_optimize(cfg: RunConfig) -> tuple[dict, list[dict], int]:
+def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
     params = cfg.params
     threshold = lambda_threshold(params)
     gz = optimal_guard_radius(params)
     an = optimal_power_split(params)
     report = {
         "command": "optimize",
-        "params": _params_json(params, cfg.d_supplied),
+        "params": _params_json(cfg),
         "lambda_threshold": threshold,
-        "enhancement_needed": params.lambda_e >= threshold,
+        "enhancement_needed": gz.constraint_active,
         "guard_zone": {
             "r_g_star": gz.parameter,
             "constraint_active": gz.constraint_active,
-            "p_cov": gz.metrics.p_cov if cfg.d_supplied else None,
+            "p_cov": gz.metrics.p_cov if cfg.d is not None else None,
             "p_sec": gz.metrics.p_sec,
         },
         "artificial_noise": {
             "gamma_star": an.parameter,
             "constraint_active": an.constraint_active,
-            "p_cov": an.metrics.p_cov if cfg.d_supplied else None,
+            "p_cov": an.metrics.p_cov if cfg.d is not None else None,
             "p_sec": an.metrics.p_sec,
         },
     }
@@ -433,13 +385,13 @@ SELECT_COLUMNS = (
 SELECT_HEADER = _header(SELECT_COLUMNS)
 
 
-def cmd_select(cfg: RunConfig) -> tuple[dict, list[dict], int]:
+def cmd_select(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
     params = cfg.params
     threshold = lambda_threshold(params)
     gz, an, selection, verdict = _optima(params, threshold)
     report = {
         "command": "select",
-        "params": _params_json(params, cfg.d_supplied),
+        "params": _params_json(cfg),
         "verdict": verdict,
         "f_value": None if selection is None else selection.f_value,
         "h_value": None if selection is None else selection.h_value,
@@ -473,11 +425,11 @@ def _check_entry(analytic: float, estimate: McEstimate) -> dict:
     }
 
 
-def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[dict], int]:
+def cmd_mc_validate(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
     params = cfg.params
     design, technique, analytic = _design_forms(cfg)
     run = run_gz_trials if isinstance(design, GuardZoneDesign) else run_an_trials
-    estimates = vars(run(params, design, cfg.trial_config(cfg.trials)))
+    estimates = vars(run(params, design, _trial_config(cfg, cfg.trials)))
     checks = {
         name: _check_entry(value, estimates[name])
         for name, value in analytic.items()
@@ -485,7 +437,7 @@ def cmd_mc_validate(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     report = {
         "command": "mc-validate",
         "technique": technique,
-        "params": _params_json(params, cfg.d_supplied),
+        "params": _params_json(cfg),
         "design": {"r_g": cfg.r_g, "gamma": cfg.gamma},
         "trials": cfg.trials,
         "seed": cfg.seed,
@@ -517,13 +469,13 @@ SWEEP_D_HEADER = _header(SWEEP_D_COLUMNS)
 
 
 def _sweep_d_row(
-    params: SystemParams, d_value: float, threshold: float, cfg: RunConfig
+    params: SystemParams, d_value: float, threshold: float, cfg: argparse.Namespace
 ) -> dict:
     point = replace(params, d=d_value)
     gz, an, selection, verdict = _optima(point, threshold)
     mc_gz = mc_an = None
-    if cfg.mc_trials is not None:
-        trial_cfg = cfg.trial_config(cfg.mc_trials)
+    if cfg.mc is not None:
+        trial_cfg = _trial_config(cfg, cfg.mc)
         gz_run = run_gz_trials(point, GuardZoneDesign(r_g=gz.parameter), trial_cfg)
         an_run = run_an_trials(point, NoiseSplitDesign(gamma=an.parameter), trial_cfg)
         mc_gz, mc_an = asdict(gz_run.p_cov), asdict(an_run.p_cov)
@@ -542,7 +494,7 @@ def _sweep_d_row(
     }
 
 
-def cmd_sweep_d(cfg: RunConfig) -> tuple[dict, list[dict], int]:
+def cmd_sweep_d(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
     params = cfg.params
     threshold = lambda_threshold(params)
     d_star = (
@@ -550,11 +502,11 @@ def cmd_sweep_d(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     )
     report = {
         "command": "sweep-d",
-        "params": _params_json(params, cfg.d_supplied),
+        "params": _params_json(cfg),
         "lambda_threshold": threshold,
         "d_star": d_star,
-        "mc_trials": cfg.mc_trials,
-        "seed": cfg.seed if cfg.mc_trials is not None else None,
+        "mc_trials": cfg.mc,
+        "seed": cfg.seed if cfg.mc is not None else None,
         "rows": [
             _sweep_d_row(params, d_value, threshold, cfg) for d_value in cfg.grid
         ],
@@ -578,33 +530,27 @@ SWEEP_LAMBDA_HEADER = _header(SWEEP_LAMBDA_COLUMNS)
 
 def _sweep_lambda_row(params: SystemParams, lam: float, threshold: float) -> dict:
     point = replace(params, lambda_e=lam)
-    if lam < threshold:
-        gz = optimal_guard_radius(point)
-        an = optimal_power_split(point)
-        d_star = f_value = p_cov_gz = p_cov_an = None
-        verdict = NO_ENHANCEMENT
-    else:
+    d_star = None
+    if lam >= threshold:
         # r_g*, gamma* and p_sec do not depend on d, so the optima at d* serve
         d_star = critical_distance(point).d_star
-        selection = selection_function(replace(point, d=d_star))
-        gz, an = selection.gz_design, selection.an_design
-        f_value = selection.f_value
-        p_cov_gz, p_cov_an = gz.metrics.p_cov, an.metrics.p_cov
-        verdict = "ok"
+        point = replace(point, d=d_star)
+    gz, an, selection, _ = _optima(point, threshold)
+    solved = selection is not None
     return {
         "lambda_e": lam,
         "d_star": d_star,
-        "f_at_d_star": f_value,
+        "f_at_d_star": selection.f_value if solved else None,
         "r_g_star": gz.parameter,
         "gamma_star": an.parameter,
-        "p_cov_gz": p_cov_gz,
-        "p_cov_an": p_cov_an,
+        "p_cov_gz": gz.metrics.p_cov if solved else None,
+        "p_cov_an": an.metrics.p_cov if solved else None,
         "p_sec": gz.metrics.p_sec,
-        "verdict": verdict,
+        "verdict": "ok" if solved else NO_ENHANCEMENT,
     }
 
 
-def cmd_sweep_lambda(cfg: RunConfig) -> tuple[dict, list[dict], int]:
+def cmd_sweep_lambda(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
     params = cfg.params
     threshold = lambda_threshold(params)
     rows = [_sweep_lambda_row(params, lam, threshold) for lam in cfg.grid]
@@ -612,7 +558,7 @@ def cmd_sweep_lambda(cfg: RunConfig) -> tuple[dict, list[dict], int]:
     monotone = all(a <= b for a, b in zip(solved, solved[1:]))
     report = {
         "command": "sweep-lambda",
-        "params": _params_json(params, cfg.d_supplied),
+        "params": _params_json(cfg),
         "lambda_threshold": threshold,
         "monotone_nondecreasing": monotone,
         "rows": rows,
@@ -689,10 +635,10 @@ def _keep_freed_memory() -> None:
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    cfg = parser.parse_args(argv)
     try:
-        cfg = _make_config(args)
-        command, columns, _ = _COMMANDS[args.command]
+        _make_config(cfg)
+        command, columns, _ = _COMMANDS[cfg.command]
         report, csv_rows, exit_code = command(cfg)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -700,11 +646,11 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if cfg.output_format == "json":
+    if cfg.format == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
         text = _csv_text(columns, csv_rows)
-    _emit(text, cfg.output_path)
+    _emit(text, cfg.out)
     return exit_code
 
 

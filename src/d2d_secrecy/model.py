@@ -163,16 +163,19 @@ def _require_finite_positive(name: str, value: float) -> float:
     return value
 
 
-def _snr_ratio(params: SystemParams) -> float:
-    """p_t / (sigma2_s * beta_e), which both secrecy exponents scale with."""
+def _snr_ratio(params: SystemParams, power: float) -> float:
+    """power / (sigma2_s * beta_e), which both secrecy exponents scale with."""
     return _require_finite_positive(
-        "p_t / (sigma2_s * beta_e)", params.p_t / (params.sigma2_s * params.beta_e)
+        "signal power / (sigma2_s * beta_e)", power / (params.sigma2_s * params.beta_e)
     )
 
 
-def secrecy_scale(params: SystemParams) -> float:
-    """Factor multiplying the incomplete gamma in the guard-zone secrecy exponent."""
-    scale = density_factor(params) * _snr_ratio(params) ** order(params)
+def secrecy_scale(params: SystemParams, power: float | None = None) -> float:
+    """Factor multiplying the gamma function in a secrecy exponent, for the
+    power on the information signal: p_t (the default) under a guard zone,
+    p_t times the unjammed part of gamma under artificial noise."""
+    ratio = _snr_ratio(params, params.p_t if power is None else power)
+    scale = density_factor(params) * ratio ** order(params)
     # 0 (an empty field, or an underflow) means certain secrecy; inf does not
     if scale == math.inf:
         raise NumericalError(f"secrecy scale = {scale} is not a finite float")
@@ -255,8 +258,5 @@ def p_sec_an(params: SystemParams, design: NoiseSplitDesign) -> float:
     if effective <= 0.0:
         # cancellation right at the boundary; secrecy still certain
         return 1.0
-    a = order(params)
-    scale = density_factor(params) * (
-        params.p_t * effective / (params.sigma2_s * params.beta_e)
-    ) ** a
-    return math.exp(-scale * complete_gamma(a))
+    scale = secrecy_scale(params, params.p_t * effective)
+    return math.exp(-scale * complete_gamma(order(params)))

@@ -106,7 +106,7 @@ def lambda_threshold(params: SystemParams) -> float:
         params.alpha
         / (2.0 * math.pi * complete_gamma(a))
         * -math.log(params.epsilon)
-        * _snr_ratio(params) ** -a,
+        * _snr_ratio(params, params.p_t) ** -a,
     )
 
 
@@ -155,8 +155,8 @@ def optimal_power_split(params: SystemParams) -> OptimalDesign:
     return OptimalDesign(Technique.ARTIFICIAL_NOISE, gamma_star, metrics, needed)
 
 
-def _selection_f(params: SystemParams, g: float, d: float) -> tuple[float, float]:
-    # returns (F, H) at distance d for a fixed optimal power split g
+def _selection_f(params: SystemParams, g: float) -> tuple[float, float]:
+    # returns (F, H) at params.d for a fixed optimal power split g
     a = order(params)
     if g >= 1.0:
         h = 0.0
@@ -164,7 +164,7 @@ def _selection_f(params: SystemParams, g: float, d: float) -> tuple[float, float
         inner = (
             params.beta_t
             * params.sigma2_p
-            * _power(d, params.alpha)
+            * _power(params.d, params.alpha)
             / (params.lambda_e * math.pi * params.p_t)
             * (1.0 / g - 1.0)
         )
@@ -188,7 +188,7 @@ def selection_function(params: SystemParams) -> SelectionVerdict:
     _require_enhancement(params, "no technique is needed")
     gz = optimal_guard_radius(params)
     an = optimal_power_split(params)
-    f_value, h_value = _selection_f(params, an.parameter, params.d)
+    f_value, h_value = _selection_f(params, an.parameter)
     better = Technique.GUARD_ZONE if f_value > 0.0 else Technique.ARTIFICIAL_NOISE
     return SelectionVerdict(
         f_value=f_value,

@@ -12,7 +12,6 @@ import random
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from d2d_secrecy import cli
 from d2d_secrecy.model import (

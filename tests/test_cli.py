@@ -8,7 +8,6 @@ verdict token.
 import csv
 import io
 import json
-import math
 import re
 from pathlib import Path
 
@@ -488,6 +487,22 @@ class TestConfigFile:
         for _, key, _, _, _ in cli._OPTIONS:
             assert re.search(rf"\b{key} = ", block), key
 
+    def test_grid_section(self, capsys, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[sweep]\ngrid_start = 0.1\ngrid_stop = 0.2\ngrid_step = 0.05\n"
+        )
+        argv = ["sweep-lambda", "--config", str(config)]
+        _, report, _ = run_json(capsys, argv)
+        lambdas = [row["lambda_e"] for row in report["rows"]]
+        assert lambdas == [0.1 + i * 0.05 for i in range(3)]
+        _, report, _ = run_json(capsys, [*argv, "--grid-stop", "0.15"])
+        assert [row["lambda_e"] for row in report["rows"]] == lambdas[:2]
+        # without file or flags each sweep keeps its own grid
+        for command, count in (("sweep-d", 29), ("sweep-lambda", 9)):
+            _, report, _ = run_json(capsys, [command])
+            assert len(report["rows"]) == count
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text("[params]\nbogus = 1\n")
@@ -609,6 +624,24 @@ class TestOutputPlumbing:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "not a finite float" in captured.err
+
+    @pytest.mark.parametrize("design", [["--gamma", "0.6"], ["--r-g", "0.5"]],
+                             ids=["gamma", "r_g"])
+    @pytest.mark.parametrize(
+        "overflow",
+        [
+            ["--pt", "1e300", "--sigma2-s", "1e-300"],
+            ["--lambda-e", "1e308", "--pt", "100"],
+        ],
+        ids=["ratio", "scale"],
+    )
+    def test_secrecy_overflow_exits_3_for_both_designs(self, capsys, design, overflow):
+        # artificial noise scales its secrecy exponent like the guard zone,
+        # so an overflow there fails alike instead of printing p_sec 0
+        assert cli.main(["analytic", "--d", "1", *design, *overflow]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_readme_examples_run(self, capsys, tmp_path, monkeypatch):
         # the examples write files (sweep-d --out), so they run in tmp_path

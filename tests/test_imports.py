@@ -1,6 +1,7 @@
 """Checks on what importing the package offers and pulls in, the latter
 on fresh interpreters, and on what running the CLI costs the process."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -61,3 +62,39 @@ def test_cli_reuses_batch_memory():
                 "--trials", str(trials), "--seed", "1"])
         faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
     assert faults[1] - faults[0] < 200, faults
+
+
+def _unused_imports(path):
+    # names a module imports but neither uses nor re-exports in __all__
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    exported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(
+        f"{path.name}:{line}: {name}"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    )
+
+
+def test_no_unused_imports():
+    # no linter is installed, so this stands in for the unused-import rule
+    root = SRC.parent
+    paths = sorted((SRC / "d2d_secrecy").glob("*.py")) + sorted(
+        (root / "tests").glob("*.py")
+    )
+    assert [hit for path in paths for hit in _unused_imports(path)] == []

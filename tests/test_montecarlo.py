@@ -22,7 +22,6 @@ from d2d_secrecy.model import (
     SystemParams,
     guard_argument,
     order,
-    p_cov_an,
     p_cov_gz,
     p_sec_gz,
     secrecy_scale,
