@@ -23,6 +23,10 @@ from them.
 Output is JSON (full precision) or CSV (fixed headers, probabilities at
 6 significant digits) to stdout or ``--out``. Exit codes: 0 success,
 2 usage or validation error, 3 numerical failure.
+
+A report that holds a non-finite number, which strict JSON cannot
+carry, is a numerical failure in either format. A sweep grid may hold
+at most ``MAX_GRID_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ from .optimizer import (
 __all__ = ["main"]
 
 NO_ENHANCEMENT = "no-enhancement-needed"
+
+# most rows a sweep grid may hold; a longer grid is a usage error
+MAX_GRID_ROWS = 100_000
 
 # distance used internally when the caller did not supply one; commands
 # that run without --d must never emit anything derived from it
@@ -224,8 +231,12 @@ def _build_grid(start: float, stop: float, step: float, variable: str) -> tuple[
         raise UsageError(f"link distances must be positive, got grid start {start}")
     if variable == "lambda_e" and start < 0.0:
         raise UsageError(f"densities must be nonnegative, got grid start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+    steps = (stop - start) / step + 1e-9  # inf where the quotient overflows
+    if not steps < MAX_GRID_ROWS:
+        raise UsageError(
+            f"the grid would hold more than {MAX_GRID_ROWS} rows; widen --grid-step"
+        )
+    return tuple(start + i * step for i in range(int(steps) + 1))
 
 
 def _make_config(cfg: argparse.Namespace) -> None:
@@ -646,9 +657,14 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if cfg.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    else:
+    try:
+        # strict JSON (RFC 8259) has no inf or nan; the CSV rows are read
+        # from the same report, so the check holds for both formats
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        print("error: the report holds a non-finite number", file=sys.stderr)
+        return 3
+    if cfg.format == "csv":
         text = _csv_text(columns, csv_rows)
     _emit(text, cfg.out)
     return exit_code

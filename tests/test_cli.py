@@ -316,6 +316,19 @@ class TestSweepD:
         assert cli.main(["sweep-d", "--grid-step", "0"]) == 2
         capsys.readouterr()
 
+    def test_grid_row_limit(self, capsys):
+        limit = cli.MAX_GRID_ROWS
+        assert len(cli._build_grid(1.0, float(limit), 1.0, "d")) == limit
+        # past the limit nothing is built: one row too many, 1.4e12 rows,
+        # and a row count that overflows to inf
+        for grid in (["--grid-start", "1", "--grid-stop", str(limit + 1), "--grid-step", "1"],
+                     ["--grid-step", "1e-12"],
+                     ["--grid-start", "1e-300", "--grid-stop", "1e308", "--grid-step", "1e-300"]):
+            assert cli.main(["sweep-d", *grid]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         args = [
             "sweep-d",
@@ -624,6 +637,20 @@ class TestOutputPlumbing:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "not a finite float" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--d", "1e300"], ["--d", "0.6", "--sigma2-p", "1e308", "--beta-t", "1e308"]],
+        ids=["distance", "noise"],
+    )
+    def test_non_finite_report_exits_3(self, capsys, argv, fmt):
+        # h overflows to inf, which strict JSON cannot carry (RFC 8259) and
+        # CSV would print as inf
+        assert cli.main(["select", *argv, "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: ")
 
     @pytest.mark.parametrize("design", [["--gamma", "0.6"], ["--r-g", "0.5"]],
                              ids=["gamma", "r_g"])

@@ -6,6 +6,7 @@ import importlib
 import os
 import pkgutil
 import platform
+import re
 import resource
 import subprocess
 import sys
@@ -98,3 +99,46 @@ def test_no_unused_imports():
         (root / "tests").glob("*.py")
     )
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+# bench/ modules that a test puts on sys.path itself
+_BENCH_MODULES = {"reference", "workloads"}
+
+
+def _top_level_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def _declared_requirements():
+    # project names in [project] dependencies and the [test] extra; a
+    # regular expression, as tomllib needs Python 3.11
+    text = (SRC.parent / "pyproject.toml").read_text()
+    names = set()
+    for key in ("dependencies", "test"):
+        block = re.search(rf"^{key} = \[(.*?)\]", text, re.M | re.S).group(1)
+        names.update(re.findall(r'"([A-Za-z0-9_.-]+)', block))
+    return {name.lower().replace("-", "_") for name in names}
+
+
+def test_test_imports_are_declared():
+    # every third-party module the tests import is a declared requirement,
+    # and nothing under src/ or tests/ imports scipy
+    root = SRC.parent
+    tests = sorted((root / "tests").glob("*.py"))
+    local = {path.stem for path in tests} | {"d2d_secrecy"}
+    third_party = {
+        name
+        for path in tests
+        for name in _top_level_imports(path)
+        if name not in sys.stdlib_module_names and name not in local | _BENCH_MODULES
+    }
+    assert sorted(third_party - _declared_requirements()) == []
+    sources = sorted((SRC / "d2d_secrecy").glob("*.py")) + tests
+    assert [p.name for p in sources if "scipy" in _top_level_imports(p)] == []

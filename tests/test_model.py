@@ -1,15 +1,15 @@
 """Checks for the closed-form probabilities.
 
-Frozen reference values were computed once with scipy.special plus
-brentq against the defining expressions; property tests recompute the
-probabilities with scipy as an implementation-independent route.
+Frozen reference values agree with the defining expressions evaluated
+in mpmath at 40 digits; property tests recompute every probability in
+mpmath as an implementation-independent route.
 """
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy import special
 
 from d2d_secrecy.errors import DegenerateDesignError, DomainError
 from d2d_secrecy.model import (
@@ -24,7 +24,6 @@ from d2d_secrecy.model import (
     p_cov_gz,
     p_sec_an,
     p_sec_gz,
-    rate_to_threshold,
     secrecy_scale,
 )
 from d2d_secrecy.specfun import upper_incomplete_gamma
@@ -61,34 +60,33 @@ def system_params(draw, min_lambda=0.0):
     )
 
 
-def scipy_p_sec_gz(params, r_g):
-    a = 2.0 / params.alpha
-    scale = (
-        2.0 * math.pi * params.lambda_e / params.alpha
-        * (params.p_t / (params.sigma2_s * params.beta_e)) ** a
-    )
-    x = r_g**params.alpha * params.beta_e * params.sigma2_s / params.p_t
-    return math.exp(-scale * special.gammaincc(a, x) * math.gamma(a))
+def _mp_exponents(params, r_g):
+    # silence and fading exponents of p_active and p_cov_gz, in mpmath
+    alpha = mp.mpf(params.alpha)
+    silence = mp.mpf(params.lambda_e) * mp.pi * mp.mpf(r_g) ** 2
+    fade = params.beta_t * mp.mpf(params.sigma2_p) * mp.mpf(params.d) ** alpha / params.p_t
+    return silence, fade
 
 
-def scipy_p_sec_an(params, gamma):
+def _mp_secrecy_scale(params, power):
+    alpha = mp.mpf(params.alpha)
+    ratio = mp.mpf(power) / (mp.mpf(params.sigma2_s) * params.beta_e)
+    return 2 * mp.pi * params.lambda_e / alpha * ratio ** (2 / alpha)
+
+
+def mpmath_p_sec_gz(params, r_g):
+    # mp.gammainc(a, x) is the upper incomplete gamma Gamma(a, x)
+    alpha = mp.mpf(params.alpha)
+    x = mp.mpf(r_g) ** alpha * params.beta_e * mp.mpf(params.sigma2_s) / params.p_t
+    return mp.exp(-_mp_secrecy_scale(params, params.p_t) * mp.gammainc(2 / alpha, x))
+
+
+def mpmath_p_sec_an(params, gamma):
     if gamma <= params.beta_e / (1.0 + params.beta_e):
-        return 1.0
-    a = 2.0 / params.alpha
-    effective = gamma - (1.0 - gamma) * params.beta_e
-    scale = (
-        2.0 * math.pi * params.lambda_e / params.alpha
-        * (params.p_t * effective / (params.sigma2_s * params.beta_e)) ** a
-    )
-    return math.exp(-scale * math.gamma(a))
-
-
-def test_rate_to_threshold():
-    assert rate_to_threshold(0.0) == 0.0
-    assert rate_to_threshold(1.0) == 1.0
-    assert rate_to_threshold(2.0) == 3.0
-    with pytest.raises(DomainError):
-        rate_to_threshold(-0.5)
+        return mp.mpf(1)
+    effective = gamma - (1 - mp.mpf(gamma)) * params.beta_e
+    scale = _mp_secrecy_scale(params, params.p_t * effective)
+    return mp.exp(-scale * mp.gamma(2 / mp.mpf(params.alpha)))
 
 
 def test_frozen_reference_values():
@@ -117,18 +115,35 @@ def test_frozen_reference_values():
     )
 
 
+# The probabilities' stated tolerance: 1e-10 relative, or 1e-12 absolute
+# where that is larger (pytest.approx's default absolute tolerance)
 @given(params=system_params(), r_g=st.floats(0.0, 4.0))
-def test_p_sec_gz_matches_scipy_route(params, r_g):
-    assert p_sec_gz(params, GuardZoneDesign(r_g)) == pytest.approx(
-        scipy_p_sec_gz(params, r_g), rel=1e-10
-    )
+def test_p_sec_gz_matches_mpmath_route(params, r_g):
+    design = GuardZoneDesign(r_g)
+    with mp.workdps(20):
+        silence, fade = _mp_exponents(params, r_g)
+        assert p_sec_gz(params, design) == pytest.approx(
+            float(mpmath_p_sec_gz(params, r_g)), rel=1e-10
+        )
+        assert p_active(params, design) == pytest.approx(
+            float(mp.exp(-silence)), rel=1e-10
+        )
+        assert p_cov_gz(params, design) == pytest.approx(
+            float(mp.exp(-(silence + fade))), rel=1e-10
+        )
 
 
 @given(params=system_params(), gamma=st.floats(0.01, 1.0))
-def test_p_sec_an_matches_scipy_route(params, gamma):
-    assert p_sec_an(params, NoiseSplitDesign(gamma)) == pytest.approx(
-        scipy_p_sec_an(params, gamma), rel=1e-10
-    )
+def test_p_sec_an_matches_mpmath_route(params, gamma):
+    design = NoiseSplitDesign(gamma)
+    with mp.workdps(20):
+        _, fade = _mp_exponents(params, 0.0)
+        assert p_sec_an(params, design) == pytest.approx(
+            float(mpmath_p_sec_an(params, gamma)), rel=1e-10
+        )
+        assert p_cov_an(params, design) == pytest.approx(
+            float(mp.exp(-fade / gamma)), rel=1e-10
+        )
 
 
 @given(params=system_params(), r_g=st.floats(0.0, 4.0))

@@ -8,6 +8,7 @@ use fixed seeds, so every assertion is deterministic.
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -497,22 +498,56 @@ def _exact_counts(n):
     return sorted({*range(min(10, n + 1)), *range(max(0, n - 9), n + 1)})
 
 
+def _cdf_root(m, n, target, start):
+    """p with P[X <= m] = target, X ~ Binomial(n, p), m small: two Newton
+    steps in mpmath from a double-precision start. Returns p and the
+    relative size of the last step."""
+    p = mp.mpf(start)
+    for _ in range(2):
+        q = 1 - p
+        term = q**n
+        cdf = term
+        for j in range(m):
+            term *= (n - j) * p / ((j + 1) * q)
+            cdf += term
+        # d/dp P[X <= m] = -(n - m) C(n, m) p^m q^(n - m - 1)
+        step = (cdf - target) / (-(n - m) * term / q)
+        p -= step
+    return p, abs(step / p)
+
+
+def _mpmath_bounds(k, n):
+    """Clopper-Pearson bounds solved from the binomial tail in mpmath,
+    summing the shorter side: P[X >= k] = 0.025 and P[X <= k] = 0.025."""
+    if k > n - k:
+        lower, upper = _mpmath_bounds(n - k, n)
+        return 1 - upper, 1 - lower
+    start_lower, start_upper = mc._clopper_pearson(k, n)
+    lower, upper = mp.mpf(0), mp.mpf(1)
+    with mp.workdps(30):
+        if k > 0:
+            lower, last = _cdf_root(k - 1, n, mp.mpf("0.975"), start_lower)
+            assert last < 1e-18, (k, n)
+        if k < n:
+            upper, last = _cdf_root(k, n, mp.mpf("0.025"), start_upper)
+            assert last < 1e-18, (k, n)
+    return lower, upper
+
+
 class TestClopperPearson:
     @pytest.mark.parametrize("n", CP_NS)
     def test_half_width_matches_beta_quantiles(self, n):
-        beta = pytest.importorskip("scipy.stats").beta
+        # the beta quantiles of the exact interval, as roots of the tail
         for k in _exact_counts(n):
-            lower = 0.0 if k == 0 else beta.ppf(0.025, k, n - k + 1)
-            upper = 1.0 if k == n else beta.ppf(0.975, k + 1, n - k)
-            expected = max(upper - k / n, k / n - lower)
+            lower, upper = _mpmath_bounds(k, n)
+            expected = max(float(upper) - k / n, k / n - float(lower))
             got = mc._binomial_estimate(k, n).half_width
             assert got == pytest.approx(expected, rel=0, abs=1e-12), (k, n)
 
     @pytest.mark.parametrize("n", CP_NS)
     def test_all_or_nothing_bounds_are_closed_form(self, n):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            root = mpmath.mpf("0.025") ** (mpmath.mpf(1) / n)
+        with mp.workdps(40):
+            root = mp.mpf("0.025") ** (mp.mpf(1) / n)
             upper_at_0, lower_at_n = float(1 - root), float(root)
         exact = {"rel": 1e-14, "abs": 0.0}
         assert mc._clopper_pearson(0, n) == pytest.approx((0.0, upper_at_0), **exact)

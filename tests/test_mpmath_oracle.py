@@ -1,35 +1,46 @@
 """Checks against an independent high-precision oracle (mpmath).
 
-The forward incomplete gamma is compared with mpmath over the model's
-whole order range. The optimal guard radius and the critical distance
-are compared with values solved from the paper's formulas in mpmath, at
-densities from 1e-15 to 10 above the threshold. A budget test counts the
-forward evaluations each inverse solve makes on the benchmark's
-design-grid rows.
+These pin the tolerances the docstrings of specfun, model and optimizer
+state. The forward incomplete gamma and Gamma(a) are compared with
+mpmath at orders from 1e-12 to 1, on a grid and at seeded random points;
+the inverse's residual is checked at orders from 1e-4 to 1. The density
+threshold, the optimal power split and the selection function are
+compared with the paper's formulas in mpmath at drawn parameters. The
+optimal guard radius and the critical distance are compared with values
+solved from those formulas, at densities from 1e-15 to 10 above the
+threshold. A budget test counts the forward evaluations each inverse
+solve makes on the benchmark's design-grid rows.
 """
 
+import math
+import random
 import statistics
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath as mp
 import pytest
+from hypothesis import given, strategies as st
 
-mp = pytest.importorskip("mpmath")
-
-from d2d_secrecy import model, specfun  # noqa: E402
-from d2d_secrecy.model import SystemParams  # noqa: E402
-from d2d_secrecy.optimizer import (  # noqa: E402
+from d2d_secrecy import model, specfun
+from d2d_secrecy.model import SystemParams
+from d2d_secrecy.optimizer import (
     critical_distance,
     lambda_threshold,
     optimal_guard_radius,
     optimal_power_split,
     selection_function,
 )
-from d2d_secrecy.specfun import upper_incomplete_gamma  # noqa: E402
+from d2d_secrecy.specfun import (
+    complete_gamma,
+    inverse_upper_incomplete_gamma,
+    upper_incomplete_gamma,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-ORDERS = [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.8, 0.99, 1.0]
+ORDERS = [1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 1.0 / 3.0, 0.5,
+          2.0 / 3.0, 0.8, 0.99, 1.0]
 ARGUMENTS = sorted(
     {0.0, 5.0, 10.0, 30.0, 100.0, 300.0, 500.0, 700.0}
     | {10.0**k for k in range(-30, 1)}
@@ -50,16 +61,113 @@ BASE = SystemParams(
 MARGINS = [1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0]
 
 
-@pytest.mark.parametrize("a", ORDERS)
-def test_forward_matches_mpmath(a):
+# each order's grid, with the series-fraction seam at x = a + 1, and
+# uniform random points over orders [0.01, 1] and arguments [0, 60]
+_RNG = random.Random(1701)
+FORWARD_POINTS = {
+    **{
+        str(a): [(a, x) for x in [*ARGUMENTS, a + 1.0 - 1e-9, a + 1.0, a + 1.0 + 1e-9]]
+        for a in ORDERS
+    },
+    "drawn": [(_RNG.uniform(0.01, 1.0), _RNG.uniform(0.0, 60.0)) for _ in range(200)],
+}
+
+
+@pytest.mark.parametrize("points", FORWARD_POINTS.values(), ids=FORWARD_POINTS.keys())
+def test_forward_matches_mpmath(points):
     failures = []
     with mp.workdps(40):
-        for x in [*ARGUMENTS, a + 1.0 - 1e-9, a + 1.0, a + 1.0 + 1e-9]:
+        for a in {a for a, _ in points}:
+            want = mp.gamma(a)
+            if abs(complete_gamma(a) - want) > 1e-14 * want:
+                failures.append(f"Gamma({a}): {complete_gamma(a)!r}")
+        for a, x in points:
             want = mp.gammainc(a, x)
             got = upper_incomplete_gamma(a, x)
             if abs(got - want) > 1e-12 * want:
-                failures.append(f"x = {x}: {got!r} against {mp.nstr(want, 17)}")
+                failures.append(f"a = {a}, x = {x}: {got!r} against {mp.nstr(want, 17)}")
     assert not failures, "; ".join(failures)
+
+
+# fractions of Gamma(a) to invert, from the far upper tail to near Gamma(a)
+TARGET_FRACTIONS = [1e-300, 1e-100, 1e-30, 1e-10, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7,
+                    0.9, 0.99, 0.999999]
+
+
+@pytest.mark.parametrize("a", [a for a in ORDERS if a >= 1e-4])
+def test_inverse_residual_matches_mpmath(a):
+    # Gamma(a, x) at the returned root, in mpmath, against the target. A
+    # root below 1e-300 (small order, target near Gamma(a)) is skipped:
+    # subnormal or zero, it has no relative accuracy to offer.
+    failures = []
+    with mp.workdps(30):
+        for fraction in TARGET_FRACTIONS:
+            target = fraction * complete_gamma(a)
+            x = inverse_upper_incomplete_gamma(a, target)
+            if x >= 1e-300 and abs(mp.gammainc(a, x) - target) > 1e-12 * target:
+                failures.append(f"target = {target!r}: x = {x!r}")
+    assert not failures, "; ".join(failures)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def system_params(draw, max_alpha):
+    # alpha log-uniform above 2; lambda_e a relative margin above the
+    # threshold, itself drawn log-uniform
+    params = SystemParams(
+        alpha=2.0 + 10.0 ** draw(_floats(-3.0, math.log10(max_alpha - 2.0))),
+        p_t=draw(_floats(0.05, 20.0)),
+        beta_t=draw(_floats(0.05, 20.0)),
+        beta_e=draw(_floats(0.05, 20.0)),
+        epsilon=draw(_floats(0.001, 0.999)),
+        sigma2_p=draw(_floats(0.05, 20.0)),
+        sigma2_s=draw(_floats(0.05, 20.0)),
+        lambda_e=0.0,
+        d=draw(_floats(0.05, 3.0)),
+    )
+    margin = 10.0 ** draw(_floats(-9.0, 3.0))
+    return replace(params, lambda_e=lambda_threshold(params) * (1.0 + margin))
+
+
+@given(params=system_params(max_alpha=1e6))
+def test_threshold_and_power_split_match_mpmath(params):
+    with mp.workdps(30):
+        alpha = mp.mpf(params.alpha)
+        threshold = _exact_threshold(params)
+        assert abs(lambda_threshold(params) - threshold) <= 1e-13 * threshold
+        lift = (mp.mpf(params.sigma2_s) / params.p_t) * (
+            alpha * -mp.log(mp.mpf(params.epsilon))
+            / (2 * mp.pi * params.lambda_e * mp.gamma(2 / alpha))
+        ) ** (alpha / 2)
+        gamma_star = min(1, mp.mpf(params.beta_e) / (1 + params.beta_e) * (1 + lift))
+        got = optimal_power_split(params).parameter
+        assert abs(got - gamma_star) <= 1e-14 * params.alpha * gamma_star
+
+
+@given(params=system_params(max_alpha=10.0))
+def test_selection_function_matches_mpmath(params):
+    # the paper's h at the reported gamma*, to 1e-14 alpha / (1 - gamma*)
+    # relative as 1/gamma* - 1 cancels near gamma* = 1; F at the reported
+    # h, to 1e-13 Gamma(a) absolute
+    verdict = selection_function(params)
+    with mp.workdps(30):
+        alpha = mp.mpf(params.alpha)
+        a = 2 / alpha
+        g = mp.mpf(verdict.g_value)
+        if g == 1:
+            assert verdict.h_value == 0.0
+        else:
+            inner = (params.beta_t * mp.mpf(params.sigma2_p) * mp.mpf(params.d) ** alpha
+                     / (params.lambda_e * mp.pi * params.p_t) * (1 / g - 1))
+            h = params.beta_e * mp.mpf(params.sigma2_s) / params.p_t * inner ** (alpha / 2)
+            assert abs(verdict.h_value - h) <= 1e-14 * params.alpha / (1 - g) * h
+        ratio = mp.mpf(params.p_t) / (mp.mpf(params.sigma2_s) * params.beta_e)
+        scale = 2 * mp.pi * params.lambda_e / alpha * ratio**a
+        f_value = -mp.log(mp.mpf(params.epsilon)) / scale - mp.gammainc(a, verdict.h_value)
+        assert abs(verdict.f_value - f_value) <= 1e-13 * mp.gamma(a)
 
 
 def _exact_root(a, target):
