@@ -36,6 +36,7 @@ from .montecarlo import (
     auto_window_radius,
     run_an_trials,
     run_gz_trials,
+    run_trials,
     sample_field,
     strongest_received_power,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "strongest_received_power",
     "run_gz_trials",
     "run_an_trials",
+    "run_trials",
     "complete_gamma",
     "upper_incomplete_gamma",
     "inverse_upper_incomplete_gamma",

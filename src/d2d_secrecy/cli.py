@@ -52,7 +52,13 @@ from .model import (
     p_sec_an,
     p_sec_gz,
 )
-from .montecarlo import McEstimate, TrialConfig, run_an_trials, run_gz_trials
+from .montecarlo import (
+    McEstimate,
+    TrialConfig,
+    run_an_trials,
+    run_gz_trials,
+    run_trials,
+)
 from .optimizer import (
     OptimalDesign,
     SelectionVerdict,
@@ -411,7 +417,6 @@ def cmd_select(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
         "gamma_star": an.parameter,
         "lambda_threshold": threshold,
     }
-    print(report["verdict"], file=sys.stderr)
     return report, [report], 0
 
 
@@ -480,16 +485,12 @@ SWEEP_D_HEADER = _header(SWEEP_D_COLUMNS)
 
 
 def _sweep_d_row(
-    params: SystemParams, d_value: float, threshold: float, cfg: argparse.Namespace
+    d_value: float,
+    gz: OptimalDesign,
+    an: OptimalDesign,
+    selection: SelectionVerdict | None,
+    verdict: str,
 ) -> dict:
-    point = replace(params, d=d_value)
-    gz, an, selection, verdict = _optima(point, threshold)
-    mc_gz = mc_an = None
-    if cfg.mc is not None:
-        trial_cfg = _trial_config(cfg, cfg.mc)
-        gz_run = run_gz_trials(point, GuardZoneDesign(r_g=gz.parameter), trial_cfg)
-        an_run = run_an_trials(point, NoiseSplitDesign(gamma=an.parameter), trial_cfg)
-        mc_gz, mc_an = asdict(gz_run.p_cov), asdict(an_run.p_cov)
     return {
         "d": d_value,
         "f_value": None if selection is None else selection.f_value,
@@ -499,8 +500,8 @@ def _sweep_d_row(
         "p_sec_gz": gz.metrics.p_sec,
         "p_cov_an": an.metrics.p_cov,
         "p_sec_an": an.metrics.p_sec,
-        "mc_p_cov_gz": mc_gz,
-        "mc_p_cov_an": mc_an,
+        "mc_p_cov_gz": None,
+        "mc_p_cov_an": None,
         "verdict": verdict,
     }
 
@@ -511,6 +512,22 @@ def cmd_sweep_d(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
     d_star = (
         critical_distance(params).d_star if params.lambda_e >= threshold else None
     )
+    optima = [_optima(replace(params, d=d_value), threshold) for d_value in cfg.grid]
+    rows = [_sweep_d_row(d_value, *point) for d_value, point in zip(cfg.grid, optima)]
+    if cfg.mc is not None:
+        # both optima of every row, simulated in one call on shared scenes
+        designs = [
+            (d_value, design)
+            for d_value, (gz, an, _, _) in zip(cfg.grid, optima)
+            for design in (
+                GuardZoneDesign(r_g=gz.parameter),
+                NoiseSplitDesign(gamma=an.parameter),
+            )
+        ]
+        runs = run_trials(params, designs, _trial_config(cfg, cfg.mc))
+        for row, gz_run, an_run in zip(rows, runs[0::2], runs[1::2]):
+            row["mc_p_cov_gz"] = asdict(gz_run.p_cov)
+            row["mc_p_cov_an"] = asdict(an_run.p_cov)
     report = {
         "command": "sweep-d",
         "params": _params_json(cfg),
@@ -518,11 +535,9 @@ def cmd_sweep_d(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
         "d_star": d_star,
         "mc_trials": cfg.mc,
         "seed": cfg.seed if cfg.mc is not None else None,
-        "rows": [
-            _sweep_d_row(params, d_value, threshold, cfg) for d_value in cfg.grid
-        ],
+        "rows": rows,
     }
-    return report, [{**row, "d_star": d_star} for row in report["rows"]], 0
+    return report, [{**row, "d_star": d_star} for row in rows], 0
 
 
 SWEEP_LAMBDA_COLUMNS = (
@@ -664,6 +679,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:
         print("error: the report holds a non-finite number", file=sys.stderr)
         return 3
+    if cfg.command == "select":
+        # the verdict token, only for a report that serialised
+        print(report["verdict"], file=sys.stderr)
     if cfg.format == "csv":
         text = _csv_text(columns, csv_rows)
     _emit(text, cfg.out)

@@ -9,11 +9,15 @@ binomial estimates with 95% confidence half-widths.
 Both techniques run through one kernel: each is one link with two
 settings (silence radius, signal fraction), (r_g, 1) for the guard zone
 and (0, gamma) for artificial noise. A batch is reduced to a scene (per
-trial the strongest eavesdropper path gain over the whole disk and over
-the annulus at distance >= r_g, the nearest eavesdropper distance and
-the link gain h), and a design's indicators are read off it.
-trial_outcomes reads single trials off the same arrays, so per-trial
-outcomes sum exactly to the batch tallies.
+trial the strongest eavesdropper path gain over the whole disk, the
+nearest eavesdropper distance, the link gain h, and the strongest path
+gain over the annulus at distance >= r_g for each distinct r_g > 0), and
+a design's indicators are read off it. None of that depends on the link
+distance d, so run_trials evaluates every (d, design) pair that shares a
+window radius on one scene per batch, reducing each design to its four
+tallies before the next; run_gz_trials and run_an_trials are its
+one-design case. trial_outcomes reads single trials off the same arrays,
+so per-trial outcomes sum exactly to the batch tallies.
 
 Guard-zone secrecy is defined given an active link, that is, given no
 eavesdropper inside r_g. A Poisson process is independent on disjoint
@@ -40,7 +44,7 @@ by less than tail_prob, via the guard-zone inverse model.guard_radius.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -70,6 +74,7 @@ __all__ = [
     "strongest_received_power",
     "run_gz_trials",
     "run_an_trials",
+    "run_trials",
     "trial_outcomes",
 ]
 
@@ -361,32 +366,42 @@ def _settings(design: GuardZoneDesign | NoiseSplitDesign) -> tuple[float, float]
     return 0.0, design.gamma
 
 
-def _window(
-    params: SystemParams, design: GuardZoneDesign | NoiseSplitDesign, cfg: TrialConfig
-) -> float:
-    """Simulation-disk radius for a design; rejects one it cannot simulate."""
-    r_g, gamma = _settings(design)
-    if gamma == 0.0:
-        raise DomainError("gamma = 0 leaves no power on the information signal")
-    if cfg.window_radius is not None:
-        if cfg.window_radius <= r_g:
-            raise DomainError(
-                f"window_radius {cfg.window_radius} must exceed the guard "
-                f"radius {r_g}"
-            )
-        return cfg.window_radius
-    # the guard zone must be fully visible for the active test; beyond
-    # r_g the auto rule already bounds the neglected secrecy mass
-    return max(auto_window_radius(params, cfg.tail_prob), r_g)
+def _windows(
+    params: SystemParams,
+    designs: Sequence[GuardZoneDesign | NoiseSplitDesign],
+    cfg: TrialConfig,
+) -> list[float]:
+    """Simulation-disk radius of each design; rejects one it cannot
+    simulate. The auto radius is solved once, on first need."""
+    auto = None
+    radii = []
+    for design in designs:
+        r_g, gamma = _settings(design)
+        if gamma == 0.0:
+            raise DomainError("gamma = 0 leaves no power on the information signal")
+        if cfg.window_radius is not None:
+            if cfg.window_radius <= r_g:
+                raise DomainError(
+                    f"window_radius {cfg.window_radius} must exceed the guard "
+                    f"radius {r_g}"
+                )
+            radii.append(cfg.window_radius)
+            continue
+        if auto is None:
+            auto = auto_window_radius(params, cfg.tail_prob)
+        # the guard zone must be fully visible for the active test; beyond
+        # r_g the auto rule already bounds the neglected secrecy mass
+        radii.append(max(auto, r_g))
+    return radii
 
 
 def _batch_reductions(
-    params: SystemParams, radius: float, r_g: float, seed: int, batch: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The scene of one batch for silence radius r_g: per trial the
-    strongest path gain over all points and over the points at distance
-    >= r_g, the nearest point distance, and h. Trial i owns the next
-    counts[i] points."""
+    params: SystemParams, radius: float, r_gs: Sequence[float], seed: int, batch: int
+) -> tuple[np.ndarray, ...]:
+    """The scene of one batch: per trial the strongest path gain over all
+    points, the nearest point distance and h, then for each silence radius
+    in r_gs (positive, ascending) the strongest path gain over the points
+    at distance >= it. Trial i owns the next counts[i] points."""
     counts, attrs = _batch_points(params, radius, seed, batch)
     radii, path = _decode(radius, attrs)
     # the largest array of the batch; nothing reads it once decoded
@@ -397,13 +412,26 @@ def _batch_reductions(
     np.maximum.at(strongest, index, path)
     nearest = np.full(len(counts), np.inf)
     np.minimum.at(nearest, index, radii)
-    outer = strongest
-    # without a guard disk the annulus is the whole disk
-    if r_g > 0.0:
+    outers = []
+    # each radius drops the points inside it; ascending radii only add to
+    # the points already dropped
+    for r_g in r_gs:
         path[radii < r_g] = 0.0
         outer = np.zeros(len(counts))
         np.maximum.at(outer, index, path)
-    return strongest, outer, nearest, _link_gains(seed, batch)
+        outers.append(outer)
+    return (strongest, nearest, _link_gains(seed, batch), *outers)
+
+
+def _design_scene(
+    scene: Sequence[np.ndarray], r_gs: Sequence[float], r_g: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(strongest, outer, nearest, h) for silence radius r_g, read off a
+    scene _batch_reductions built for the radii r_gs."""
+    strongest, nearest, h, *outers = scene
+    # without a guard disk the annulus is the whole disk
+    outer = outers[r_gs.index(r_g)] if r_g > 0.0 else strongest
+    return strongest, outer, nearest, h
 
 
 def _eavesdropper_snr(
@@ -419,6 +447,7 @@ def _eavesdropper_snr(
 
 def _indicators(
     params: SystemParams,
+    d: float,
     r_g: float,
     gamma: float,
     strongest: np.ndarray,
@@ -427,55 +456,99 @@ def _indicators(
     h: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(active, snr_p, snr_s, covered, secure) per trial for the design
-    with silence radius r_g and signal fraction gamma: snr_s over every
-    point, secure over the points at distance >= r_g."""
+    at link distance d with silence radius r_g and signal fraction gamma:
+    snr_s over every point, secure over the points at distance >= r_g."""
     active = nearest >= r_g
-    snr_p = gamma * params.p_t * h * params.d**-params.alpha / params.sigma2_p
+    snr_p = gamma * params.p_t * h * d**-params.alpha / params.sigma2_p
     covered = active & (snr_p >= params.beta_t)
     secure = _eavesdropper_snr(params, gamma, outer) <= params.beta_e
     return active, snr_p, _eavesdropper_snr(params, gamma, strongest), covered, secure
 
 
 def _batch_tallies(
-    params: SystemParams, r_g: float, gamma: float, scene: Iterable[np.ndarray]
+    params: SystemParams,
+    design: tuple[float, float, float],
+    scene: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> list[int]:
-    """Active, covered, annulus-secure and secure trials of one scene. No
-    array of the batch outlives the call: ones kept into the next batch
-    raised the CLI's peak RSS by 1-3 MB."""
-    active, _, snr_s, covered, secure = _indicators(params, r_g, gamma, *scene)
+    """Active, covered, annulus-secure and secure trials of one (d, r_g,
+    gamma) design on one scene. Its indicator arrays do not outlive the
+    call, so only one design's are alive at a time."""
+    active, _, snr_s, covered, secure = _indicators(params, *design, *scene)
     return [int(x.sum()) for x in (active, covered, secure, snr_s <= params.beta_e)]
 
 
 def _tallies(
-    params: SystemParams, design: GuardZoneDesign | NoiseSplitDesign, cfg: TrialConfig
-) -> list[int]:
-    """Counts of active, covered, annulus-secure and secure trials."""
-    radius = _window(params, design, cfg)
-    r_g, gamma = _settings(design)
+    params: SystemParams,
+    designs: Sequence[tuple[float, float, float]],
+    radius: float,
+    cfg: TrialConfig,
+) -> list[list[int]]:
+    """Counts of active, covered, annulus-secure and secure trials for
+    each (d, r_g, gamma) design, all on the scene stream of one window
+    radius. Each batch's scene is built once and every design is read
+    off it."""
+    r_gs = sorted({r_g for _, r_g, _ in designs if r_g > 0.0})
     n = cfg.n_trials
-    tallies = [0, 0, 0, 0]
+    tallies = [[0, 0, 0, 0] for _ in designs]
     for batch in range((n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH):
         m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
-        scene = (x[:m] for x in _batch_reductions(params, radius, r_g, cfg.seed, batch))
-        counts = _batch_tallies(params, r_g, gamma, scene)
-        tallies = [a + b for a, b in zip(tallies, counts)]
+        scene = [x[:m] for x in _batch_reductions(params, radius, r_gs, cfg.seed, batch)]
+        for total, design in zip(tallies, designs):
+            counts = _batch_tallies(params, design, _design_scene(scene, r_gs, design[1]))
+            total[:] = [a + b for a, b in zip(total, counts)]
+        # no array of a batch may outlive it: ones kept while the next
+        # batch is built raised the CLI's peak RSS by 1-3 MB
+        del scene
     return tallies
+
+
+def _estimates(
+    design: GuardZoneDesign | NoiseSplitDesign, tallies: list[int], n: int
+) -> GzTrialEstimates | AnTrialEstimates:
+    if isinstance(design, GuardZoneDesign):
+        return GzTrialEstimates(*(_binomial_estimate(k, n) for k in tallies))
+    _, k_cov, k_sec, _ = tallies
+    return AnTrialEstimates(*(_binomial_estimate(k, n) for k in (k_cov, k_sec)))
+
+
+def run_trials(
+    params: SystemParams,
+    designs: Sequence[tuple[float, GuardZoneDesign | NoiseSplitDesign]],
+    cfg: TrialConfig,
+) -> list[GzTrialEstimates | AnTrialEstimates]:
+    """Simulate each (d, design) pair at link distance d; params.d is
+    not read.
+
+    The designs are grouped by window radius, one group at a time, and
+    each group shares one scene stream, so each batch is drawn once per
+    window rather than once per design. Every estimate is the one
+    run_gz_trials or run_an_trials gives for that design at that d.
+    """
+    radii = _windows(params, [design for _, design in designs], cfg)
+    tallies: list[list[int]] = [[] for _ in designs]
+    for radius in dict.fromkeys(radii):
+        group = [i for i, r in enumerate(radii) if r == radius]
+        settings = [(designs[i][0], *_settings(designs[i][1])) for i in group]
+        for i, counts in zip(group, _tallies(params, settings, radius, cfg)):
+            tallies[i] = counts
+    return [
+        _estimates(design, counts, cfg.n_trials)
+        for (_, design), counts in zip(designs, tallies)
+    ]
 
 
 def run_gz_trials(
     params: SystemParams, design: GuardZoneDesign, cfg: TrialConfig
 ) -> GzTrialEstimates:
     """Simulate the guard-zone technique."""
-    tallies = _tallies(params, design, cfg)
-    return GzTrialEstimates(*(_binomial_estimate(k, cfg.n_trials) for k in tallies))
+    return run_trials(params, [(params.d, design)], cfg)[0]
 
 
 def run_an_trials(
     params: SystemParams, design: NoiseSplitDesign, cfg: TrialConfig
 ) -> AnTrialEstimates:
     """Simulate the artificial-noise technique (always active)."""
-    _, k_cov, k_sec, _ = _tallies(params, design, cfg)
-    return AnTrialEstimates(*(_binomial_estimate(k, cfg.n_trials) for k in (k_cov, k_sec)))
+    return run_trials(params, [(params.d, design)], cfg)[0]
 
 
 def trial_outcomes(
@@ -492,13 +565,16 @@ def trial_outcomes(
     """
     if any(i < 0 for i in indices):
         raise DomainError(f"trial indices must be nonnegative, got {min(indices)}")
-    radius = _window(params, design, cfg)
+    (radius,) = _windows(params, [design], cfg)
     r_g, gamma = _settings(design)
+    r_gs = [r_g] if r_g > 0.0 else []
     found = {}
     batches = groupby(sorted(set(indices)), key=lambda i: i // _TRIALS_PER_BATCH)
     for batch, group in batches:
-        scene = _batch_reductions(params, radius, r_g, cfg.seed, batch)
-        columns = _indicators(params, r_g, gamma, *scene)
+        scene = _batch_reductions(params, radius, r_gs, cfg.seed, batch)
+        columns = _indicators(
+            params, params.d, r_g, gamma, *_design_scene(scene, r_gs, r_g)
+        )
         for i in group:
             pos = i % _TRIALS_PER_BATCH
             found[i] = TrialOutcome(*(column[pos].item() for column in columns))

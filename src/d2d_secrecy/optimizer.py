@@ -16,10 +16,17 @@ already meets the secrecy target and both optima degenerate to the null
 design (r_g = 0, gamma = 1). One comparison of lambda_e with the threshold
 decides that regime for both optima, their constraint_active flags, the
 selection function and d*; rounding can still null one optimum just above.
+
+r_g* is the one iterative solve here, and it depends on (alpha, p_t,
+beta_e, sigma2_s, epsilon, lambda_e) only, never on d. A one-entry memo
+keyed on those six values holds it, so a d-sweep, or one density of a
+lambda-sweep, solves it once; the regime decision, gamma* and every
+closed form are still computed per call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -123,6 +130,31 @@ def _require_enhancement(params: SystemParams, consequence: str) -> None:
         )
 
 
+@functools.lru_cache(maxsize=1)
+def _guard_radius_star(
+    alpha: float,
+    p_t: float,
+    beta_e: float,
+    sigma2_s: float,
+    epsilon: float,
+    lambda_e: float,
+) -> float:
+    # r_g* reads no other parameter, so the rest are placeholders; one
+    # entry serves a sweep, and a failed solve raises and is not kept
+    params = SystemParams(
+        alpha=alpha,
+        p_t=p_t,
+        beta_t=1.0,
+        beta_e=beta_e,
+        epsilon=epsilon,
+        sigma2_p=1.0,
+        sigma2_s=sigma2_s,
+        lambda_e=lambda_e,
+        d=1.0,
+    )
+    return guard_radius(params, -math.log(epsilon))
+
+
 def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
     """Largest guard radius is never wanted; this returns the smallest
     radius that still meets the secrecy target, which maximizes coverage.
@@ -130,10 +162,20 @@ def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
     r_g* is within 1e-9 relative of mpmath where lambda_e exceeds the
     threshold by a relative margin of 1e-6 or more. Closer to it, the
     rounding of lambda_e - lambda*, a few ulps of lambda*, limits any
-    double-precision r_g* to about 1e-15 / margin.
+    double-precision r_g* to about 1e-15 / margin. The solve is memoised
+    for the last secrecy parameter set (see the module docstring).
     """
     needed = _enhancement_needed(params)
-    r_star = guard_radius(params, -math.log(params.epsilon)) if needed else 0.0
+    r_star = 0.0
+    if needed:
+        r_star = _guard_radius_star(
+            params.alpha,
+            params.p_t,
+            params.beta_e,
+            params.sigma2_s,
+            params.epsilon,
+            params.lambda_e,
+        )
     design = GuardZoneDesign(r_star)
     metrics = TechniqueMetrics(
         p_cov=p_cov_gz(params, design), p_sec=p_sec_gz(params, design)

@@ -174,11 +174,9 @@ def inverse_upper_incomplete_gamma(a: float, target: float) -> float:
     """Solve Gamma(a, x) = target for x >= 0.
 
     The target must satisfy 0 < target <= Gamma(a); the boundary value
-    Gamma(a) maps to x = 0. For a in [1e-4, 1], Gamma(a, x) at the
+    Gamma(a) maps to x = 0. For a in [1e-12, 1], Gamma(a, x) at the
     returned x is within 1e-12 relative of target (mpmath), wherever x is
-    at least 1e-300. At smaller order the rounding of the bracket's lower
-    end can place it above the root; at order 1e-12 the residual reaches
-    1e-5.
+    at least 1e-300.
     """
     _check_order(a)
     gamma_a = math.gamma(a)
@@ -194,9 +192,13 @@ def inverse_upper_incomplete_gamma(a: float, target: float) -> float:
     # gamma_lower(a, x) <= x^a / a, so this never exceeds the root; near
     # x = 0 it is the root to within a factor 1 + O(x)
     lo = math.exp(math.log(a * (gamma_a - target)) / a)
+    near_zero = lo / (1.0 - lo / (a + 1.0))
+    # dividing by a scales the logarithm's rounding to a few eps/a in
+    # ln lo, which at small order can lift lo above the root; lower it by
+    # a bound on that error so that the bracket still holds the root
+    lo *= math.exp(-8.0 * _EPS / a)
     if lo == 0.0:
         return 0.0
-    near_zero = lo / (1.0 - lo / (a + 1.0))
 
     if target > 0.5 * gamma_a:
         # the root lies below the median, which is at most ln 2

@@ -9,12 +9,13 @@ import csv
 import io
 import json
 import re
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from d2d_secrecy import cli, model
+from d2d_secrecy import cli, model, montecarlo
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
@@ -146,6 +147,15 @@ class TestSelect:
     def test_requires_distance(self, capsys):
         assert cli.main(["select"]) == 2
         assert "--d" in capsys.readouterr().err
+
+    def test_token_only_after_the_report_serialises(self, capsys):
+        # d = 1e300 gives h = inf: the run fails and names no verdict
+        assert cli.main(["select", "--d", "1e300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the report holds a non-finite number\n"
+        assert cli.main(["select", "--d", "0.8"]) == 0
+        assert capsys.readouterr().err == "guard-zone\n"
 
 
 class TestMcValidate:
@@ -348,6 +358,67 @@ class TestSweepD:
         assert first.read_bytes()  # not empty
 
 
+class TestSweepSharedScene:
+    # sweep-d --mc simulates all its designs on one scene stream per window
+    # radius, so each batch is drawn once per window, not once per design
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        draws = []
+        draw = montecarlo._batch_points
+
+        def counted(params, radius, seed, batch):
+            draws.append((radius, batch))
+            return draw(params, radius, seed, batch)
+
+        monkeypatch.setattr(montecarlo, "_batch_points", counted)
+        return draws
+
+    def test_each_batch_drawn_once(self, capsys, monkeypatch):
+        # 29 rows, 58 designs and 150 000 trials: three batches of 65 536
+        draws = self._count_draws(monkeypatch)
+        assert cli.main(["sweep-d", "--mc", "150000"]) == 0
+        capsys.readouterr()
+        assert len(draws) == 3
+
+    @pytest.mark.parametrize("epsilon, windows", [("0.9", 1), ("0.99999", 2)])
+    def test_rows_equal_single_design_runs(self, capsys, monkeypatch, epsilon, windows):
+        # at epsilon = 0.99999, -ln(epsilon) is below tail_prob (1e-4), so
+        # r_g* (1.71) exceeds the auto radius (1.59) and the guard-zone
+        # designs take a window of their own
+        draws = self._count_draws(monkeypatch)
+        _, report, _ = run_json(
+            capsys,
+            [
+                "sweep-d",
+                "--epsilon", epsilon,
+                "--grid-start", "0.3",
+                "--grid-stop", "0.9",
+                "--grid-step", "0.3",
+                "--mc", "70000",
+                "--seed", "4",
+            ],
+        )
+        # two batches per window, the second one partly used
+        assert len(draws) == 2 * len({radius for radius, _ in draws}) == 2 * windows
+        # the CLI's defaults at this epsilon
+        params = model.SystemParams(
+            alpha=4.0, p_t=1.0, beta_t=2.0, beta_e=1.0, epsilon=float(epsilon),
+            sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.1, d=1.0,
+        )
+        cfg = montecarlo.TrialConfig(n_trials=70000, seed=4)
+        for row in report["rows"]:
+            point = replace(params, d=row["d"])
+            gz = montecarlo.run_gz_trials(point, model.GuardZoneDesign(row["r_g_star"]), cfg)
+            an = montecarlo.run_an_trials(point, model.NoiseSplitDesign(row["gamma_star"]), cfg)
+            assert row["mc_p_cov_gz"] == asdict(gz.p_cov)
+            assert row["mc_p_cov_an"] == asdict(an.p_cov)
+
+    def test_high_density_edge_probe(self, capsys):
+        assert cli.main(["sweep-d", "--lambda-e", "3", "--mc", "2000"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"]
+
+
 class TestSweepLambda:
     def test_critical_distance_curve(self, capsys):
         code, report, _ = run_json(capsys, ["sweep-lambda"])
@@ -427,10 +498,10 @@ class TestSweepLambda:
 
 class TestSweepSolves:
     # r_g* does not depend on d, so a sweep solves its incomplete-gamma
-    # inverse only where an optimum is new: once per sweep-d row plus once
-    # for d*, and per sweep-lambda row once for d* and once at d*
+    # inverse once per secrecy parameter set: once for all of sweep-d, and
+    # once per sweep-lambda density (for d* and again at d*, a memo hit)
     @pytest.mark.parametrize(
-        "argv, solves", [(["sweep-d"], 30), (["sweep-lambda"], 18)], ids=["d", "lambda"]
+        "argv, solves", [(["sweep-d"], 1), (["sweep-lambda"], 9)], ids=["d", "lambda"]
     )
     def test_inverse_solves_per_sweep(self, capsys, monkeypatch, argv, solves):
         calls = []

@@ -351,6 +351,37 @@ class TestNullDesignEquivalence:
         assert gz == an
 
 
+class TestSharedScene:
+    def test_every_design_equals_its_own_run(self, monkeypatch):
+        # designs at several distances and guard radii, out of order; all
+        # but r_g = 1.7 fit the auto window (1.59), so two windows are
+        # drawn, two batches each, and each estimate is that design's own
+        cfg = TrialConfig(n_trials=70_000, seed=21)
+        designs = [
+            (0.6, GuardZoneDesign(r_g=1.0)),
+            (0.9, NoiseSplitDesign(gamma=GAMMA_STAR)),
+            (0.4, GuardZoneDesign(r_g=0.5)),
+            (0.6, GuardZoneDesign(r_g=1.7)),
+            (0.6, GuardZoneDesign(r_g=0.0)),
+            (1.2, GuardZoneDesign(r_g=1.0)),
+            (0.6, NoiseSplitDesign(gamma=1.0)),
+        ]
+        draws = []
+        draw = mc._batch_points
+
+        def counted(params, radius, seed, batch):
+            draws.append(radius)
+            return draw(params, radius, seed, batch)
+
+        monkeypatch.setattr(mc, "_batch_points", counted)
+        shared = mc.run_trials(BASE, designs, cfg)
+        assert len(draws) == 4 and len(set(draws)) == 2
+        monkeypatch.undo()
+        for (d, design), estimates in zip(designs, shared):
+            run = run_gz_trials if isinstance(design, GuardZoneDesign) else run_an_trials
+            assert estimates == run(replace(BASE, d=d), design, cfg)
+
+
 class TestTrialOutcomes:
     def test_gz_outcomes_aggregate_to_run_estimates(self):
         # per-trial indicators summed by hand must hit the batched run's

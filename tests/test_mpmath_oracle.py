@@ -3,7 +3,7 @@
 These pin the tolerances the docstrings of specfun, model and optimizer
 state. The forward incomplete gamma and Gamma(a) are compared with
 mpmath at orders from 1e-12 to 1, on a grid and at seeded random points;
-the inverse's residual is checked at orders from 1e-4 to 1. The density
+the inverse's residual is checked at the same orders. The density
 threshold, the optimal power split and the selection function are
 compared with the paper's formulas in mpmath at drawn parameters. The
 optimal guard radius and the critical distance are compared with values
@@ -94,18 +94,31 @@ TARGET_FRACTIONS = [1e-300, 1e-100, 1e-30, 1e-10, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7
                     0.9, 0.99, 0.999999]
 
 
-@pytest.mark.parametrize("a", [a for a in ORDERS if a >= 1e-4])
-def test_inverse_residual_matches_mpmath(a):
+# each order's targets; points where the bracket's rounded lower end lay
+# above the root (the second had residual 8.5e-8); and seeded points with
+# log-uniform orders in [1e-12, 1] and target fractions in [1e-14, 1]
+_INVERSE_RNG = random.Random(1188)
+INVERSE_POINTS = {
+    **{str(a): [(a, f * complete_gamma(a)) for f in TARGET_FRACTIONS] for a in ORDERS},
+    "small-order-bracket": [(1.1e-12, 17.77), (4.464760747710358e-12, 17.173604735517333)],
+    "drawn": [
+        (a, 10.0 ** _INVERSE_RNG.uniform(-14.0, 0.0) * complete_gamma(a))
+        for a in (10.0 ** _INVERSE_RNG.uniform(-12.0, 0.0) for _ in range(300))
+    ],
+}
+
+
+@pytest.mark.parametrize("points", INVERSE_POINTS.values(), ids=INVERSE_POINTS.keys())
+def test_inverse_residual_matches_mpmath(points):
     # Gamma(a, x) at the returned root, in mpmath, against the target. A
     # root below 1e-300 (small order, target near Gamma(a)) is skipped:
     # subnormal or zero, it has no relative accuracy to offer.
     failures = []
     with mp.workdps(30):
-        for fraction in TARGET_FRACTIONS:
-            target = fraction * complete_gamma(a)
+        for a, target in points:
             x = inverse_upper_incomplete_gamma(a, target)
             if x >= 1e-300 and abs(mp.gammainc(a, x) - target) > 1e-12 * target:
-                failures.append(f"target = {target!r}: x = {x!r}")
+                failures.append(f"a = {a}, target = {target!r}: x = {x!r}")
     assert not failures, "; ".join(failures)
 
 
@@ -267,5 +280,7 @@ def test_inverse_forward_evaluations_on_design_grid(monkeypatch):
                 optimal_guard_radius(point)
                 optimal_power_split(point)
                 selection_function(point)
-    assert len(per_solve) == 4 * 64 * 33
+    # r_g* is solved once per row: critical_distance solves it and the
+    # sixteen distances read it back
+    assert len(per_solve) == 4 * 64
     assert statistics.fmean(per_solve) <= 8.0

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from d2d_secrecy import optimizer
 from d2d_secrecy.errors import RegimeError
 from d2d_secrecy.model import (
     GuardZoneDesign,
@@ -154,6 +155,65 @@ def test_one_regime_decision_near_threshold(params):
     if not needed:
         assert gz.parameter == 0.0
         assert an.parameter == 1.0
+
+
+PUBLIC_FUNCTIONS = (
+    lambda_threshold,
+    optimal_guard_radius,
+    optimal_power_split,
+    selection_function,
+    critical_distance,
+)
+# the parameters r_g* depends on, the key of its memo
+SECRECY_FIELDS = ("alpha", "p_t", "beta_e", "sigma2_s", "epsilon", "lambda_e")
+
+
+@st.composite
+def parameter_pairs(draw):
+    # a binding set, and either a second one or the first with one secrecy
+    # parameter moved, so that a memo key missing any field shows
+    first = draw(binding_params())
+    if draw(st.booleans()):
+        return first, draw(binding_params())
+    field = draw(st.sampled_from(SECRECY_FIELDS))
+    factor = draw(st.floats(1.01, 2.0))
+    value = getattr(first, field)
+    if field == "alpha":
+        value = 2.0 + (value - 2.0) * factor
+    elif field == "epsilon":
+        value = 1.0 - (1.0 - value) / factor
+    else:
+        value *= factor
+    return first, replace(first, **{field: value})
+
+
+def _results(sets, distances, before=lambda: None):
+    # every public function at every distance, over the parameter sets in
+    # turn, calling before() ahead of each call; a RegimeError (a moved set
+    # can fall below the threshold) counts as its message
+    results = [[] for _ in sets]
+    for d in distances:
+        for function in PUBLIC_FUNCTIONS:
+            for params, found in zip(sets, results):
+                before()
+                try:
+                    found.append(function(replace(params, d=d)))
+                except RegimeError as exc:
+                    found.append(str(exc))
+    return results
+
+
+@settings(max_examples=80)
+@given(pair=parameter_pairs(), distances=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4))
+def test_memo_never_changes_a_result(pair, distances):
+    # results with the r_g* memo cold before every call, with the two sets
+    # alternating call by call, and with one set at a time (warm) are equal
+    memo = optimizer._guard_radius_star
+    cold = _results(pair, distances, memo.cache_clear)
+    alternating = _results(pair, distances)
+    warm = [_results([params], distances)[0] for params in pair]
+    assert memo.cache_info().hits > 0
+    assert cold == alternating == warm
 
 
 def test_below_threshold_metrics_coincide():
