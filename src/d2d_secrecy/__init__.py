@@ -6,7 +6,13 @@ coverage and secrecy probabilities in closed form, optimizes the two
 enhancement techniques (guard zone, artificial noise), decides which
 technique is preferable at a given link distance, and validates the
 closed forms by Monte-Carlo simulation.
+
+The closed forms, the optimizer and the selection rule need only the
+standard library. The Monte-Carlo names are resolved on first access,
+so numpy is imported only when something is simulated.
 """
+
+import importlib
 
 from .errors import (
     DegenerateDesignError,
@@ -26,20 +32,6 @@ from .model import (
     p_sec_an,
     p_sec_gz,
 )
-from .montecarlo import (
-    AnTrialEstimates,
-    EavesdropperField,
-    GzTrialEstimates,
-    McEstimate,
-    TrialConfig,
-    TrialOutcome,
-    auto_window_radius,
-    run_an_trials,
-    run_gz_trials,
-    run_trials,
-    sample_field,
-    strongest_received_power,
-)
 from .optimizer import (
     CriticalDistance,
     OptimalDesign,
@@ -58,6 +50,22 @@ from .specfun import (
 )
 
 __version__ = "0.1.0"
+
+# montecarlo imports numpy, which costs most of the package's import time
+_MONTECARLO_NAMES = (
+    "AnTrialEstimates",
+    "EavesdropperField",
+    "GzTrialEstimates",
+    "McEstimate",
+    "TrialConfig",
+    "TrialOutcome",
+    "auto_window_radius",
+    "run_an_trials",
+    "run_gz_trials",
+    "run_trials",
+    "sample_field",
+    "strongest_received_power",
+)
 
 __all__ = [
     "__version__",
@@ -84,19 +92,21 @@ __all__ = [
     "optimal_power_split",
     "selection_function",
     "critical_distance",
-    "TrialConfig",
-    "EavesdropperField",
-    "TrialOutcome",
-    "McEstimate",
-    "GzTrialEstimates",
-    "AnTrialEstimates",
-    "auto_window_radius",
-    "sample_field",
-    "strongest_received_power",
-    "run_gz_trials",
-    "run_an_trials",
-    "run_trials",
     "complete_gamma",
     "upper_incomplete_gamma",
     "inverse_upper_incomplete_gamma",
 ]
+__all__ += _MONTECARLO_NAMES
+
+
+def __getattr__(name):
+    # not cached in globals(), so a name later rebound on montecarlo (a
+    # patch in a test or a tracer) is seen through the package as well
+    if name == "montecarlo" or name in _MONTECARLO_NAMES:
+        montecarlo = importlib.import_module(".montecarlo", __name__)
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_MONTECARLO_NAMES})

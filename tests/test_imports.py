@@ -51,6 +51,105 @@ def test_package_import_loads_no_scipy():
     assert _fresh(["-c", probe]).stdout.strip() == "[]"
 
 
+_LAZY_PROBE = """
+import sys
+import d2d_secrecy as pkg
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+
+seen = {"import": numpy_modules()}
+params = pkg.SystemParams(alpha=4.0, p_t=1.0, beta_t=2.0, beta_e=1.0, epsilon=0.9,
+                          sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.1, d=0.6)
+gz = pkg.GuardZoneDesign(r_g=pkg.optimal_guard_radius(params).parameter)
+an = pkg.NoiseSplitDesign(gamma=pkg.optimal_power_split(params).parameter)
+pkg.lambda_threshold(params)
+pkg.selection_function(params)
+pkg.critical_distance(params)
+for closed_form, design in ((pkg.p_active, gz), (pkg.p_cov_gz, gz), (pkg.p_sec_gz, gz),
+                            (pkg.p_cov_an, an), (pkg.p_sec_an, an)):
+    closed_form(params, design)
+seen["closed forms"] = numpy_modules()
+run_trials = pkg.run_trials
+seen["numpy loaded by run_trials"] = "numpy" in sys.modules
+seen["same object"] = run_trials is pkg.montecarlo.run_trials
+seen["not in dir"] = [n for n in pkg._MONTECARLO_NAMES if n not in dir(pkg)]
+try:
+    pkg.no_such_name
+    seen["unknown name"] = "resolved"
+except AttributeError:
+    seen["unknown name"] = "AttributeError"
+star = {}
+exec("from d2d_secrecy import *", star)
+seen["unbound by star import"] = [n for n in pkg.__all__ if n not in star]
+print(repr(seen))
+"""
+
+
+def test_package_import_defers_numpy_to_first_simulation():
+    # the closed forms, the optimizer and the selection rule need only
+    # math; numpy is loaded when a Monte-Carlo name is first read
+    seen = ast.literal_eval(_fresh(["-c", _LAZY_PROBE]).stdout.strip())
+    assert seen == {
+        "import": [],
+        "closed forms": [],
+        "numpy loaded by run_trials": True,
+        "same object": True,
+        "not in dir": [],
+        "unknown name": "AttributeError",
+        "unbound by star import": [],
+    }
+
+
+def _imported_modules(tree, into_functions):
+    # absolute name of each module an import statement names, relative
+    # ones resolved against the package
+    found = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "d2d_secrecy." if node.level else ""
+            if node.module:
+                found.append(prefix + node.module)
+            else:
+                found += [prefix + alias.name for alias in node.names]
+        elif into_functions or not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_montecarlo_imports_numpy():
+    # numpy must stay behind the package's lazy montecarlo names: only
+    # montecarlo imports it, __init__ never imports montecarlo at module
+    # level, and the lazy names are montecarlo's public ones
+    package = SRC / "d2d_secrecy"
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    numpy_users = [
+        name
+        for name, tree in trees.items()
+        if any(m.split(".")[0] == "numpy" for m in _imported_modules(tree, into_functions=True))
+    ]
+    assert numpy_users == ["montecarlo.py"]
+    init = trees["__init__.py"]
+    assert [
+        m for m in _imported_modules(init, into_functions=False)
+        if m.split(".")[:2] == ["d2d_secrecy", "montecarlo"]
+    ] == []
+    (lazy,) = [
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["_MONTECARLO_NAMES"]
+    ]
+    montecarlo = importlib.import_module("d2d_secrecy.montecarlo")
+    assert sorted(lazy) == sorted(set(montecarlo.__all__) - {"trial_outcomes"})
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
 def test_cli_reuses_batch_memory():
     # 4 and 16 batches of 65 536 trials: with glibc's default trimming each
