@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     ExcludedRegionError,
     NumericalError,
-    RegimeError,
 )
 from .model import (
     GuardZoneDesign,
@@ -72,7 +71,6 @@ __all__ = [
     "DomainError",
     "DegenerateDesignError",
     "ExcludedRegionError",
-    "RegimeError",
     "NumericalError",
     "SystemParams",
     "GuardZoneDesign",

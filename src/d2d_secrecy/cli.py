@@ -26,7 +26,9 @@ Output is JSON (full precision) or CSV (fixed headers, probabilities at
 
 A report that holds a non-finite number, which strict JSON cannot
 carry, is a numerical failure in either format. A sweep grid may hold
-at most ``MAX_GRID_ROWS`` rows.
+at most ``MAX_GRID_ROWS`` rows. Below the enhancement threshold the
+optimizer gives no verdict and no d*; reports carry them as nulls and
+the token ``no-enhancement-needed``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .montecarlo import (
     run_trials,
 )
 from .optimizer import (
-    OptimalDesign,
     SelectionVerdict,
     Technique,
     critical_distance,
@@ -319,7 +320,7 @@ def _design_forms(
     return design, Technique.ARTIFICIAL_NOISE.value, forms
 
 
-def cmd_analytic(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
+def cmd_analytic(cfg: argparse.Namespace) -> tuple[dict, list[dict]]:
     params = cfg.params
     _, technique, forms = _design_forms(cfg)
     report = {
@@ -331,7 +332,7 @@ def cmd_analytic(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
         "p_cov": forms["p_cov"],
         "p_sec": forms["p_sec"],
     }
-    return report, [report], 0
+    return report, [report]
 
 
 OPTIMIZE_COLUMNS = (
@@ -349,7 +350,7 @@ OPTIMIZE_COLUMNS = (
 OPTIMIZE_HEADER = _header(OPTIMIZE_COLUMNS)
 
 
-def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
+def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, list[dict]]:
     params = cfg.params
     threshold = lambda_threshold(params)
     gz = optimal_guard_radius(params)
@@ -372,22 +373,12 @@ def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
             "p_sec": an.metrics.p_sec,
         },
     }
-    return report, [report], 0
+    return report, [report]
 
 
-def _optima(
-    point: SystemParams, threshold: float
-) -> tuple[OptimalDesign, OptimalDesign, SelectionVerdict | None, str]:
-    """Both optima at point, the selection verdict and its token.
-
-    Below the threshold no technique is needed: both optima are the null
-    designs, there is no verdict (None) and the token says so.
-    """
-    if point.lambda_e < threshold:
-        gz, an = optimal_guard_radius(point), optimal_power_split(point)
-        return gz, an, None, NO_ENHANCEMENT
-    selection = selection_function(point)
-    return selection.gz_design, selection.an_design, selection, selection.better.value
+def _verdict(selection: SelectionVerdict) -> str:
+    """The better technique, or the token saying that none is needed."""
+    return NO_ENHANCEMENT if selection.better is None else selection.better.value
 
 
 SELECT_COLUMNS = (
@@ -402,22 +393,21 @@ SELECT_COLUMNS = (
 SELECT_HEADER = _header(SELECT_COLUMNS)
 
 
-def cmd_select(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
+def cmd_select(cfg: argparse.Namespace) -> tuple[dict, list[dict]]:
     params = cfg.params
-    threshold = lambda_threshold(params)
-    gz, an, selection, verdict = _optima(params, threshold)
+    selection = selection_function(params)
     report = {
         "command": "select",
         "params": _params_json(cfg),
-        "verdict": verdict,
-        "f_value": None if selection is None else selection.f_value,
-        "h_value": None if selection is None else selection.h_value,
-        "g_value": None if selection is None else selection.g_value,
-        "r_g_star": gz.parameter,
-        "gamma_star": an.parameter,
-        "lambda_threshold": threshold,
+        "verdict": _verdict(selection),
+        "f_value": selection.f_value,
+        "h_value": selection.h_value,
+        "g_value": selection.g_value,
+        "r_g_star": selection.gz_design.parameter,
+        "gamma_star": selection.an_design.parameter,
+        "lambda_threshold": lambda_threshold(params),
     }
-    return report, [report], 0
+    return report, [report]
 
 
 MC_VALIDATE_COLUMNS = (
@@ -441,7 +431,7 @@ def _check_entry(analytic: float, estimate: McEstimate) -> dict:
     }
 
 
-def cmd_mc_validate(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
+def cmd_mc_validate(cfg: argparse.Namespace) -> tuple[dict, list[dict]]:
     params = cfg.params
     design, technique, analytic = _design_forms(cfg)
     run = run_gz_trials if isinstance(design, GuardZoneDesign) else run_an_trials
@@ -461,7 +451,7 @@ def cmd_mc_validate(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
         "all_pass": all(entry["pass"] for entry in checks.values()),
     }
     rows = [{"check": name, **entry} for name, entry in checks.items()]
-    return report, rows, 0
+    return report, rows
 
 
 SWEEP_D_COLUMNS = (
@@ -484,16 +474,11 @@ SWEEP_D_COLUMNS = (
 SWEEP_D_HEADER = _header(SWEEP_D_COLUMNS)
 
 
-def _sweep_d_row(
-    d_value: float,
-    gz: OptimalDesign,
-    an: OptimalDesign,
-    selection: SelectionVerdict | None,
-    verdict: str,
-) -> dict:
+def _sweep_d_row(d_value: float, selection: SelectionVerdict) -> dict:
+    gz, an = selection.gz_design, selection.an_design
     return {
         "d": d_value,
-        "f_value": None if selection is None else selection.f_value,
+        "f_value": selection.f_value,
         "r_g_star": gz.parameter,
         "gamma_star": an.parameter,
         "p_cov_gz": gz.metrics.p_cov,
@@ -502,26 +487,22 @@ def _sweep_d_row(
         "p_sec_an": an.metrics.p_sec,
         "mc_p_cov_gz": None,
         "mc_p_cov_an": None,
-        "verdict": verdict,
+        "verdict": _verdict(selection),
     }
 
 
-def cmd_sweep_d(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
+def cmd_sweep_d(cfg: argparse.Namespace) -> tuple[dict, list[dict]]:
     params = cfg.params
-    threshold = lambda_threshold(params)
-    d_star = (
-        critical_distance(params).d_star if params.lambda_e >= threshold else None
-    )
-    optima = [_optima(replace(params, d=d_value), threshold) for d_value in cfg.grid]
-    rows = [_sweep_d_row(d_value, *point) for d_value, point in zip(cfg.grid, optima)]
+    d_star = critical_distance(params).d_star
+    rows = [_sweep_d_row(d, selection_function(replace(params, d=d))) for d in cfg.grid]
     if cfg.mc is not None:
         # both optima of every row, simulated in one call on shared scenes
         designs = [
-            (d_value, design)
-            for d_value, (gz, an, _, _) in zip(cfg.grid, optima)
+            (row["d"], design)
+            for row in rows
             for design in (
-                GuardZoneDesign(r_g=gz.parameter),
-                NoiseSplitDesign(gamma=an.parameter),
+                GuardZoneDesign(r_g=row["r_g_star"]),
+                NoiseSplitDesign(gamma=row["gamma_star"]),
             )
         ]
         runs = run_trials(params, designs, _trial_config(cfg, cfg.mc))
@@ -531,13 +512,13 @@ def cmd_sweep_d(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
     report = {
         "command": "sweep-d",
         "params": _params_json(cfg),
-        "lambda_threshold": threshold,
+        "lambda_threshold": lambda_threshold(params),
         "d_star": d_star,
         "mc_trials": cfg.mc,
         "seed": cfg.seed if cfg.mc is not None else None,
         "rows": rows,
     }
-    return report, [{**row, "d_star": d_star} for row in rows], 0
+    return report, [{**row, "d_star": d_star} for row in rows]
 
 
 SWEEP_LAMBDA_COLUMNS = (
@@ -554,19 +535,19 @@ SWEEP_LAMBDA_COLUMNS = (
 SWEEP_LAMBDA_HEADER = _header(SWEEP_LAMBDA_COLUMNS)
 
 
-def _sweep_lambda_row(params: SystemParams, lam: float, threshold: float) -> dict:
+def _sweep_lambda_row(params: SystemParams, lam: float) -> dict:
     point = replace(params, lambda_e=lam)
-    d_star = None
-    if lam >= threshold:
+    d_star = critical_distance(point).d_star
+    solved = d_star is not None
+    if solved:
         # r_g*, gamma* and p_sec do not depend on d, so the optima at d* serve
-        d_star = critical_distance(point).d_star
         point = replace(point, d=d_star)
-    gz, an, selection, _ = _optima(point, threshold)
-    solved = selection is not None
+    selection = selection_function(point)
+    gz, an = selection.gz_design, selection.an_design
     return {
         "lambda_e": lam,
         "d_star": d_star,
-        "f_at_d_star": selection.f_value if solved else None,
+        "f_at_d_star": selection.f_value,
         "r_g_star": gz.parameter,
         "gamma_star": an.parameter,
         "p_cov_gz": gz.metrics.p_cov if solved else None,
@@ -576,26 +557,22 @@ def _sweep_lambda_row(params: SystemParams, lam: float, threshold: float) -> dic
     }
 
 
-def cmd_sweep_lambda(cfg: argparse.Namespace) -> tuple[dict, list[dict], int]:
+def cmd_sweep_lambda(cfg: argparse.Namespace) -> tuple[dict, list[dict]]:
     params = cfg.params
-    threshold = lambda_threshold(params)
-    rows = [_sweep_lambda_row(params, lam, threshold) for lam in cfg.grid]
+    rows = [_sweep_lambda_row(params, lam) for lam in cfg.grid]
     solved = [row["d_star"] for row in rows if row["d_star"] is not None]
     monotone = all(a <= b for a, b in zip(solved, solved[1:]))
     report = {
         "command": "sweep-lambda",
         "params": _params_json(cfg),
-        "lambda_threshold": threshold,
+        "lambda_threshold": lambda_threshold(params),
         "monotone_nondecreasing": monotone,
         "rows": rows,
     }
-    exit_code = 0
     if not monotone:
-        print(
-            "error: critical-distance curve is not nondecreasing", file=sys.stderr
-        )
-        exit_code = 3
-    return report, rows, exit_code
+        # a property of the model at these parameters, not a failure
+        print("warning: critical-distance curve is not nondecreasing", file=sys.stderr)
+    return report, rows
 
 
 # subcommand: (command function, CSV columns, --help summary)
@@ -665,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _make_config(cfg)
         command, columns, _ = _COMMANDS[cfg.command]
-        report, csv_rows, exit_code = command(cfg)
+        report, csv_rows = command(cfg)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -685,7 +662,7 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.format == "csv":
         text = _csv_text(columns, csv_rows)
     _emit(text, cfg.out)
-    return exit_code
+    return 0
 
 
 if __name__ == "__main__":

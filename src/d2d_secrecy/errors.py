@@ -3,7 +3,7 @@
 Validation problems (bad arguments, out-of-domain values) derive from
 ValueError so they behave sensibly in plain Python code; runtime failures
 of iterative numerics derive from RuntimeError. The CLI maps these onto
-distinct exit codes.
+distinct exit codes; a density below the threshold is not an error.
 """
 
 
@@ -19,11 +19,6 @@ class DegenerateDesignError(DomainError):
 class ExcludedRegionError(DomainError):
     """An eavesdropper sits exactly at the transmitter, where the
     power-law loss model diverges."""
-
-
-class RegimeError(DomainError):
-    """The operation only makes sense above the critical eavesdropper
-    density, and the supplied density is below it."""
 
 
 class NumericalError(RuntimeError):

@@ -218,12 +218,20 @@ def p_sec_gz(params: SystemParams, design: GuardZoneDesign) -> float:
 
 def guard_radius(params: SystemParams, exponent: float) -> float:
     """Smallest r_g with -ln p_sec_gz <= exponent (inverts p_sec_gz); 0 when
-    exponent / secrecy_scale >= Gamma(a), since then no guard zone is needed."""
+    exponent / secrecy_scale >= Gamma(a), since then no guard zone is needed.
+
+    Raises NumericalError where the root x = r_g^alpha * beta_e * sigma2_s
+    / p_t underflows to 0 (at large alpha), since r_g = 0 would then miss
+    the secrecy target."""
     a = order(params)
     target = exponent / secrecy_scale(params)
     if target >= complete_gamma(a):
         return 0.0
     x = inverse_upper_incomplete_gamma(a, target)
+    if x == 0.0:
+        raise NumericalError(
+            "the guard-zone root r_g^alpha underflows", alpha=params.alpha, target=target
+        )
     return (x * params.p_t / (params.beta_e * params.sigma2_s)) ** (1.0 / params.alpha)
 
 

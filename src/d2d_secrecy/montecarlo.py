@@ -59,6 +59,7 @@ from .model import (
     GuardZoneDesign,
     NoiseSplitDesign,
     SystemParams,
+    _power,
     guard_radius,
 )
 
@@ -406,7 +407,9 @@ def _batch_reductions(
     radii, path = _decode(radius, attrs)
     # the largest array of the batch; nothing reads it once decoded
     del attrs
-    path *= radii**-params.alpha
+    # a gain past the float range is inf, which the ratios below handle
+    with np.errstate(over="ignore"):
+        path *= radii**-params.alpha
     index = np.repeat(np.arange(len(counts)), counts)
     strongest = np.zeros(len(counts))
     np.maximum.at(strongest, index, path)
@@ -442,7 +445,12 @@ def _eavesdropper_snr(
     # no jamming term at gamma = 1: 0 * inf would turn an overflowed
     # received power into nan
     jamming = (1.0 - gamma) * received if gamma < 1.0 else 0.0
-    return gamma * received / (jamming + params.sigma2_s)
+    with np.errstate(invalid="ignore"):
+        snr = gamma * received / (jamming + params.sigma2_s)
+    if gamma < 1.0:
+        # inf / inf is nan there; an overflowed power sits at the ratio's cap
+        snr[np.isinf(received)] = gamma / (1.0 - gamma)
+    return snr
 
 
 def _indicators(
@@ -459,7 +467,7 @@ def _indicators(
     at link distance d with silence radius r_g and signal fraction gamma:
     snr_s over every point, secure over the points at distance >= r_g."""
     active = nearest >= r_g
-    snr_p = gamma * params.p_t * h * d**-params.alpha / params.sigma2_p
+    snr_p = gamma * params.p_t * h * _power(d, -params.alpha) / params.sigma2_p
     covered = active & (snr_p >= params.beta_t)
     secure = _eavesdropper_snr(params, gamma, outer) <= params.beta_e
     return active, snr_p, _eavesdropper_snr(params, gamma, strongest), covered, secure

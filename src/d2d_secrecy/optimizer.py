@@ -14,8 +14,9 @@ artificial noise, long links favor the guard zone.
 Below the density threshold lambda_threshold() plain transmission
 already meets the secrecy target and both optima degenerate to the null
 design (r_g = 0, gamma = 1). One comparison of lambda_e with the threshold
-decides that regime for both optima, their constraint_active flags, the
-selection function and d*; rounding can still null one optimum just above.
+decides that regime for both optima and their constraint_active flags;
+the selection function and d* read it off the guard-zone optimum and
+answer None below it. Rounding can still null one optimum just above.
 
 r_g* is the one iterative solve here, and it depends on (alpha, p_t,
 beta_e, sigma2_s, epsilon, lambda_e) only, never on d. A one-entry memo
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import RegimeError
 from .model import (
     GuardZoneDesign,
     NoiseSplitDesign,
@@ -83,21 +83,23 @@ class OptimalDesign:
 
 @dataclass(frozen=True)
 class SelectionVerdict:
-    """Outcome of comparing both optimized techniques at one distance."""
+    """Outcome of comparing both optimized techniques at one distance;
+    below the threshold every field but the two null optima is None."""
 
-    f_value: float
-    h_value: float
-    g_value: float
-    better: Technique
+    f_value: float | None
+    h_value: float | None
+    g_value: float | None
+    better: Technique | None
     gz_design: OptimalDesign
     an_design: OptimalDesign
 
 
 @dataclass(frozen=True)
 class CriticalDistance:
-    """Root of the selection function."""
+    """Root of the selection function; None below the density threshold,
+    where no technique is needed and the function has no root."""
 
-    d_star: float
+    d_star: float | None
 
 
 def lambda_threshold(params: SystemParams) -> float:
@@ -120,14 +122,6 @@ def lambda_threshold(params: SystemParams) -> float:
 def _enhancement_needed(params: SystemParams) -> bool:
     # the one regime decision: below the threshold both optima are null
     return params.lambda_e >= lambda_threshold(params)
-
-
-def _require_enhancement(params: SystemParams, consequence: str) -> None:
-    if not _enhancement_needed(params):
-        raise RegimeError(
-            f"lambda_e = {params.lambda_e:g} is below the enhancement "
-            f"threshold {lambda_threshold(params):g}; {consequence}"
-        )
 
 
 @functools.lru_cache(maxsize=1)
@@ -235,14 +229,15 @@ def selection_function(params: SystemParams) -> SelectionVerdict:
 
     Positive F means the guard zone wins; at a tie (F = 0, including the
     threshold density where both optima are null) artificial noise is
-    reported. Against mpmath, h_value is within 1e-14 * alpha /
-    (1 - g_value) relative at the reported g_value (1/g - 1 cancels near
-    g = 1), and f_value within 1e-13 * Gamma(2/alpha) absolute at the
-    reported h_value.
+    reported; below the threshold F, H, G and the verdict are None.
+    Against mpmath, h_value is within 1e-14 * alpha / (1 - g_value)
+    relative at the reported g_value (1/g - 1 cancels near g = 1), and
+    f_value within 1e-13 * Gamma(2/alpha) absolute at the reported h_value.
     """
-    _require_enhancement(params, "no technique is needed")
     gz = optimal_guard_radius(params)
     an = optimal_power_split(params)
+    if not gz.constraint_active:
+        return SelectionVerdict(None, None, None, None, gz, an)
     f_value, h_value = _selection_f(params, an.parameter)
     better = Technique.GUARD_ZONE if f_value > 0.0 else Technique.ARTIFICIAL_NOISE
     return SelectionVerdict(
@@ -270,11 +265,13 @@ def critical_distance(params: SystemParams) -> CriticalDistance:
         d*^alpha = 2*(1 + beta_e)*p_t*(-ln epsilon) / (alpha*beta_t*sigma2_p).
 
     Rounding can leave only one of the two optima null there, so either
-    one being null selects the limit. d* has the tolerance of r_g*
-    (optimal_guard_radius) against mpmath.
+    one being null selects the limit; below the threshold d_star is None.
+    d* has the tolerance of r_g* (optimal_guard_radius) against mpmath.
     """
-    _require_enhancement(params, "the selection function has no root")
-    r_star = optimal_guard_radius(params).parameter
+    gz = optimal_guard_radius(params)
+    if not gz.constraint_active:
+        return CriticalDistance(d_star=None)
+    r_star = gz.parameter
     g = optimal_power_split(params).parameter
     if r_star == 0.0 or g == 1.0:
         # at the threshold gamma* -> 1 and

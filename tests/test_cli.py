@@ -191,6 +191,17 @@ class TestMcValidate:
         assert set(report["checks"]) == {"p_cov", "p_sec"}
         assert report["all_pass"] is True
 
+    def test_overflowing_link_gain_is_coverage(self, capsys):
+        # 0.6^-1e6 overflows; under Python ** that aborted the run
+        code, report, _ = run_json(
+            capsys,
+            ["mc-validate", "--d", "0.6", "--gamma", "0.9", "--trials", "100",
+             "--alpha", "1e6"],
+        )
+        assert code == 0
+        assert report["checks"]["p_cov"]["analytic"] == 1.0
+        assert report["checks"]["p_cov"]["mc"] == 1.0
+
     def test_null_designs_give_identical_estimates(self, capsys):
         base = ["--d", "0.6", "--trials", "50000", "--seed", "11"]
         _, gz, _ = run_json(capsys, ["mc-validate", *base, "--r-g", "0"])
@@ -480,6 +491,20 @@ class TestSweepLambda:
         assert row["d_star"] == pytest.approx(limit, rel=1e-12)
         assert row["p_cov_gz"] == pytest.approx(row["p_cov_an"], rel=1e-12)
 
+    def test_falling_critical_distance_is_reported(self, capsys):
+        # at beta_e = 0.1 d* dips between lambda_e = 0.05 and 0.075 (mpmath:
+        # 0.40567168304105425, 0.40325782731025986); that is the model, not
+        # a numerical failure
+        code, report, err = run_json(
+            capsys, ["sweep-lambda", "--beta-e", "0.1", "--sigma2-s", "10"]
+        )
+        assert code == 0
+        assert report["monotone_nondecreasing"] is False
+        stars = [row["d_star"] for row in report["rows"]]
+        assert stars[0] == pytest.approx(0.40567168304105425, rel=1e-12)
+        assert stars[1] == pytest.approx(0.40325782731025986, rel=1e-12)
+        assert err.startswith("warning: ")
+
     def test_csv_header(self, capsys):
         code, header, rows = run_csv(
             capsys,
@@ -740,6 +765,14 @@ class TestOutputPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_guard_root_underflow_exits_3(self, capsys):
+        # r_g*^alpha underflows at alpha = 1e6; the run printed r_g* = 0,
+        # which misses the secrecy target (p_sec_gz 0.73)
+        assert cli.main(["sweep-d", "--alpha", "1e6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "underflows" in captured.err
 
     def test_readme_examples_run(self, capsys, tmp_path, monkeypatch):
         # the examples write files (sweep-d --out), so they run in tmp_path

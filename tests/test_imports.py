@@ -201,7 +201,7 @@ def test_no_unused_imports():
 
 
 # bench/ modules that a test puts on sys.path itself
-_BENCH_MODULES = {"reference", "workloads"}
+_BENCH_MODULES = {"reference", "tracer", "workloads"}
 
 
 def _top_level_imports(path):

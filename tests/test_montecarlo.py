@@ -24,6 +24,7 @@ from d2d_secrecy.model import (
     guard_argument,
     order,
     p_cov_gz,
+    p_sec_an,
     p_sec_gz,
     secrecy_scale,
 )
@@ -311,6 +312,16 @@ class TestArtificialNoiseTrials:
         result = run_an_trials(BASE, NoiseSplitDesign(gamma=GAMMA_STAR), cfg)
         assert agrees(result.p_sec, 0.9)
         assert agrees(result.p_cov, P_COV_AN_STAR)
+
+    def test_overflowed_eavesdropper_power_sits_at_the_cap(self):
+        # at alpha = 500 the nearest eavesdroppers' path gains overflow to
+        # inf; gamma = 0.4 <= beta_e / (1 + beta_e) caps every ratio at 2/3,
+        # so every trial is secure (inf / inf made some of them nan)
+        params = replace(BASE, alpha=500.0)
+        design = NoiseSplitDesign(gamma=0.4)
+        result = run_an_trials(params, design, TrialConfig(n_trials=20_000, seed=1))
+        assert p_sec_an(params, design) == 1.0
+        assert result.p_sec.mean == 1.0
 
     def test_full_power_coverage(self):
         params = replace(BASE, d=1.0)

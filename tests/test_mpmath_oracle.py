@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from d2d_secrecy import model, specfun
+from d2d_secrecy.errors import NumericalError
 from d2d_secrecy.model import SystemParams
 from d2d_secrecy.optimizer import (
     critical_distance,
@@ -240,6 +241,24 @@ def test_optimum_near_threshold_matches_mpmath(alpha, margin):
         d_got = critical_distance(params).d_star
         assert abs(r_got - r_want) <= tol * r_want
         assert abs(d_got - d_want) <= tol * d_want
+
+
+def test_guard_radius_where_its_power_underflows():
+    # at alpha = 1000 and 1.01 lambda*, r_g* = 0.0994 (mpmath), but
+    # r_g*^alpha = 1e-1002 underflows; r_g = 0 would miss epsilon
+    params = replace(BASE, alpha=1000.0)
+    threshold = lambda_threshold(params)
+    near = replace(params, lambda_e=1.01 * threshold)
+    assert model.p_sec_gz(near, model.GuardZoneDesign(0.0)) < params.epsilon
+    with pytest.raises(NumericalError):
+        optimal_guard_radius(near)
+    # at 2 lambda* the power is representable and r_g* is accurate
+    at_two = replace(params, lambda_e=2.0 * threshold)
+    with mp.workdps(40):
+        r_want = _exact_design(at_two)[0]
+    r_got = optimal_guard_radius(at_two).parameter
+    assert r_got == 0.7066999071918797
+    assert abs(r_got - r_want) <= 1e-9 * r_want
 
 
 def test_inverse_forward_evaluations_on_design_grid(monkeypatch):

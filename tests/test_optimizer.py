@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from d2d_secrecy import optimizer
-from d2d_secrecy.errors import RegimeError
 from d2d_secrecy.model import (
     GuardZoneDesign,
     NoiseSplitDesign,
@@ -152,6 +151,9 @@ def test_one_regime_decision_near_threshold(params):
     gz = optimal_guard_radius(params)
     an = optimal_power_split(params)
     assert gz.constraint_active == an.constraint_active == needed
+    # the selection rule and d* answer from the same decision
+    assert (selection_function(params).better is None) == (not needed)
+    assert (critical_distance(params).d_star is None) == (not needed)
     if not needed:
         assert gz.parameter == 0.0
         assert an.parameter == 1.0
@@ -189,17 +191,13 @@ def parameter_pairs(draw):
 
 def _results(sets, distances, before=lambda: None):
     # every public function at every distance, over the parameter sets in
-    # turn, calling before() ahead of each call; a RegimeError (a moved set
-    # can fall below the threshold) counts as its message
+    # turn, calling before() ahead of each call
     results = [[] for _ in sets]
     for d in distances:
         for function in PUBLIC_FUNCTIONS:
             for params, found in zip(sets, results):
                 before()
-                try:
-                    found.append(function(replace(params, d=d)))
-                except RegimeError as exc:
-                    found.append(str(exc))
+                found.append(function(replace(params, d=d)))
     return results
 
 
@@ -259,9 +257,16 @@ def test_selection_consistency_fields():
     assert (verdict.f_value > 0.0) == (verdict.better is Technique.GUARD_ZONE)
 
 
-def test_selection_below_threshold_rejected():
-    with pytest.raises(RegimeError):
-        selection_function(replace(BASE, lambda_e=0.01))
+def test_selection_below_threshold_has_no_verdict():
+    low = replace(BASE, lambda_e=0.01)
+    verdict = selection_function(low)
+    assert (verdict.f_value, verdict.h_value, verdict.g_value, verdict.better) == (
+        None, None, None, None,
+    )
+    assert verdict.gz_design == optimal_guard_radius(low)
+    assert verdict.an_design == optimal_power_split(low)
+    assert verdict.gz_design.parameter == 0.0
+    assert verdict.an_design.parameter == 1.0
 
 
 @settings(max_examples=150)
@@ -355,6 +360,6 @@ def test_critical_distance_at_threshold_is_the_limit(alpha, limit):
     assert just_above.d_star == pytest.approx(limit, rel=1e-4)
 
 
-def test_critical_distance_below_threshold_rejected():
-    with pytest.raises(RegimeError):
-        critical_distance(replace(BASE, lambda_e=0.01))
+def test_critical_distance_below_threshold_has_no_root():
+    assert critical_distance(replace(BASE, lambda_e=0.01)) == CriticalDistance(d_star=None)
+    assert critical_distance(replace(BASE, lambda_e=0.0)).d_star is None
