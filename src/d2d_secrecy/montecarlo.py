@@ -14,10 +14,20 @@ nearest eavesdropper distance, the link gain h, and the strongest path
 gain over the annulus at distance >= r_g for each distinct r_g > 0), and
 a design's indicators are read off it. None of that depends on the link
 distance d, so run_trials evaluates every (d, design) pair that shares a
-window radius on one scene per batch, reducing each design to its four
-tallies before the next; run_gz_trials and run_an_trials are its
-one-design case. trial_outcomes reads single trials off the same arrays,
-so per-trial outcomes sum exactly to the batch tallies.
+window radius on one scene per batch; run_gz_trials and run_an_trials
+are its one-design case. Of the indicators only coverage depends on d:
+activity and both secrecy indicators are computed once per distinct
+(r_g, gamma) and shared by every d of that family, and coverage once
+per design. trial_outcomes reads single trials off the same arrays and
+expressions, so per-trial outcomes sum exactly to the batch tallies.
+
+A batch is drawn, reduced, tallied over fixed slices of 2^14 trials and
+freed within one call, so no array of it outlives the call; at the
+reference density (about 0.8 points per trial) its arrays peak at about
+2.5 MiB (tracemalloc). Where two cores are usable, two batches are in
+flight: the calling thread and one helper thread each take the next
+batch index, and the per-batch counts are summed in batch order, so the
+number of threads cannot move a tally.
 
 Guard-zone secrecy is defined given an active link, that is, given no
 eavesdropper inside r_g. A Poisson process is independent on disjoint
@@ -44,7 +54,10 @@ by less than tail_prob, via the guard-zone inverse model.guard_radius.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import os
+import sys
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -80,6 +93,8 @@ __all__ = [
 ]
 
 _TRIALS_PER_BATCH = 1 << 16
+# trials per slice of a batch's scene that the indicators are taken over
+_SLICE = 1 << 14
 # stream ids for the counter-based generators
 _S_COUNTS, _S_POINTS, _S_LINK, _S_RESAMPLE = range(4)
 # points closer to the transmitter than this are resampled; the path-loss
@@ -228,13 +243,12 @@ def _batch_points(
     if total and radius > 0.0:
         resampler = None
         for _ in range(100):
-            bad = radius * np.sqrt(attrs[:, 0]) < _MIN_POINT_DISTANCE
-            n_bad = int(bad.sum())
-            if n_bad == 0:
+            bad = _too_close(radius, attrs[:, 0])
+            if bad.size == 0:
                 break
             if resampler is None:
                 resampler = _stream(seed, _S_RESAMPLE, batch)
-            attrs[bad] = resampler.random((n_bad, 3))
+            attrs[bad] = resampler.random((bad.size, 3))
         else:
             raise NumericalError(
                 "could not sample points outside the excluded origin region",
@@ -243,9 +257,32 @@ def _batch_points(
     return counts, attrs
 
 
+def _too_close(radius: float, u: np.ndarray) -> np.ndarray:
+    """Ascending indices of the radius uniforms u whose points fall inside
+    _MIN_POINT_DISTANCE, that is radius * sqrt(u) < _MIN_POINT_DISTANCE.
+
+    u is compared with (_MIN_POINT_DISTANCE / radius)^2, widened well past
+    the rounding of either side, and only those candidates take the exact
+    test, so no distance array of u's size is formed. The added smallest
+    normal keeps u = 0 a candidate where the square underflows.
+    """
+    scale = _MIN_POINT_DISTANCE / radius
+    bound = scale * scale * (1.0 + 1e-6) + sys.float_info.min
+    rows = np.flatnonzero(u < bound)
+    return rows[radius * np.sqrt(u[rows]) < _MIN_POINT_DISTANCE]
+
+
+def _exponential(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unit-mean exponential gains -ln(1 - u) of the uniforms u, written to
+    out (u itself may be passed) or to a new array."""
+    gains = np.negative(u, out=out)
+    np.log1p(gains, out=gains)
+    return np.negative(gains, out=gains)
+
+
 def _link_gains(seed: int, batch: int) -> np.ndarray:
     u = _stream(seed, _S_LINK, batch).random(_TRIALS_PER_BATCH)
-    return -np.log1p(-u)
+    return _exponential(u, out=u)
 
 
 def _trial_rows(
@@ -261,8 +298,11 @@ def _trial_rows(
 
 
 def _decode(radius: float, attrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances to the transmitter and power gains of the points in attrs."""
-    return radius * np.sqrt(attrs[:, 0]), -np.log1p(-attrs[:, 2])
+    """Distances to the transmitter and power gains of the points in attrs,
+    each computed in one array of its own."""
+    radii = np.sqrt(attrs[:, 0])
+    radii *= radius
+    return radii, _exponential(attrs[:, 2])
 
 
 def sample_field(
@@ -410,19 +450,24 @@ def _batch_reductions(
     # a gain past the float range is inf, which the ratios below handle
     with np.errstate(over="ignore"):
         path *= radii**-params.alpha
-    index = np.repeat(np.arange(len(counts)), counts)
-    strongest = np.zeros(len(counts))
+    index = np.repeat(np.arange(_TRIALS_PER_BATCH), counts)
+    del counts
+    strongest = np.zeros(_TRIALS_PER_BATCH)
     np.maximum.at(strongest, index, path)
-    nearest = np.full(len(counts), np.inf)
-    np.minimum.at(nearest, index, radii)
     outers = []
     # each radius drops the points inside it; ascending radii only add to
     # the points already dropped
     for r_g in r_gs:
         path[radii < r_g] = 0.0
-        outer = np.zeros(len(counts))
+        outer = np.zeros(_TRIALS_PER_BATCH)
         np.maximum.at(outer, index, path)
         outers.append(outer)
+    # each point array goes as soon as nothing reads it, and all of them
+    # before the link gains are drawn
+    del path
+    nearest = np.full(_TRIALS_PER_BATCH, np.inf)
+    np.minimum.at(nearest, index, radii)
+    del radii, index
     return (strongest, nearest, _link_gains(seed, batch), *outers)
 
 
@@ -453,36 +498,144 @@ def _eavesdropper_snr(
     return snr
 
 
-def _indicators(
+def _secrecy_indicators(
     params: SystemParams,
-    d: float,
+    r_g: float,
+    gamma: float,
+    strongest: np.ndarray,
+    outer: np.ndarray,
+    nearest: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(active, snr_s, secure) per trial for silence radius r_g and signal
+    fraction gamma: snr_s over every point, secure over the points at
+    distance >= r_g. None of them depends on the link distance."""
+    active = nearest >= r_g
+    secure = _eavesdropper_snr(params, gamma, outer) <= params.beta_e
+    snr_s = _eavesdropper_snr(params, gamma, strongest)
+    return active, snr_s, secure
+
+
+def _coverage_indicators(
+    params: SystemParams, d: float, gamma: float, h: np.ndarray, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(snr_p, covered) per trial at link distance d and signal fraction
+    gamma, for the active trials given."""
+    snr_p = gamma * params.p_t * h * _power(d, -params.alpha) / params.sigma2_p
+    return snr_p, active & (snr_p >= params.beta_t)
+
+
+def _family_counts(
+    params: SystemParams,
+    ds: Sequence[float],
     r_g: float,
     gamma: float,
     strongest: np.ndarray,
     outer: np.ndarray,
     nearest: np.ndarray,
     h: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(active, snr_p, snr_s, covered, secure) per trial for the design
-    at link distance d with silence radius r_g and signal fraction gamma:
-    snr_s over every point, secure over the points at distance >= r_g."""
-    active = nearest >= r_g
-    snr_p = gamma * params.p_t * h * _power(d, -params.alpha) / params.sigma2_p
-    covered = active & (snr_p >= params.beta_t)
-    secure = _eavesdropper_snr(params, gamma, outer) <= params.beta_e
-    return active, snr_p, _eavesdropper_snr(params, gamma, strongest), covered, secure
+) -> tuple[list[int], list[int]]:
+    """([active, annulus-secure, secure] counts, covered count at each
+    link distance in ds) of the (r_g, gamma) designs on one slice."""
+    active, snr_s, secure = _secrecy_indicators(params, r_g, gamma, strongest, outer, nearest)
+    shared = [int(np.count_nonzero(x)) for x in (active, secure, snr_s <= params.beta_e)]
+    del snr_s, secure
+    covered = [
+        int(np.count_nonzero(_coverage_indicators(params, d, gamma, h, active)[1]))
+        for d in ds
+    ]
+    return shared, covered
 
 
 def _batch_tallies(
     params: SystemParams,
-    design: tuple[float, float, float],
-    scene: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> list[int]:
-    """Active, covered, annulus-secure and secure trials of one (d, r_g,
-    gamma) design on one scene. Its indicator arrays do not outlive the
-    call, so only one design's are alive at a time."""
-    active, _, snr_s, covered, secure = _indicators(params, *design, *scene)
-    return [int(x.sum()) for x in (active, covered, secure, snr_s <= params.beta_e)]
+    designs: Sequence[tuple[float, float, float]],
+    radius: float,
+    r_gs: Sequence[float],
+    seed: int,
+    batch: int,
+    m: int,
+) -> list[list[int]]:
+    """Active, covered, annulus-secure and secure counts of each (d, r_g,
+    gamma) design over the first m trials of one batch.
+
+    The scene is built here, so no array of the batch outlives the call,
+    and the indicators are taken over fixed slices of it, so that their
+    temporaries stay small beside the scene. The indicators that do not
+    depend on d are computed once per (r_g, gamma) family and slice; only
+    coverage is computed per design.
+    """
+    families: dict[tuple[float, float], list[int]] = {}
+    for i, (_, r_g, gamma) in enumerate(designs):
+        families.setdefault((r_g, gamma), []).append(i)
+    scene = _batch_reductions(params, radius, r_gs, seed, batch)
+    tallies = [[0, 0, 0, 0] for _ in designs]
+    for start in range(0, m, _SLICE):
+        piece = [x[start : min(start + _SLICE, m)] for x in scene]
+        for (r_g, gamma), members in families.items():
+            (k_active, k_secure, k_secure_all), covered = _family_counts(
+                params,
+                [designs[i][0] for i in members],
+                r_g,
+                gamma,
+                *_design_scene(piece, r_gs, r_g),
+            )
+            for i, k_covered in zip(members, covered):
+                total = tallies[i]
+                total[0] += k_active
+                total[1] += k_covered
+                total[2] += k_secure
+                total[3] += k_secure_all
+    return tallies
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# batches in flight at once: the calling thread plus, on a machine with a
+# second usable core, one helper thread. Philox fills and the large ufuncs
+# release the interpreter lock, so two batches overlap.
+_WORKERS = min(2, _usable_cores())
+
+
+def _in_batches(n_batches: int, run: Callable[[int], list[list[int]]]) -> list:
+    """run(batch) for each batch index below n_batches, in batch order.
+
+    The calling thread and, where _WORKERS allows and there are at least
+    two batches, one helper thread each take the next batch index not yet
+    taken. Once a batch raises, no further batch is taken; after the
+    helper has stopped, the exception of the lowest failed batch is raised
+    in the caller, the one a single thread would have raised.
+    """
+    results: list = [None] * n_batches
+    failures: dict[int, BaseException] = {}
+    pending = iter(range(n_batches))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while not failures:
+            with lock:
+                batch = next(pending, None)
+            if batch is None:
+                return
+            try:
+                results[batch] = run(batch)
+            except BaseException as exc:  # raised again by the caller below
+                failures[batch] = exc
+
+    helper = None
+    if min(_WORKERS, n_batches) > 1:
+        helper = threading.Thread(target=work, name="montecarlo-batches", daemon=True)
+        helper.start()
+    work()
+    if helper is not None:
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _tallies(
@@ -494,19 +647,20 @@ def _tallies(
     """Counts of active, covered, annulus-secure and secure trials for
     each (d, r_g, gamma) design, all on the scene stream of one window
     radius. Each batch's scene is built once and every design is read
-    off it."""
+    off it; batches run as _in_batches schedules them, and their counts
+    are summed in batch order."""
     r_gs = sorted({r_g for _, r_g, _ in designs if r_g > 0.0})
     n = cfg.n_trials
-    tallies = [[0, 0, 0, 0] for _ in designs]
-    for batch in range((n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH):
+    n_batches = (n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH
+
+    def run(batch: int) -> list[list[int]]:
         m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
-        scene = [x[:m] for x in _batch_reductions(params, radius, r_gs, cfg.seed, batch)]
-        for total, design in zip(tallies, designs):
-            counts = _batch_tallies(params, design, _design_scene(scene, r_gs, design[1]))
-            total[:] = [a + b for a, b in zip(total, counts)]
-        # no array of a batch may outlive it: ones kept while the next
-        # batch is built raised the CLI's peak RSS by 1-3 MB
-        del scene
+        return _batch_tallies(params, designs, radius, r_gs, cfg.seed, batch, m)
+
+    tallies = [[0, 0, 0, 0] for _ in designs]
+    for counts in _in_batches(n_batches, run):
+        for total, batch_counts in zip(tallies, counts):
+            total[:] = [a + b for a, b in zip(total, batch_counts)]
     return tallies
 
 
@@ -580,9 +734,12 @@ def trial_outcomes(
     batches = groupby(sorted(set(indices)), key=lambda i: i // _TRIALS_PER_BATCH)
     for batch, group in batches:
         scene = _batch_reductions(params, radius, r_gs, cfg.seed, batch)
-        columns = _indicators(
-            params, params.d, r_g, gamma, *_design_scene(scene, r_gs, r_g)
+        strongest, outer, nearest, h = _design_scene(scene, r_gs, r_g)
+        active, snr_s, secure = _secrecy_indicators(
+            params, r_g, gamma, strongest, outer, nearest
         )
+        snr_p, covered = _coverage_indicators(params, params.d, gamma, h, active)
+        columns = (active, snr_p, snr_s, covered, secure)
         for i in group:
             pos = i % _TRIALS_PER_BATCH
             found[i] = TrialOutcome(*(column[pos].item() for column in columns))

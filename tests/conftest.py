@@ -7,7 +7,13 @@ pass/fail ledger is visible even though pytest captures test output.
 The optimizer memoises r_g* for the last secrecy parameter set; every
 test starts with that memo empty, so no result or solve count depends on
 which test ran before it.
+
+The Monte-Carlo engine runs batches on a helper thread; a test that ends
+with a thread still alive that it started fails, since such a thread
+would keep running after the call that owns it has returned.
 """
+
+import threading
 
 import pytest
 
@@ -17,6 +23,15 @@ from d2d_secrecy import optimizer
 @pytest.fixture(autouse=True)
 def _cold_guard_radius_memo():
     optimizer._guard_radius_star.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _no_thread_left_running():
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    if left:
+        pytest.fail(f"threads still running after the test: {left}")
 
 _RESULTS: dict[int, str] = {}
 

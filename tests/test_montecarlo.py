@@ -6,6 +6,8 @@ use fixed seeds, so every assertion is deterministic.
 """
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import mpmath as mp
@@ -28,6 +30,7 @@ from d2d_secrecy.model import (
     p_sec_gz,
     secrecy_scale,
 )
+from d2d_secrecy import cli
 from d2d_secrecy import montecarlo as mc
 from d2d_secrecy.montecarlo import (
     EavesdropperField,
@@ -391,6 +394,153 @@ class TestSharedScene:
         for (d, design), estimates in zip(designs, shared):
             run = run_gz_trials if isinstance(design, GuardZoneDesign) else run_an_trials
             assert estimates == run(replace(BASE, d=d), design, cfg)
+
+
+class TestTwoBatchesInFlight:
+    # every batch draws from Philox streams keyed on its own index, and the
+    # per-batch counts are integers summed in batch order, so the number of
+    # threads that run the batches cannot move an estimate
+
+    @staticmethod
+    def _meet_in_the_first_two_threads(monkeypatch, raise_in_helper=False):
+        # the first batch of the first two threads waits for the other
+        # one, so a run on two workers really has both taking batches; a
+        # later window's helper is a thread of its own and does not wait
+        barrier = threading.Barrier(2, timeout=30)
+        seen = set()
+        reductions = mc._batch_reductions
+
+        def met(params, radius, r_gs, seed, batch):
+            thread = threading.current_thread()
+            if len(seen) < 2 and thread not in seen:
+                seen.add(thread)
+                barrier.wait()
+                if raise_in_helper and thread is not threading.main_thread():
+                    raise NumericalError("the helper's batch failed", batch=batch)
+            return reductions(params, radius, r_gs, seed, batch)
+
+        monkeypatch.setattr(mc, "_batch_reductions", met)
+        return seen
+
+    @pytest.mark.parametrize(
+        "designs, n_trials",
+        [
+            # two windows (r_g = 1.7 exceeds the auto radius 1.59), three
+            # guard radii, two distances and both techniques
+            (
+                [
+                    (0.6, GuardZoneDesign(r_g=1.0)),
+                    (0.9, NoiseSplitDesign(gamma=GAMMA_STAR)),
+                    (0.4, GuardZoneDesign(r_g=0.5)),
+                    (0.6, GuardZoneDesign(r_g=1.7)),
+                    (1.2, GuardZoneDesign(r_g=1.0)),
+                    (0.6, NoiseSplitDesign(gamma=1.0)),
+                ],
+                3 << 16,
+            ),
+            # a partial last batch
+            ([(0.6, GuardZoneDesign(r_g=1.0))], (2 << 16) + 1000),
+            # one batch, which never starts a helper
+            ([(0.6, NoiseSplitDesign(gamma=GAMMA_STAR))], 1 << 16),
+        ],
+        ids=["two-windows", "partial-last-batch", "one-batch"],
+    )
+    def test_tallies_do_not_depend_on_the_worker_count(
+        self, monkeypatch, designs, n_trials
+    ):
+        cfg = TrialConfig(n_trials=n_trials, seed=17)
+        monkeypatch.setattr(mc, "_WORKERS", 1)
+        single = mc.run_trials(BASE, designs, cfg)
+        monkeypatch.setattr(mc, "_WORKERS", 2)
+        if n_trials > 1 << 16:
+            threads = self._meet_in_the_first_two_threads(monkeypatch)
+        # switch threads as often as the interpreter allows, so that they
+        # interleave around the shared batch iterator and result list
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            two = mc.run_trials(BASE, designs, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert two == single
+        if n_trials > 1 << 16:
+            assert len(threads) == 2
+            assert threading.main_thread() in threads
+
+    def test_batch_failure_reaches_the_caller(self, monkeypatch, capsys):
+        # batch 3 of 6 fails, in whichever thread takes it
+        reductions = mc._batch_reductions
+
+        def failing(params, radius, r_gs, seed, batch):
+            if batch == 3:
+                raise NumericalError("batch 3 failed")
+            return reductions(params, radius, r_gs, seed, batch)
+
+        monkeypatch.setattr(mc, "_batch_reductions", failing)
+        monkeypatch.setattr(mc, "_WORKERS", 2)
+        threads = threading.active_count()
+        design = [(0.6, GuardZoneDesign(r_g=1.0))]
+        with pytest.raises(NumericalError, match="batch 3 failed"):
+            mc.run_trials(BASE, design, TrialConfig(n_trials=6 << 16, seed=3))
+        assert threading.active_count() == threads
+        argv = ["mc-validate", "--d", "0.6", "--r-g", "0.79", "--trials", str(6 << 16)]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: batch 3 failed\n"
+        assert threading.active_count() == threads
+
+    def test_helper_failure_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(mc, "_WORKERS", 2)
+        self._meet_in_the_first_two_threads(monkeypatch, raise_in_helper=True)
+        threads = threading.active_count()
+        with pytest.raises(NumericalError, match="the helper's batch failed"):
+            mc.run_trials(
+                BASE, [(0.6, GuardZoneDesign(r_g=1.0))], TrialConfig(n_trials=6 << 16, seed=3)
+            )
+        assert threading.active_count() == threads
+
+
+class TestResamplePrefilter:
+    # _too_close screens the radius uniforms with a widened bound before the
+    # exact test; it must pick exactly the rows the exact test picks
+
+    @pytest.mark.parametrize(
+        "radius", [1e-300, 1e-10, 1e-9, 3e-9, 1e-8, 0.37, 1.0, 1.59, 2.0, 1e3, 1e150, 1e300]
+    )
+    def test_selects_exactly_the_rows_of_the_exact_test(self, radius):
+        scale = 1e-9 / radius
+        edge = scale * scale
+        near = [edge]
+        for direction in (0.0, math.inf):
+            value = edge
+            for _ in range(6):
+                value = float(np.nextafter(value, direction))
+                near.append(value)
+        values = [v for v in near if 0.0 <= v < 1.0]
+        values += [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]
+        values += list(np.random.default_rng(5).random(200))
+        attrs = np.zeros((len(values), 3))
+        attrs[:, 0] = values
+        exact = np.flatnonzero(radius * np.sqrt(attrs[:, 0]) < 1e-9)
+        np.testing.assert_array_equal(mc._too_close(radius, attrs[:, 0]), exact)
+
+    @pytest.mark.parametrize("radius", [1.2e-9, 3e-9, 2e-8])
+    def test_forced_resampling_matches_the_exact_loop(self, radius):
+        # at these radii 0.25-70% of the points fall inside 1e-9, at about
+        # one point per trial; the rows replaced, and the draws that
+        # replace them, are the exact test's
+        params = replace(BASE, lambda_e=1.0 / (math.pi * radius * radius))
+        counts, attrs = mc._batch_points(params, radius, seed=8, batch=1)
+        expected = mc._stream(8, mc._S_POINTS, 1).random((int(counts.sum()), 3))
+        resampler = mc._stream(8, mc._S_RESAMPLE, 1)
+        while True:
+            bad = radius * np.sqrt(expected[:, 0]) < 1e-9
+            if not bad.any():
+                break
+            expected[bad] = resampler.random((int(bad.sum()), 3))
+        np.testing.assert_array_equal(attrs, expected)
+        assert attrs.size and np.all(radius * np.sqrt(attrs[:, 0]) >= 1e-9)
 
 
 class TestTrialOutcomes:

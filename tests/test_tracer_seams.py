@@ -9,6 +9,8 @@ installed, because the tracer wraps only modules already imported.
 
 from pathlib import Path
 
+import pytest
+
 from d2d_secrecy import cli, montecarlo
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -16,14 +18,32 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # the reference r_g* at the CLI's defaults
 R_G_STAR = "0.7891877844114611"
 
+# the Monte-Carlo metrics that count work rather than time it
+COUNTS = (
+    "montecarlo.batches",
+    "montecarlo.builds_per_scene",
+    "montecarlo.points_per_trial",
+    "montecarlo.bytes_computed",
+    "montecarlo.trial_use_frac",
+    "montecarlo.active_frac",
+)
 
-def test_every_seam_is_wrapped_and_measured(capsys, monkeypatch):
+
+@pytest.fixture
+def tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 
+    return tracer
+
+
+def _traced_metrics(tracer, capsys, trials):
+    """Trace sweep-d and an mc-validate run of the given trial count; the
+    tracer's metrics, after checking that every seam was found and
+    unwrapped again and that no metric is null."""
     operations = (
         ["sweep-d"],
-        ["mc-validate", "--d", "0.6", "--r-g", R_G_STAR, "--trials", "100"],
+        ["mc-validate", "--d", "0.6", "--r-g", R_G_STAR, "--trials", str(trials)],
     )
     before = [dict(vars(module)) for module in (cli, montecarlo)]
     traced = tracer.Tracer()
@@ -39,3 +59,18 @@ def test_every_seam_is_wrapped_and_measured(capsys, monkeypatch):
     every_op = set(range(len(operations)))
     metrics = tracer.layer_metrics(traced.spans, {layer: every_op for layer in tracer.LAYERS})
     assert [name for name, value in metrics.items() if value is None] == []
+    return metrics
+
+
+def test_every_seam_is_wrapped_and_measured(tracer, capsys):
+    _traced_metrics(tracer, capsys, 100)
+
+
+def test_two_batches_in_flight_count_what_one_counts(tracer, capsys, monkeypatch):
+    # 262 144 trials are 4 batches, so on two workers both threads pass
+    # through the wrapped seams
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    two = _traced_metrics(tracer, capsys, 262144)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+    one = _traced_metrics(tracer, capsys, 262144)
+    assert {name: two[name] for name in COUNTS} == {name: one[name] for name in COUNTS}
