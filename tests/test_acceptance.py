@@ -37,18 +37,9 @@ from d2d_secrecy.specfun import (
     inverse_upper_incomplete_gamma,
     upper_incomplete_gamma,
 )
+from oracle import GAMMA_STAR, REFERENCE
 
-BASE = SystemParams(
-    alpha=4.0,
-    p_t=1.0,
-    beta_t=2.0,
-    beta_e=1.0,
-    epsilon=0.9,
-    sigma2_p=1.0,
-    sigma2_s=1.0,
-    lambda_e=0.1,
-    d=0.6,
-)
+BASE = replace(REFERENCE, d=0.6)
 
 
 def random_binding_params(rng: random.Random) -> SystemParams:
@@ -97,30 +88,16 @@ def test_criterion_2_constraint_binds_at_optima(acceptance_record):
         acceptance_record(2, "secrecy constraint binds within 1e-9", ok)
 
 
-def _grid_optimum_guard(params: SystemParams, r_star: float) -> tuple[float, float]:
-    """Best feasible guard radius on a 10^4-point grid and the cell width."""
-    upper = 3.0 * r_star if r_star > 0 else 1.0
-    grid = np.linspace(0.0, upper, 10_000)
+def _grid_best(params, lo, hi, design, secrecy, coverage) -> tuple[float, float]:
+    """Best feasible design parameter on a 10^4-point grid and the cell width."""
+    grid = np.linspace(lo, hi, 10_000)
     best, best_cov = None, -1.0
-    for r in grid:
-        design = GuardZoneDesign(r_g=float(r))
-        if p_sec_gz(params, design) >= params.epsilon:
-            cov = p_cov_gz(params, design)
+    for value in grid:
+        candidate = design(float(value))
+        if secrecy(params, candidate) >= params.epsilon:
+            cov = coverage(params, candidate)
             if cov > best_cov:
-                best, best_cov = float(r), cov
-    return best, float(grid[1] - grid[0])
-
-
-def _grid_optimum_split(params: SystemParams, g_star: float) -> tuple[float, float]:
-    lower = params.beta_e / (1.0 + params.beta_e)
-    grid = np.linspace(lower, 1.0, 10_000)
-    best, best_cov = None, -1.0
-    for g in grid:
-        design = NoiseSplitDesign(gamma=float(g))
-        if p_sec_an(params, design) >= params.epsilon:
-            cov = p_cov_an(params, design)
-            if cov > best_cov:
-                best, best_cov = float(g), cov
+                best, best_cov = float(value), cov
     return best, float(grid[1] - grid[0])
 
 
@@ -133,8 +110,10 @@ def test_criterion_3_grid_search_confirms_optima(acceptance_record):
             params = random_binding_params(rng)
             gz = optimal_guard_radius(params)
             an = optimal_power_split(params)
-            best_r, cell_r = _grid_optimum_guard(params, gz.parameter)
-            best_g, cell_g = _grid_optimum_split(params, an.parameter)
+            upper = 3.0 * gz.parameter if gz.parameter > 0 else 1.0
+            lower = params.beta_e / (1.0 + params.beta_e)
+            best_r, cell_r = _grid_best(params, 0.0, upper, GuardZoneDesign, p_sec_gz, p_cov_gz)
+            best_g, cell_g = _grid_best(params, lower, 1.0, NoiseSplitDesign, p_sec_an, p_cov_an)
             if best_r is None or abs(best_r - gz.parameter) > cell_r * (1 + 1e-9):
                 failures.append(("guard", params, best_r, gz.parameter, cell_r))
             if best_g is None or abs(best_g - an.parameter) > cell_g * (1 + 1e-9):
@@ -202,66 +181,18 @@ def test_criterion_5_critical_distance_grows_with_density(acceptance_record):
 
 GZ_POINTS = [
     (BASE, 1.0),
-    (
-        SystemParams(
-            alpha=3.0, p_t=2.0, beta_t=1.5, beta_e=0.8, epsilon=0.9,
-            sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.15, d=0.5,
-        ),
-        0.8,
-    ),
-    (
-        SystemParams(
-            alpha=5.0, p_t=1.0, beta_t=1.0, beta_e=2.0, epsilon=0.9,
-            sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.05, d=0.8,
-        ),
-        1.2,
-    ),
-    (
-        SystemParams(
-            alpha=4.0, p_t=0.5, beta_t=3.0, beta_e=0.5, epsilon=0.9,
-            sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.2, d=0.4,
-        ),
-        0.5,
-    ),
-    (
-        SystemParams(
-            alpha=2.5, p_t=1.5, beta_t=1.0, beta_e=1.2, epsilon=0.9,
-            sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.08, d=1.0,
-        ),
-        0.9,
-    ),
+    (replace(BASE, alpha=3.0, p_t=2.0, beta_t=1.5, beta_e=0.8, lambda_e=0.15, d=0.5), 0.8),
+    (replace(BASE, alpha=5.0, beta_t=1.0, beta_e=2.0, lambda_e=0.05, d=0.8), 1.2),
+    (replace(BASE, p_t=0.5, beta_t=3.0, beta_e=0.5, lambda_e=0.2, d=0.4), 0.5),
+    (replace(BASE, alpha=2.5, p_t=1.5, beta_t=1.0, beta_e=1.2, lambda_e=0.08, d=1.0), 0.9),
 ]
 
 AN_POINTS = [
-    (BASE, 0.5716038134739094),
-    (
-        SystemParams(
-            alpha=4.0, p_t=1.0, beta_t=2.0, beta_e=1.0, epsilon=0.9,
-            sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.1, d=0.8,
-        ),
-        0.75,
-    ),
-    (
-        SystemParams(
-            alpha=3.0, p_t=1.0, beta_t=1.5, beta_e=0.8, epsilon=0.9,
-            sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.2, d=0.5,
-        ),
-        0.8,
-    ),
-    (
-        SystemParams(
-            alpha=5.0, p_t=1.0, beta_t=1.0, beta_e=1.5, epsilon=0.9,
-            sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.05, d=0.7,
-        ),
-        0.9,
-    ),
-    (
-        SystemParams(
-            alpha=4.0, p_t=1.0, beta_t=2.0, beta_e=1.0, epsilon=0.9,
-            sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.15, d=0.6,
-        ),
-        1.0,
-    ),
+    (BASE, GAMMA_STAR),
+    (replace(BASE, d=0.8), 0.75),
+    (replace(BASE, alpha=3.0, beta_t=1.5, beta_e=0.8, lambda_e=0.2, d=0.5), 0.8),
+    (replace(BASE, alpha=5.0, beta_t=1.0, beta_e=1.5, lambda_e=0.05, d=0.7), 0.9),
+    (replace(BASE, lambda_e=0.15), 1.0),
 ]
 
 

@@ -12,22 +12,17 @@ import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import jsonschema
 import pytest
 
 from d2d_secrecy import cli, model, montecarlo
-
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
-)
-VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+import oracle
 
 
 def run_json(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     report = json.loads(captured.out)
-    VALIDATOR.validate(report)
+    oracle.VALIDATOR.validate(report)
     return code, report, captured.err
 
 
@@ -47,7 +42,7 @@ class TestAnalytic:
         assert report["technique"] == "guard-zone"
         assert report["p_active"] == 1.0
         assert report["p_cov"] == pytest.approx(0.1353352832366127, rel=1e-12)
-        assert report["p_sec"] == pytest.approx(0.7569815488821163, rel=1e-12)
+        assert report["p_sec"] == pytest.approx(oracle.P_SEC_R0, rel=1e-12)
 
     def test_noise_split_certain_secrecy(self, capsys):
         code, report, _ = run_json(
@@ -59,11 +54,11 @@ class TestAnalytic:
         assert report["p_sec"] == 1.0
 
     def test_csv_shape(self, capsys):
-        code, header, rows = run_csv(
+        code, columns, rows = run_csv(
             capsys, ["analytic", "--d", "1", "--r-g", "0", "--format", "csv"]
         )
         assert code == 0
-        assert header == cli.ANALYTIC_HEADER
+        assert columns == cli._header(cli._COMMANDS["analytic"][1])
         assert rows == [["guard-zone", "1", "0.135335", "0.756982"]]
 
     def test_missing_distance_names_the_flag(self, capsys):
@@ -97,12 +92,8 @@ class TestOptimize:
 
     def test_coverage_present_with_distance(self, capsys):
         _, report, _ = run_json(capsys, ["optimize", "--d", "0.6"])
-        assert report["guard_zone"]["p_cov"] == pytest.approx(
-            0.6345343577418047, rel=1e-9
-        )
-        assert report["artificial_noise"]["p_cov"] == pytest.approx(
-            0.6354251760855749, rel=1e-9
-        )
+        assert report["guard_zone"]["p_cov"] == pytest.approx(oracle.P_COV_GZ_STAR, rel=1e-9)
+        assert report["artificial_noise"]["p_cov"] == pytest.approx(oracle.P_COV_AN_STAR, rel=1e-9)
 
     def test_sparse_field_needs_no_enhancement(self, capsys):
         _, report, _ = run_json(capsys, ["optimize", "--lambda-e", "0.02"])
@@ -182,7 +173,7 @@ class TestMcValidate:
             [
                 "mc-validate",
                 "--d", "0.6",
-                "--gamma", "0.5716038134739094",
+                "--gamma", repr(oracle.GAMMA_STAR),
                 "--trials", "100000",
                 "--seed", "7",
             ],
@@ -251,7 +242,7 @@ class TestMcValidate:
         assert report["checks"]["p_sec"]["n_effective"] == 65536
 
     def test_csv_has_one_row_per_check(self, capsys):
-        code, header, rows = run_csv(
+        code, columns, rows = run_csv(
             capsys,
             [
                 "mc-validate",
@@ -263,7 +254,7 @@ class TestMcValidate:
             ],
         )
         assert code == 0
-        assert header == cli.MC_VALIDATE_HEADER
+        assert columns == cli._header(cli._COMMANDS["mc-validate"][1])
         assert [row[0] for row in rows] == ["p_active", "p_cov", "p_sec"]
 
 
@@ -274,7 +265,7 @@ class TestSweepD:
         assert len(report["rows"]) == 29
         assert report["rows"][0]["d"] == pytest.approx(0.1)
         assert report["rows"][-1]["d"] == pytest.approx(1.5)
-        assert report["d_star"] == pytest.approx(0.6010803446505605, abs=1e-8)
+        assert report["d_star"] == pytest.approx(oracle.D_STAR, abs=1e-8)
         signs = [row["f_value"] > 0 for row in report["rows"]]
         assert signs == sorted(signs)  # one sign change, low d negative
         for row in report["rows"]:
@@ -282,7 +273,7 @@ class TestSweepD:
             assert row["verdict"] == expected
 
     def test_csv_row_count_matches_grid(self, capsys):
-        code, header, rows = run_csv(
+        code, columns, rows = run_csv(
             capsys,
             [
                 "sweep-d",
@@ -293,7 +284,7 @@ class TestSweepD:
             ],
         )
         assert code == 0
-        assert header == cli.SWEEP_D_HEADER
+        assert columns == cli._header(cli._COMMANDS["sweep-d"][1])
         assert len(rows) == 3
 
     def test_mc_columns_populated(self, capsys):
@@ -412,11 +403,7 @@ class TestSweepSharedScene:
         )
         # two batches per window, the second one partly used
         assert len(draws) == 2 * len({radius for radius, _ in draws}) == 2 * windows
-        # the CLI's defaults at this epsilon
-        params = model.SystemParams(
-            alpha=4.0, p_t=1.0, beta_t=2.0, beta_e=1.0, epsilon=float(epsilon),
-            sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.1, d=1.0,
-        )
+        params = replace(oracle.REFERENCE, epsilon=float(epsilon))
         cfg = montecarlo.TrialConfig(n_trials=70000, seed=4)
         for row in report["rows"]:
             point = replace(params, d=row["d"])
@@ -438,7 +425,7 @@ class TestSweepLambda:
         stars = [row["d_star"] for row in report["rows"]]
         assert len(stars) == 9
         assert all(a < b for a, b in zip(stars, stars[1:]))
-        assert stars[2] == pytest.approx(0.6010803446505605, abs=1e-8)
+        assert stars[2] == pytest.approx(oracle.D_STAR, abs=1e-8)
         for row in report["rows"]:
             assert row["verdict"] == "ok"
             # at the crossing the two coverage curves meet
@@ -463,14 +450,13 @@ class TestSweepLambda:
         assert below["r_g_star"] == 0.0
         assert below["gamma_star"] == 1.0
 
-    # lambda_threshold at each alpha, and the limit of d* there:
-    # d*^alpha = 2 (1 + beta_e) p_t (-ln epsilon) / (alpha beta_t sigma2_p)
+    # lambda_threshold at each alpha, and the limit of d* there
     @pytest.mark.parametrize(
         "alpha, lam_star, limit",
         [
-            ("3", "0.0371503390925252", 0.41259966986709196),
-            ("4", "0.03784278358522515", 0.47908433757868807),
-            ("6", "0.03755662175089827", 0.5722591851550981),
+            ("3", "0.0371503390925252", oracle.THRESHOLD_LIMITS[3.0]),
+            ("4", "0.03784278358522515", oracle.THRESHOLD_LIMITS[4.0]),
+            ("6", "0.03755662175089827", oracle.THRESHOLD_LIMITS[6.0]),
         ],
         ids=["alpha3", "alpha4", "alpha6"],
     )
@@ -492,9 +478,8 @@ class TestSweepLambda:
         assert row["p_cov_gz"] == pytest.approx(row["p_cov_an"], rel=1e-12)
 
     def test_falling_critical_distance_is_reported(self, capsys):
-        # at beta_e = 0.1 d* dips between lambda_e = 0.05 and 0.075 (mpmath:
-        # 0.40567168304105425, 0.40325782731025986); that is the model, not
-        # a numerical failure
+        # at beta_e = 0.1 d* dips between lambda_e = 0.05 and 0.075 (the
+        # values are mpmath's); that is the model, not a numerical failure
         code, report, err = run_json(
             capsys, ["sweep-lambda", "--beta-e", "0.1", "--sigma2-s", "10"]
         )
@@ -506,7 +491,7 @@ class TestSweepLambda:
         assert err.startswith("warning: ")
 
     def test_csv_header(self, capsys):
-        code, header, rows = run_csv(
+        code, columns, rows = run_csv(
             capsys,
             [
                 "sweep-lambda",
@@ -517,7 +502,7 @@ class TestSweepLambda:
             ],
         )
         assert code == 0
-        assert header == cli.SWEEP_LAMBDA_HEADER
+        assert columns == cli._header(cli._COMMANDS["sweep-lambda"][1])
         assert len(rows) == 1
 
 
@@ -690,7 +675,7 @@ class TestOutputPlumbing:
         assert code == 0
         assert captured.out == ""
         report = json.loads(out.read_text())
-        VALIDATOR.validate(report)
+        oracle.VALIDATOR.validate(report)
         assert report["command"] == "optimize"
 
     def test_bad_format_rejected(self, capsys, tmp_path):

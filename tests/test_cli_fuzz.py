@@ -18,20 +18,14 @@ import csv
 import io
 import json
 import math
-from pathlib import Path
 from unittest import mock
 
-import jsonschema
 from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
 from d2d_secrecy import cli, montecarlo
 from d2d_secrecy.model import SystemParams
 from d2d_secrecy.optimizer import lambda_threshold
-
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "output_schema.json").read_text()
-)
-VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+from oracle import VALIDATOR
 
 # most expected eavesdroppers per trial a fuzzed simulation may draw
 MAX_POINTS_PER_TRIAL = 5.0

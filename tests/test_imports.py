@@ -10,11 +10,13 @@ import re
 import resource
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 import d2d_secrecy
+from oracle import REFERENCE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,8 +44,9 @@ def test_exported_names_resolve(name):
 
 
 def test_package_import_loads_no_scipy():
-    # scipy is a test oracle only: importing it costs a fresh CLI process
-    # about a second, so no module of the package may reach it
+    # importing scipy costs a fresh CLI process about a second, so no
+    # module of the package may reach it; nothing under src/ or tests/
+    # imports it (test_test_imports_are_declared)
     probe = (
         "import sys, d2d_secrecy, d2d_secrecy.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -51,7 +54,7 @@ def test_package_import_loads_no_scipy():
     assert _fresh(["-c", probe]).stdout.strip() == "[]"
 
 
-_LAZY_PROBE = """
+_LAZY_PROBE = f"REFERENCE = {asdict(replace(REFERENCE, d=0.6))!r}\n" + """
 import sys
 import d2d_secrecy as pkg
 
@@ -59,8 +62,7 @@ def numpy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 
 seen = {"import": numpy_modules()}
-params = pkg.SystemParams(alpha=4.0, p_t=1.0, beta_t=2.0, beta_e=1.0, epsilon=0.9,
-                          sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.1, d=0.6)
+params = pkg.SystemParams(**REFERENCE)
 gz = pkg.GuardZoneDesign(r_g=pkg.optimal_guard_radius(params).parameter)
 an = pkg.NoiseSplitDesign(gamma=pkg.optimal_power_split(params).parameter)
 pkg.lambda_threshold(params)
@@ -164,12 +166,14 @@ def test_cli_reuses_batch_memory():
     assert faults[1] - faults[0] < 200, faults
 
 
-def _unused_imports(path):
-    # names a module imports but neither uses nor re-exports in __all__
+def _unused_names(path):
+    # names a module imports but neither uses nor re-exports in __all__, and
+    # that a function binds but never reads ("_" drops a value on purpose)
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
     exported = set()
     used = set()
+    unread = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -184,20 +188,23 @@ def _unused_imports(path):
             for target in node.targets
         ):
             exported.update(ast.literal_eval(node.value))
-    return sorted(
-        f"{path.name}:{line}: {name}"
-        for name, line in imported.items()
-        if name not in used and name not in exported
-    )
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [name for name in ast.walk(node) if isinstance(name, ast.Name)]
+            read = {name.id for name in names if isinstance(name.ctx, ast.Load)}
+            unread.update((name.id, name.lineno) for name in names
+                          if isinstance(name.ctx, ast.Store) and name.id not in read | {"_"})
+    unused = {(name, line) for name, line in imported.items() if name not in used | exported}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in unused | unread)
 
 
 def test_no_unused_imports():
-    # no linter is installed, so this stands in for the unused-import rule
+    # no linter is installed, so this stands in for the rules on unused
+    # imports and on locals assigned but never read
     root = SRC.parent
     paths = sorted((SRC / "d2d_secrecy").glob("*.py")) + sorted(
         (root / "tests").glob("*.py")
     )
-    assert [hit for path in paths for hit in _unused_imports(path)] == []
+    assert [hit for path in paths for hit in _unused_names(path)] == []
 
 
 # bench/ modules that a test puts on sys.path itself
@@ -206,13 +213,7 @@ _BENCH_MODULES = {"reference", "tracer", "workloads"}
 
 def _top_level_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
-    return names
+    return {name.split(".")[0] for name in _imported_modules(tree, into_functions=True)}
 
 
 def _declared_requirements():

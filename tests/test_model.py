@@ -1,11 +1,11 @@
 """Checks for the closed-form probabilities.
 
-Frozen reference values agree with the defining expressions evaluated
-in mpmath at 40 digits; property tests recompute every probability in
-mpmath as an implementation-independent route.
+Frozen reference values and the property tests' implementation-independent
+route are tests/oracle.py's, which evaluates every probability in mpmath.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -27,22 +27,7 @@ from d2d_secrecy.model import (
     secrecy_scale,
 )
 from d2d_secrecy.specfun import upper_incomplete_gamma
-
-BASE = dict(
-    alpha=4.0,
-    p_t=1.0,
-    beta_t=2.0,
-    beta_e=1.0,
-    epsilon=0.9,
-    sigma2_p=1.0,
-    sigma2_s=1.0,
-    lambda_e=0.1,
-    d=1.0,
-)
-
-
-def make_params(**overrides):
-    return SystemParams(**{**BASE, **overrides})
+import oracle
 
 
 @st.composite
@@ -60,59 +45,18 @@ def system_params(draw, min_lambda=0.0):
     )
 
 
-def _mp_exponents(params, r_g):
-    # silence and fading exponents of p_active and p_cov_gz, in mpmath
-    alpha = mp.mpf(params.alpha)
-    silence = mp.mpf(params.lambda_e) * mp.pi * mp.mpf(r_g) ** 2
-    fade = params.beta_t * mp.mpf(params.sigma2_p) * mp.mpf(params.d) ** alpha / params.p_t
-    return silence, fade
-
-
-def _mp_secrecy_scale(params, power):
-    alpha = mp.mpf(params.alpha)
-    ratio = mp.mpf(power) / (mp.mpf(params.sigma2_s) * params.beta_e)
-    return 2 * mp.pi * params.lambda_e / alpha * ratio ** (2 / alpha)
-
-
-def mpmath_p_sec_gz(params, r_g):
-    # mp.gammainc(a, x) is the upper incomplete gamma Gamma(a, x)
-    alpha = mp.mpf(params.alpha)
-    x = mp.mpf(r_g) ** alpha * params.beta_e * mp.mpf(params.sigma2_s) / params.p_t
-    return mp.exp(-_mp_secrecy_scale(params, params.p_t) * mp.gammainc(2 / alpha, x))
-
-
-def mpmath_p_sec_an(params, gamma):
-    if gamma <= params.beta_e / (1.0 + params.beta_e):
-        return mp.mpf(1)
-    effective = gamma - (1 - mp.mpf(gamma)) * params.beta_e
-    scale = _mp_secrecy_scale(params, params.p_t * effective)
-    return mp.exp(-scale * mp.gamma(2 / mp.mpf(params.alpha)))
-
-
 def test_frozen_reference_values():
-    params = make_params()
-    assert p_active(params, GuardZoneDesign(1.0)) == pytest.approx(
-        0.7304026910486456, rel=1e-12
-    )
-    assert p_cov_gz(params, GuardZoneDesign(0.0)) == pytest.approx(
-        math.exp(-2.0), rel=1e-12
-    )
-    assert p_sec_gz(params, GuardZoneDesign(0.0)) == pytest.approx(
-        0.7569815488821163, rel=1e-12
-    )
-    assert p_sec_gz(params, GuardZoneDesign(1.0)) == pytest.approx(
-        0.9571504604608518, rel=1e-12
-    )
-    short = make_params(d=0.6)
-    assert p_cov_gz(short, GuardZoneDesign(0.7891877844114611)) == pytest.approx(
-        0.6345343577418047, rel=1e-12
-    )
-    assert p_cov_an(short, NoiseSplitDesign(0.5716038134739094)) == pytest.approx(
-        0.6354251760855749, rel=1e-12
-    )
-    assert p_sec_an(short, NoiseSplitDesign(0.5716038134739094)) == pytest.approx(
-        0.9, rel=1e-12
-    )
+    short = replace(oracle.REFERENCE, d=0.6)
+    for got, want in (
+        (p_active(oracle.REFERENCE, GuardZoneDesign(1.0)), oracle.P_ACTIVE_R1),
+        (p_cov_gz(oracle.REFERENCE, GuardZoneDesign(0.0)), math.exp(-2.0)),
+        (p_sec_gz(oracle.REFERENCE, GuardZoneDesign(0.0)), oracle.P_SEC_R0),
+        (p_sec_gz(oracle.REFERENCE, GuardZoneDesign(1.0)), oracle.P_SEC_R1),
+        (p_cov_gz(short, GuardZoneDesign(oracle.R_G_STAR)), oracle.P_COV_GZ_STAR),
+        (p_cov_an(short, NoiseSplitDesign(oracle.GAMMA_STAR)), oracle.P_COV_AN_STAR),
+        (p_sec_an(short, NoiseSplitDesign(oracle.GAMMA_STAR)), 0.9),
+    ):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # The probabilities' stated tolerance: 1e-10 relative, or 1e-12 absolute
@@ -121,39 +65,23 @@ def test_frozen_reference_values():
 def test_p_sec_gz_matches_mpmath_route(params, r_g):
     design = GuardZoneDesign(r_g)
     with mp.workdps(20):
-        silence, fade = _mp_exponents(params, r_g)
-        assert p_sec_gz(params, design) == pytest.approx(
-            float(mpmath_p_sec_gz(params, r_g)), rel=1e-10
-        )
-        assert p_active(params, design) == pytest.approx(
-            float(mp.exp(-silence)), rel=1e-10
-        )
-        assert p_cov_gz(params, design) == pytest.approx(
-            float(mp.exp(-(silence + fade))), rel=1e-10
-        )
+        for form, route in ((p_sec_gz, oracle.p_sec_gz), (p_active, oracle.p_active),
+                            (p_cov_gz, oracle.p_cov_gz)):
+            assert form(params, design) == pytest.approx(float(route(params, r_g)), rel=1e-10)
 
 
 @given(params=system_params(), gamma=st.floats(0.01, 1.0))
 def test_p_sec_an_matches_mpmath_route(params, gamma):
     design = NoiseSplitDesign(gamma)
     with mp.workdps(20):
-        _, fade = _mp_exponents(params, 0.0)
-        assert p_sec_an(params, design) == pytest.approx(
-            float(mpmath_p_sec_an(params, gamma)), rel=1e-10
-        )
-        assert p_cov_an(params, design) == pytest.approx(
-            float(mp.exp(-fade / gamma)), rel=1e-10
-        )
+        for form, route in ((p_sec_an, oracle.p_sec_an), (p_cov_an, oracle.p_cov_an)):
+            assert form(params, design) == pytest.approx(float(route(params, gamma)), rel=1e-10)
 
 
 @given(params=system_params(), r_g=st.floats(0.0, 4.0))
 # a secrecy exponent of 745.9, past where exp underflows to exactly 0.0
-@example(
-    params=make_params(
-        alpha=2.1015625, p_t=10.0, beta_e=0.0625, sigma2_s=0.5, lambda_e=1.0
-    ),
-    r_g=0.0,
-)
+@example(params=replace(oracle.REFERENCE, alpha=2.1015625, p_t=10.0, beta_e=0.0625,
+                        sigma2_s=0.5, lambda_e=1.0), r_g=0.0)
 def test_probabilities_lie_in_unit_interval(params, r_g):
     gz = GuardZoneDesign(r_g)
     assert 0.0 <= p_active(params, gz) <= 1.0
@@ -181,11 +109,10 @@ def test_guard_radius_monotonicity(params, lo, step):
 
 
 def test_guard_radius_strict_monotonicity_baseline():
-    params = make_params()
     radii = [0.0, 0.4, 0.8, 1.2, 1.6]
-    active = [p_active(params, GuardZoneDesign(r)) for r in radii]
-    cov = [p_cov_gz(params, GuardZoneDesign(r)) for r in radii]
-    sec = [p_sec_gz(params, GuardZoneDesign(r)) for r in radii]
+    active = [p_active(oracle.REFERENCE, GuardZoneDesign(r)) for r in radii]
+    cov = [p_cov_gz(oracle.REFERENCE, GuardZoneDesign(r)) for r in radii]
+    sec = [p_sec_gz(oracle.REFERENCE, GuardZoneDesign(r)) for r in radii]
     assert all(a > b for a, b in zip(active, active[1:]))
     assert all(a > b for a, b in zip(cov, cov[1:]))
     assert all(a < b for a, b in zip(sec, sec[1:]))
@@ -230,24 +157,23 @@ def test_certain_secrecy_below_power_ratio(params):
 
 
 def test_no_eavesdroppers_means_certain_secrecy():
-    params = make_params(lambda_e=0.0)
+    params = replace(oracle.REFERENCE, lambda_e=0.0)
     assert p_sec_gz(params, GuardZoneDesign(0.0)) == 1.0
     assert p_sec_an(params, NoiseSplitDesign(1.0)) == 1.0
     assert p_active(params, GuardZoneDesign(5.0)) == 1.0
 
 
 def test_extreme_designs_stay_finite():
-    params = make_params()
-    assert p_sec_gz(params, GuardZoneDesign(1e6)) == 1.0
-    assert p_active(params, GuardZoneDesign(1e200)) == 0.0
-    assert p_cov_gz(make_params(d=1e3), GuardZoneDesign(0.0)) == 0.0
+    assert p_sec_gz(oracle.REFERENCE, GuardZoneDesign(1e6)) == 1.0
+    assert p_active(oracle.REFERENCE, GuardZoneDesign(1e200)) == 0.0
+    assert p_cov_gz(replace(oracle.REFERENCE, d=1e3), GuardZoneDesign(0.0)) == 0.0
 
 
 def test_degenerate_noise_split_rejected():
     with pytest.raises(DegenerateDesignError):
-        p_cov_an(make_params(), NoiseSplitDesign(0.0))
+        p_cov_an(oracle.REFERENCE, NoiseSplitDesign(0.0))
     # certain secrecy is still well defined with no signal power
-    assert p_sec_an(make_params(), NoiseSplitDesign(0.0)) == 1.0
+    assert p_sec_an(oracle.REFERENCE, NoiseSplitDesign(0.0)) == 1.0
 
 
 def test_parameter_validation():
@@ -266,7 +192,7 @@ def test_parameter_validation():
         dict(alpha=math.inf),
     ]:
         with pytest.raises(DomainError):
-            make_params(**bad)
+            replace(oracle.REFERENCE, **bad)
     with pytest.raises(DomainError):
         GuardZoneDesign(-0.5)
     with pytest.raises(DomainError):

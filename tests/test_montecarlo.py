@@ -1,8 +1,7 @@
 """Tests for the Monte-Carlo trial engine.
 
-Closed-form reference values are frozen from independent computations
-(quadrature and root solves done offline); simulation agreement checks
-use fixed seeds, so every assertion is deterministic.
+Closed-form reference values are tests/oracle.py's; simulation agreement
+checks use fixed seeds, so every assertion is deterministic.
 """
 
 import math
@@ -22,7 +21,6 @@ from d2d_secrecy.errors import (
 from d2d_secrecy.model import (
     GuardZoneDesign,
     NoiseSplitDesign,
-    SystemParams,
     guard_argument,
     order,
     p_cov_gz,
@@ -44,24 +42,9 @@ from d2d_secrecy.montecarlo import (
     trial_outcomes,
 )
 from d2d_secrecy.specfun import upper_incomplete_gamma
+from oracle import GAMMA_STAR, P_ACTIVE_R1, P_COV_AN_STAR, P_SEC_R0, P_SEC_R1, REFERENCE
 
-BASE = SystemParams(
-    alpha=4.0,
-    p_t=1.0,
-    beta_t=2.0,
-    beta_e=1.0,
-    epsilon=0.9,
-    sigma2_p=1.0,
-    sigma2_s=1.0,
-    lambda_e=0.1,
-    d=0.6,
-)
-
-P_ACTIVE_R1 = 0.7304026910486456
-P_SEC_R0 = 0.7569815488821163
-P_SEC_R1 = 0.9571504604608518
-GAMMA_STAR = 0.5716038134739094
-P_COV_AN_STAR = 0.6354251760855749
+BASE = replace(REFERENCE, d=0.6)
 
 
 def agrees(estimate, reference):

@@ -3,13 +3,12 @@
 These pin the tolerances the docstrings of specfun, model and optimizer
 state. The forward incomplete gamma and Gamma(a) are compared with
 mpmath at orders from 1e-12 to 1, on a grid and at seeded random points;
-the inverse's residual is checked at the same orders. The density
-threshold, the optimal power split and the selection function are
-compared with the paper's formulas in mpmath at drawn parameters. The
-optimal guard radius and the critical distance are compared with values
-solved from those formulas, at densities from 1e-15 to 10 above the
-threshold. A budget test counts the forward evaluations each inverse
-solve makes on the benchmark's design-grid rows.
+the inverse's residual is checked at the same orders. tests/oracle.py's
+routes are compared with the density threshold, the optimal power split
+and the selection function at drawn parameters, with the optimal guard
+radius and the critical distance from 1e-15 to 10 above the threshold,
+and with the oracle's frozen values. A budget test counts the forward
+evaluations each inverse solve makes on the benchmark's design-grid rows.
 """
 
 import math
@@ -37,6 +36,7 @@ from d2d_secrecy.specfun import (
     inverse_upper_incomplete_gamma,
     upper_incomplete_gamma,
 )
+import oracle
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -48,17 +48,6 @@ ARGUMENTS = sorted(
     | {0.1 * k for k in range(1, 40)}
 )
 
-BASE = SystemParams(
-    alpha=4.0,
-    p_t=1.0,
-    beta_t=2.0,
-    beta_e=1.0,
-    epsilon=0.9,
-    sigma2_p=1.0,
-    sigma2_s=1.0,
-    lambda_e=0.1,
-    d=1.0,
-)
 MARGINS = [1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0]
 
 
@@ -149,14 +138,9 @@ def system_params(draw, max_alpha):
 @given(params=system_params(max_alpha=1e6))
 def test_threshold_and_power_split_match_mpmath(params):
     with mp.workdps(30):
-        alpha = mp.mpf(params.alpha)
-        threshold = _exact_threshold(params)
+        threshold = oracle.lambda_threshold(params)
         assert abs(lambda_threshold(params) - threshold) <= 1e-13 * threshold
-        lift = (mp.mpf(params.sigma2_s) / params.p_t) * (
-            alpha * -mp.log(mp.mpf(params.epsilon))
-            / (2 * mp.pi * params.lambda_e * mp.gamma(2 / alpha))
-        ) ** (alpha / 2)
-        gamma_star = min(1, mp.mpf(params.beta_e) / (1 + params.beta_e) * (1 + lift))
+        gamma_star = oracle.gamma_star(params)
         got = optimal_power_split(params).parameter
         assert abs(got - gamma_star) <= 1e-14 * params.alpha * gamma_star
 
@@ -168,61 +152,13 @@ def test_selection_function_matches_mpmath(params):
     # h, to 1e-13 Gamma(a) absolute
     verdict = selection_function(params)
     with mp.workdps(30):
-        alpha = mp.mpf(params.alpha)
-        a = 2 / alpha
-        g = mp.mpf(verdict.g_value)
+        g = verdict.g_value
+        f_value, h = oracle.selection(params, g, verdict.h_value)
         if g == 1:
             assert verdict.h_value == 0.0
         else:
-            inner = (params.beta_t * mp.mpf(params.sigma2_p) * mp.mpf(params.d) ** alpha
-                     / (params.lambda_e * mp.pi * params.p_t) * (1 / g - 1))
-            h = params.beta_e * mp.mpf(params.sigma2_s) / params.p_t * inner ** (alpha / 2)
             assert abs(verdict.h_value - h) <= 1e-14 * params.alpha / (1 - g) * h
-        ratio = mp.mpf(params.p_t) / (mp.mpf(params.sigma2_s) * params.beta_e)
-        scale = 2 * mp.pi * params.lambda_e / alpha * ratio**a
-        f_value = -mp.log(mp.mpf(params.epsilon)) / scale - mp.gammainc(a, verdict.h_value)
-        assert abs(verdict.f_value - f_value) <= 1e-13 * mp.gamma(a)
-
-
-def _exact_root(a, target):
-    # Gamma(a, x) = target, solved in ln x on the smaller tail between the
-    # bounds (a (Gamma(a) - target))^(1/a) <= x <= max(1, -ln target)
-    lower = mp.gamma(a) - target
-    lo = mp.log(a * lower) / a
-    if lower <= mp.gamma(a) / 2:
-        return mp.exp(mp.findroot(
-            lambda u: mp.log(mp.gammainc(a, 0, mp.exp(u)) / lower), (lo, 0),
-            solver="anderson"))
-    hi = mp.log(max(1, -mp.log(target)))
-    return mp.exp(mp.findroot(
-        lambda u: mp.log(mp.gammainc(a, mp.exp(u)) / target), (lo, hi),
-        solver="anderson"))
-
-
-def _exact_threshold(params):
-    alpha = mp.mpf(params.alpha)
-    a = 2 / alpha
-    ratio = mp.mpf(params.p_t) / (mp.mpf(params.sigma2_s) * mp.mpf(params.beta_e))
-    return alpha / (2 * mp.pi * mp.gamma(a)) * -mp.log(mp.mpf(params.epsilon)) * ratio**-a
-
-
-def _exact_design(params):
-    """(r_g*, d*) from the paper's formulas, at the float inputs as given."""
-    alpha = mp.mpf(params.alpha)
-    a = 2 / alpha
-    lam = mp.mpf(params.lambda_e)
-    log_eps = -mp.log(mp.mpf(params.epsilon))
-    ratio = mp.mpf(params.p_t) / (mp.mpf(params.sigma2_s) * mp.mpf(params.beta_e))
-    target = log_eps / (2 * mp.pi * lam / alpha * ratio**a)
-    assert target < mp.gamma(a)
-    r_star = (_exact_root(a, target) * ratio) ** (1 / alpha)
-    lift = (mp.mpf(params.sigma2_s) / params.p_t) * (
-        alpha * log_eps / (2 * mp.pi * lam * mp.gamma(a))
-    ) ** (alpha / 2)
-    g = mp.mpf(params.beta_e) / (1 + params.beta_e) * (1 + lift)
-    d_star = (lam * mp.pi * r_star**2 * params.p_t * g
-              / (params.beta_t * params.sigma2_p * (1 - g))) ** (1 / alpha)
-    return r_star, d_star
+        assert abs(verdict.f_value - f_value) <= 1e-13 * mp.gamma(2 / mp.mpf(params.alpha))
 
 
 @pytest.mark.parametrize("margin", MARGINS)
@@ -233,10 +169,11 @@ def test_optimum_near_threshold_matches_mpmath(alpha, margin):
     # lambda*, bounds the accuracy of any double-precision r_g* and d*.
     tol = max(1e-9, 1e-15 / margin)
     with mp.workdps(40):
-        threshold = _exact_threshold(replace(BASE, alpha=alpha))
-        params = replace(BASE, alpha=alpha, lambda_e=float(threshold * (1 + margin)))
+        threshold = oracle.lambda_threshold(replace(oracle.REFERENCE, alpha=alpha))
+        params = replace(oracle.REFERENCE, alpha=alpha, lambda_e=float(threshold * (1 + margin)))
         assert params.lambda_e >= lambda_threshold(params)
-        r_want, d_want = _exact_design(params)
+        r_want = oracle.guard_radius_star(params)
+        d_want = oracle.critical_distance(params)
         r_got = optimal_guard_radius(params).parameter
         d_got = critical_distance(params).d_star
         assert abs(r_got - r_want) <= tol * r_want
@@ -246,7 +183,7 @@ def test_optimum_near_threshold_matches_mpmath(alpha, margin):
 def test_guard_radius_where_its_power_underflows():
     # at alpha = 1000 and 1.01 lambda*, r_g* = 0.0994 (mpmath), but
     # r_g*^alpha = 1e-1002 underflows; r_g = 0 would miss epsilon
-    params = replace(BASE, alpha=1000.0)
+    params = replace(oracle.REFERENCE, alpha=1000.0)
     threshold = lambda_threshold(params)
     near = replace(params, lambda_e=1.01 * threshold)
     assert model.p_sec_gz(near, model.GuardZoneDesign(0.0)) < params.epsilon
@@ -255,10 +192,29 @@ def test_guard_radius_where_its_power_underflows():
     # at 2 lambda* the power is representable and r_g* is accurate
     at_two = replace(params, lambda_e=2.0 * threshold)
     with mp.workdps(40):
-        r_want = _exact_design(at_two)[0]
+        r_want = oracle.guard_radius_star(at_two)
     r_got = optimal_guard_radius(at_two).parameter
     assert r_got == 0.7066999071918797
     assert abs(r_got - r_want) <= 1e-9 * r_want
+
+
+def test_frozen_values_match_their_routes():
+    # each frozen value of the oracle is its mpmath route, to 1e-12 relative
+    short = replace(oracle.REFERENCE, d=0.6)
+    with mp.workdps(30):
+        pairs = [(oracle.LAMBDA_STAR, oracle.lambda_threshold(oracle.REFERENCE)),
+                 (oracle.R_G_STAR, oracle.guard_radius_star(oracle.REFERENCE)),
+                 (oracle.GAMMA_STAR, oracle.gamma_star(oracle.REFERENCE)),
+                 (oracle.D_STAR, oracle.critical_distance(oracle.REFERENCE)),
+                 (oracle.P_SEC_R0, oracle.p_sec_gz(oracle.REFERENCE, 0.0)),
+                 (oracle.P_SEC_R1, oracle.p_sec_gz(oracle.REFERENCE, 1.0)),
+                 (oracle.P_ACTIVE_R1, oracle.p_active(oracle.REFERENCE, 1.0)),
+                 (oracle.P_COV_GZ_STAR, oracle.p_cov_gz(short, oracle.guard_radius_star(short))),
+                 (oracle.P_COV_AN_STAR, oracle.p_cov_an(short, oracle.gamma_star(short))),
+                 *[(limit, oracle.threshold_limit(replace(oracle.REFERENCE, alpha=alpha)))
+                   for alpha, limit in oracle.THRESHOLD_LIMITS.items()]]
+        assert [(frozen, mp.nstr(want, 20)) for frozen, want in pairs
+                if abs(frozen - want) > 1e-12 * want] == []
 
 
 def test_inverse_forward_evaluations_on_design_grid(monkeypatch):

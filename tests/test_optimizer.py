@@ -1,10 +1,10 @@
 """Checks for the optimal designs, the selection function, and d_star.
 
-Frozen values were produced by an independent oracle (scipy.special
-forward evaluations inverted with brentq). The grid-search optimality
-oracle lives in the acceptance suite; here the focus is contracts and
-analytic identities. The closed-form critical distance is checked
-against a bisection on the sign of the selection function.
+Frozen values are tests/oracle.py's, which test_mpmath_oracle checks
+against their mpmath routes. The grid-search optimality oracle lives in
+the acceptance suite; here the focus is contracts and analytic
+identities. The closed-form critical distance is checked against a
+bisection on the sign of the selection function.
 """
 
 import math
@@ -30,21 +30,8 @@ from d2d_secrecy.optimizer import (
     optimal_power_split,
     selection_function,
 )
-
-BASE = SystemParams(
-    alpha=4.0,
-    p_t=1.0,
-    beta_t=2.0,
-    beta_e=1.0,
-    epsilon=0.9,
-    sigma2_p=1.0,
-    sigma2_s=1.0,
-    lambda_e=0.1,
-    d=1.0,
-)
-
-LAMBDA_STAR = 0.03784278358522517  # frozen oracle value for BASE
-D_STAR = 0.6010803446505605  # frozen oracle root at lambda_e = 0.1
+import oracle
+from oracle import REFERENCE
 
 
 @st.composite
@@ -65,50 +52,50 @@ def binding_params(draw):
 
 
 def test_lambda_threshold_reference_values():
-    assert lambda_threshold(BASE) == pytest.approx(0.0378, abs=1e-4)
-    assert lambda_threshold(BASE) == pytest.approx(LAMBDA_STAR, rel=1e-12)
+    assert lambda_threshold(REFERENCE) == pytest.approx(0.0378, abs=1e-4)
+    assert lambda_threshold(REFERENCE) == pytest.approx(oracle.LAMBDA_STAR, rel=1e-12)
     # quadrupling the transmit power halves the threshold when 2/alpha = 1/2
-    assert lambda_threshold(replace(BASE, p_t=4.0)) == pytest.approx(
+    assert lambda_threshold(replace(REFERENCE, p_t=4.0)) == pytest.approx(
         0.018921391792612586, rel=1e-12
     )
     # a near-certain secrecy target tolerates almost no eavesdroppers
-    assert lambda_threshold(replace(BASE, epsilon=1.0 - 1e-12)) < 1e-10
+    assert lambda_threshold(replace(REFERENCE, epsilon=1.0 - 1e-12)) < 1e-10
 
 
 def test_optimal_guard_radius_binding():
-    design = optimal_guard_radius(BASE)
+    design = optimal_guard_radius(REFERENCE)
     assert design.technique is Technique.GUARD_ZONE
     assert design.constraint_active
-    assert design.parameter == pytest.approx(0.7891877844114611, rel=1e-9)
+    assert design.parameter == pytest.approx(oracle.R_G_STAR, rel=1e-9)
     assert design.metrics.p_sec == pytest.approx(0.9, abs=1e-9)
 
 
 def test_optimal_guard_radius_slack():
-    design = optimal_guard_radius(replace(BASE, lambda_e=0.02))
+    design = optimal_guard_radius(replace(REFERENCE, lambda_e=0.02))
     assert design.parameter == 0.0
     assert not design.constraint_active
     assert design.metrics.p_sec > 0.9
 
 
 def test_optimal_power_split_binding():
-    design = optimal_power_split(BASE)
+    design = optimal_power_split(REFERENCE)
     assert design.technique is Technique.ARTIFICIAL_NOISE
     assert design.constraint_active
-    assert design.parameter == pytest.approx(0.5716038134739094, rel=1e-9)
+    assert design.parameter == pytest.approx(oracle.GAMMA_STAR, rel=1e-9)
     assert design.metrics.p_sec == pytest.approx(0.9, abs=1e-9)
 
 
 def test_optimal_power_split_slack():
-    design = optimal_power_split(replace(BASE, lambda_e=0.02))
+    design = optimal_power_split(replace(REFERENCE, lambda_e=0.02))
     assert design.parameter == 1.0
     assert not design.constraint_active
     # an enormous eavesdropper threshold makes secrecy free
-    assert optimal_power_split(replace(BASE, beta_e=1e9)).parameter == 1.0
-    assert optimal_power_split(replace(BASE, lambda_e=0.0)).parameter == 1.0
+    assert optimal_power_split(replace(REFERENCE, beta_e=1e9)).parameter == 1.0
+    assert optimal_power_split(replace(REFERENCE, lambda_e=0.0)).parameter == 1.0
 
 
 def test_threshold_density_is_the_boundary_case():
-    at_threshold = replace(BASE, lambda_e=lambda_threshold(BASE))
+    at_threshold = replace(REFERENCE, lambda_e=lambda_threshold(REFERENCE))
     gz = optimal_guard_radius(at_threshold)
     an = optimal_power_split(at_threshold)
     assert gz.parameter == pytest.approx(0.0, abs=1e-6)
@@ -130,16 +117,9 @@ def threshold_neighbours(draw):
 
 # a few ulps below the threshold, where the explicit power split rounds
 # to 0.9999999999999999 instead of clamping to 1
-_ULPS_BELOW = SystemParams(
-    alpha=5.637045896521574,
-    p_t=5.096399872592164,
-    beta_t=2.0,
-    beta_e=1.4810054375585489,
-    epsilon=0.8703440600370398,
-    sigma2_p=1.0,
-    sigma2_s=3.130008083709125,
-    lambda_e=0.047987119119018706,
-    d=1.0,
+_ULPS_BELOW = replace(
+    REFERENCE, alpha=5.637045896521574, p_t=5.096399872592164, beta_e=1.4810054375585489,
+    epsilon=0.8703440600370398, sigma2_s=3.130008083709125, lambda_e=0.047987119119018706,
 )
 
 
@@ -215,7 +195,7 @@ def test_memo_never_changes_a_result(pair, distances):
 
 
 def test_below_threshold_metrics_coincide():
-    low = replace(BASE, lambda_e=0.02)
+    low = replace(REFERENCE, lambda_e=0.02)
     gz = optimal_guard_radius(low)
     an = optimal_power_split(low)
     assert gz.metrics == an.metrics
@@ -234,31 +214,31 @@ def test_constraint_binds_exactly(params):
 
 
 def test_selection_short_link_prefers_noise():
-    verdict = selection_function(replace(BASE, d=0.3))
+    verdict = selection_function(replace(REFERENCE, d=0.3))
     assert verdict.f_value < 0.0
     assert verdict.better is Technique.ARTIFICIAL_NOISE
 
 
 def test_selection_long_link_prefers_guard_zone():
-    verdict = selection_function(replace(BASE, d=1.0))
+    verdict = selection_function(replace(REFERENCE, d=1.0))
     assert verdict.f_value > 0.0
     assert verdict.better is Technique.GUARD_ZONE
 
 
 def test_selection_vanishes_at_critical_distance():
-    verdict = selection_function(replace(BASE, d=D_STAR))
+    verdict = selection_function(replace(REFERENCE, d=oracle.D_STAR))
     assert abs(verdict.f_value) < 1e-8
 
 
 def test_selection_consistency_fields():
-    verdict = selection_function(replace(BASE, d=0.7))
+    verdict = selection_function(replace(REFERENCE, d=0.7))
     assert verdict.g_value == verdict.an_design.parameter
     assert verdict.h_value >= 0.0
     assert (verdict.f_value > 0.0) == (verdict.better is Technique.GUARD_ZONE)
 
 
 def test_selection_below_threshold_has_no_verdict():
-    low = replace(BASE, lambda_e=0.01)
+    low = replace(REFERENCE, lambda_e=0.01)
     verdict = selection_function(low)
     assert (verdict.f_value, verdict.h_value, verdict.g_value, verdict.better) == (
         None, None, None, None,
@@ -286,7 +266,7 @@ def test_selection_increases_with_distance():
     # strictly increasing until the incomplete gamma underflows (past
     # d ~ 1.1 at these parameters F sits at its ceiling), then flat
     grid = [0.1 + 0.1 * k for k in range(15)]
-    values = [selection_function(replace(BASE, d=d)).f_value for d in grid]
+    values = [selection_function(replace(REFERENCE, d=d)).f_value for d in grid]
     assert all(a <= b for a, b in zip(values, values[1:]))
     strict = [v for v in values if v < values[-1]]
     assert len(strict) >= 9
@@ -314,11 +294,11 @@ def _bisect_critical_distance(params: SystemParams) -> float:
 
 
 def test_critical_distance_reference_root():
-    result = critical_distance(BASE)
+    result = critical_distance(REFERENCE)
     assert isinstance(result, CriticalDistance)
-    assert result.d_star == pytest.approx(D_STAR, abs=1e-8)
-    assert selection_function(replace(BASE, d=0.9 * result.d_star)).f_value < 0.0
-    assert selection_function(replace(BASE, d=1.1 * result.d_star)).f_value > 0.0
+    assert result.d_star == pytest.approx(oracle.D_STAR, abs=1e-8)
+    assert selection_function(replace(REFERENCE, d=0.9 * result.d_star)).f_value < 0.0
+    assert selection_function(replace(REFERENCE, d=1.1 * result.d_star)).f_value > 0.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,8 +315,8 @@ def test_critical_distance_matches_bisection_and_equalizes_coverage(params):
 
 
 def test_critical_distance_grows_with_density():
-    d1 = critical_distance(BASE).d_star
-    d2 = critical_distance(replace(BASE, lambda_e=0.2)).d_star
+    d1 = critical_distance(REFERENCE).d_star
+    d2 = critical_distance(replace(REFERENCE, lambda_e=0.2)).d_star
     assert d2 == pytest.approx(0.7481607317415484, abs=1e-8)
     assert d2 > d1
 
@@ -344,13 +324,10 @@ def test_critical_distance_grows_with_density():
 # d*^alpha = 2 (1 + beta_e) p_t (-ln epsilon) / (alpha beta_t sigma2_p) at the
 # threshold. Rounding leaves r_g* = 0 but gamma* = 1 - 2e-16 at alpha = 3,
 # and gamma* = 1 but r_g* = 8.5e-7 at alpha = 6.
-@pytest.mark.parametrize(
-    "alpha, limit",
-    [(3.0, 0.41259966986709196), (4.0, 0.47908433757868807), (6.0, 0.5722591851550981)],
-    ids=["alpha3", "alpha4", "alpha6"],
-)
+@pytest.mark.parametrize("alpha, limit", oracle.THRESHOLD_LIMITS.items(),
+                         ids=["alpha3", "alpha4", "alpha6"])
 def test_critical_distance_at_threshold_is_the_limit(alpha, limit):
-    params = replace(BASE, alpha=alpha)
+    params = replace(REFERENCE, alpha=alpha)
     lam_star = lambda_threshold(params)
     expected = (2.0 * 2.0 * -math.log(0.9) / (alpha * 2.0)) ** (1.0 / alpha)
     assert limit == pytest.approx(expected, rel=1e-15)
@@ -361,5 +338,5 @@ def test_critical_distance_at_threshold_is_the_limit(alpha, limit):
 
 
 def test_critical_distance_below_threshold_has_no_root():
-    assert critical_distance(replace(BASE, lambda_e=0.01)) == CriticalDistance(d_star=None)
-    assert critical_distance(replace(BASE, lambda_e=0.0)).d_star is None
+    assert critical_distance(replace(REFERENCE, lambda_e=0.01)) == CriticalDistance(d_star=None)
+    assert critical_distance(replace(REFERENCE, lambda_e=0.0)).d_star is None

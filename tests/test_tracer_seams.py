@@ -12,11 +12,9 @@ from pathlib import Path
 import pytest
 
 from d2d_secrecy import cli, montecarlo
+from oracle import R_G_STAR
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-# the reference r_g* at the CLI's defaults
-R_G_STAR = "0.7891877844114611"
 
 # the Monte-Carlo metrics that count work rather than time it
 COUNTS = (
@@ -43,7 +41,7 @@ def _traced_metrics(tracer, capsys, trials):
     unwrapped again and that no metric is null."""
     operations = (
         ["sweep-d"],
-        ["mc-validate", "--d", "0.6", "--r-g", R_G_STAR, "--trials", str(trials)],
+        ["mc-validate", "--d", "0.6", "--r-g", repr(R_G_STAR), "--trials", str(trials)],
     )
     before = [dict(vars(module)) for module in (cli, montecarlo)]
     traced = tracer.Tracer()
