@@ -17,7 +17,6 @@ import importlib
 from .errors import (
     DegenerateDesignError,
     DomainError,
-    ExcludedRegionError,
     NumericalError,
 )
 from .model import (
@@ -70,7 +69,6 @@ __all__ = [
     "__version__",
     "DomainError",
     "DegenerateDesignError",
-    "ExcludedRegionError",
     "NumericalError",
     "SystemParams",
     "GuardZoneDesign",

@@ -16,11 +16,6 @@ class DegenerateDesignError(DomainError):
     left on the information signal)."""
 
 
-class ExcludedRegionError(DomainError):
-    """An eavesdropper sits exactly at the transmitter, where the
-    power-law loss model diverges."""
-
-
 class NumericalError(RuntimeError):
     """A numerical routine failed: an iteration did not converge, or a
     float overflowed or underflowed where a finite value is needed."""

@@ -16,10 +16,10 @@ a design's indicators are read off it. None of that depends on the link
 distance d, so run_trials evaluates every (d, design) pair that shares a
 window radius on one scene per batch; run_gz_trials and run_an_trials
 are its one-design case. Of the indicators only coverage depends on d:
-activity and both secrecy indicators are computed once per distinct
-(r_g, gamma) and shared by every d of that family, and coverage once
-per design. trial_outcomes reads single trials off the same arrays and
-expressions, so per-trial outcomes sum exactly to the batch tallies.
+activity and secrecy are computed once per distinct (r_g, gamma) and
+shared by every d of that family, and coverage once per design.
+trial_outcomes reads single trials off the same arrays and expressions,
+so per-trial outcomes sum exactly to the batch tallies.
 
 A batch is drawn, reduced, tallied over fixed slices of 2^14 trials and
 freed within one call, so no array of it outlives the call; at the
@@ -37,14 +37,20 @@ sample of them. The guard zone's p_sec is therefore the secrecy
 indicator over each trial's annulus, averaged over all trials; on an
 active trial it is the indicator over every point.
 
+The field has no hole around the transmitter: like the closed forms,
+which integrate the field from distance 0, a point may land anywhere on
+the disk. One at distance 0 (a radius uniform of exactly 0, probability
+2^-53 per point) has an infinite path gain, the same as a gain past the
+float range, and the ratios handle both.
+
 Randomness is counter-based so that results never depend on execution
 order: every batch of trials owns Philox generators keyed on
-(seed, stream, batch_index), with separate streams for point counts,
-point attributes, the legitimate channel, and resampling. A trial's
-draws are a pure function of (seed, trial_index) and the fixed internal
-batch size, which is what makes sample_field reproduce exactly the field
-any run_*_trials call used, and makes runs of different lengths agree on
-their common prefix of trials.
+(seed, stream, batch_index), with three streams: point counts, point
+attributes and the legitimate channel. A trial's draws are a pure
+function of (seed, trial_index) and the fixed internal batch size, which
+is what makes sample_field reproduce exactly the field any run_*_trials
+call used, and makes runs of different lengths agree on their common
+prefix of trials.
 
 The infinite plane is truncated to a disk: auto_window_radius picks the
 smallest radius whose neglected outer region shifts any secrecy estimate
@@ -55,7 +61,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -63,11 +68,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ExcludedRegionError,
-    NumericalError,
-)
+from .errors import DomainError, NumericalError
 from .model import (
     GuardZoneDesign,
     NoiseSplitDesign,
@@ -96,10 +97,7 @@ _TRIALS_PER_BATCH = 1 << 16
 # trials per slice of a batch's scene that the indicators are taken over
 _SLICE = 1 << 14
 # stream ids for the counter-based generators
-_S_COUNTS, _S_POINTS, _S_LINK, _S_RESAMPLE = range(4)
-# points closer to the transmitter than this are resampled; the path-loss
-# law diverges at the origin and the event has probability ~0
-_MIN_POINT_DISTANCE = 1e-9
+_S_COUNTS, _S_POINTS, _S_LINK = range(3)
 # window used when the field is empty anyway
 _EMPTY_FIELD_RADIUS = 1.0
 # below this count in either tally the normal approximation gives way to
@@ -175,16 +173,14 @@ class GzTrialEstimates:
     """Guard-zone run summary; every estimate takes all trials.
 
     p_sec is secrecy given an active link, estimated on each trial's
-    annulus at distance >= r_g (see the module docstring).
-    p_sec_unconditioned judges every eavesdropper of every trial and
-    exists as the negative control - it matches the r_g = 0 closed form,
-    not the guard-zone one.
+    annulus at distance >= r_g (see the module docstring). Secrecy over
+    every eavesdropper, unconditioned, is the p_sec of the r_g = 0 design
+    on the same scene.
     """
 
     p_active: McEstimate
     p_cov: McEstimate
     p_sec: McEstimate
-    p_sec_unconditioned: McEstimate
 
 
 @dataclass(frozen=True)
@@ -225,8 +221,8 @@ def _batch_points(
 
     Returns (counts, attrs): counts has _TRIALS_PER_BATCH entries; attrs
     has one row per point holding the three uniforms (radius, angle,
-    fading). Points landing inside the excluded origin region are
-    resampled row-by-row.
+    fading), trial after trial, each kept as drawn (see the module
+    docstring for a point at distance 0).
     """
     area_mean = params.lambda_e * math.pi * radius * radius
     if area_mean * _TRIALS_PER_BATCH > 5e8:
@@ -238,38 +234,8 @@ def _batch_points(
     counts = _stream(seed, _S_COUNTS, batch).poisson(
         area_mean, size=_TRIALS_PER_BATCH
     )
-    total = int(counts.sum())
-    attrs = _stream(seed, _S_POINTS, batch).random((total, 3))
-    if total and radius > 0.0:
-        resampler = None
-        for _ in range(100):
-            bad = _too_close(radius, attrs[:, 0])
-            if bad.size == 0:
-                break
-            if resampler is None:
-                resampler = _stream(seed, _S_RESAMPLE, batch)
-            attrs[bad] = resampler.random((bad.size, 3))
-        else:
-            raise NumericalError(
-                "could not sample points outside the excluded origin region",
-                radius=radius,
-            )
+    attrs = _stream(seed, _S_POINTS, batch).random((int(counts.sum()), 3))
     return counts, attrs
-
-
-def _too_close(radius: float, u: np.ndarray) -> np.ndarray:
-    """Ascending indices of the radius uniforms u whose points fall inside
-    _MIN_POINT_DISTANCE, that is radius * sqrt(u) < _MIN_POINT_DISTANCE.
-
-    u is compared with (_MIN_POINT_DISTANCE / radius)^2, widened well past
-    the rounding of either side, and only those candidates take the exact
-    test, so no distance array of u's size is formed. The added smallest
-    normal keeps u = 0 a candidate where the square underflows.
-    """
-    scale = _MIN_POINT_DISTANCE / radius
-    bound = scale * scale * (1.0 + 1e-6) + sys.float_info.min
-    rows = np.flatnonzero(u < bound)
-    return rows[radius * np.sqrt(u[rows]) < _MIN_POINT_DISTANCE]
 
 
 def _exponential(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -326,15 +292,13 @@ def strongest_received_power(field: EavesdropperField, params: SystemParams) -> 
     """Largest fading-weighted path gain over the field, max g * r^-alpha.
 
     This is the quantity the strongest eavesdropper receives per unit
-    transmit power; 0 for an empty field.
+    transmit power; 0 for an empty field, and inf for a point at the
+    transmitter, the limit the simulation uses.
     """
     distances = np.hypot(field.points[:, 0], field.points[:, 1])
-    if np.any(distances < _MIN_POINT_DISTANCE):
-        raise ExcludedRegionError(
-            "an eavesdropper coincides with the transmitter; the path-loss "
-            "model is undefined there"
-        )
-    return float(np.max(field.fading * distances**-params.alpha, initial=0.0))
+    with np.errstate(over="ignore", divide="ignore"):
+        gains = field.fading * distances**-params.alpha
+    return float(np.max(gains, initial=0.0))
 
 
 def _binomial_cdf(k: int, n: int, p: float) -> float:
@@ -447,8 +411,9 @@ def _batch_reductions(
     radii, path = _decode(radius, attrs)
     # the largest array of the batch; nothing reads it once decoded
     del attrs
-    # a gain past the float range is inf, which the ratios below handle
-    with np.errstate(over="ignore"):
+    # a point at distance 0, like a gain past the float range, is an
+    # infinite gain, which the ratios below handle
+    with np.errstate(over="ignore", divide="ignore"):
         path *= radii**-params.alpha
     index = np.repeat(np.arange(_TRIALS_PER_BATCH), counts)
     del counts
@@ -473,13 +438,13 @@ def _batch_reductions(
 
 def _design_scene(
     scene: Sequence[np.ndarray], r_gs: Sequence[float], r_g: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(strongest, outer, nearest, h) for silence radius r_g, read off a
-    scene _batch_reductions built for the radii r_gs."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(outer, nearest, h) for silence radius r_g, read off a scene
+    _batch_reductions built for the radii r_gs."""
     strongest, nearest, h, *outers = scene
     # without a guard disk the annulus is the whole disk
     outer = outers[r_gs.index(r_g)] if r_g > 0.0 else strongest
-    return strongest, outer, nearest, h
+    return outer, nearest, h
 
 
 def _eavesdropper_snr(
@@ -502,17 +467,14 @@ def _secrecy_indicators(
     params: SystemParams,
     r_g: float,
     gamma: float,
-    strongest: np.ndarray,
     outer: np.ndarray,
     nearest: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(active, snr_s, secure) per trial for silence radius r_g and signal
-    fraction gamma: snr_s over every point, secure over the points at
-    distance >= r_g. None of them depends on the link distance."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(active, secure) per trial for silence radius r_g and signal
+    fraction gamma, secure over the points at distance >= r_g. Neither
+    depends on the link distance."""
     active = nearest >= r_g
-    secure = _eavesdropper_snr(params, gamma, outer) <= params.beta_e
-    snr_s = _eavesdropper_snr(params, gamma, strongest)
-    return active, snr_s, secure
+    return active, _eavesdropper_snr(params, gamma, outer) <= params.beta_e
 
 
 def _coverage_indicators(
@@ -529,16 +491,15 @@ def _family_counts(
     ds: Sequence[float],
     r_g: float,
     gamma: float,
-    strongest: np.ndarray,
     outer: np.ndarray,
     nearest: np.ndarray,
     h: np.ndarray,
 ) -> tuple[list[int], list[int]]:
-    """([active, annulus-secure, secure] counts, covered count at each
-    link distance in ds) of the (r_g, gamma) designs on one slice."""
-    active, snr_s, secure = _secrecy_indicators(params, r_g, gamma, strongest, outer, nearest)
-    shared = [int(np.count_nonzero(x)) for x in (active, secure, snr_s <= params.beta_e)]
-    del snr_s, secure
+    """([active, secure] counts, covered count at each link distance in
+    ds) of the (r_g, gamma) designs on one slice."""
+    active, secure = _secrecy_indicators(params, r_g, gamma, outer, nearest)
+    shared = [int(np.count_nonzero(x)) for x in (active, secure)]
+    del secure
     covered = [
         int(np.count_nonzero(_coverage_indicators(params, d, gamma, h, active)[1]))
         for d in ds
@@ -555,8 +516,8 @@ def _batch_tallies(
     batch: int,
     m: int,
 ) -> list[list[int]]:
-    """Active, covered, annulus-secure and secure counts of each (d, r_g,
-    gamma) design over the first m trials of one batch.
+    """Active, covered and secure counts of each (d, r_g, gamma) design
+    over the first m trials of one batch.
 
     The scene is built here, so no array of the batch outlives the call,
     and the indicators are taken over fixed slices of it, so that their
@@ -568,11 +529,11 @@ def _batch_tallies(
     for i, (_, r_g, gamma) in enumerate(designs):
         families.setdefault((r_g, gamma), []).append(i)
     scene = _batch_reductions(params, radius, r_gs, seed, batch)
-    tallies = [[0, 0, 0, 0] for _ in designs]
+    tallies = [[0, 0, 0] for _ in designs]
     for start in range(0, m, _SLICE):
         piece = [x[start : min(start + _SLICE, m)] for x in scene]
         for (r_g, gamma), members in families.items():
-            (k_active, k_secure, k_secure_all), covered = _family_counts(
+            (k_active, k_secure), covered = _family_counts(
                 params,
                 [designs[i][0] for i in members],
                 r_g,
@@ -584,7 +545,6 @@ def _batch_tallies(
                 total[0] += k_active
                 total[1] += k_covered
                 total[2] += k_secure
-                total[3] += k_secure_all
     return tallies
 
 
@@ -644,11 +604,11 @@ def _tallies(
     radius: float,
     cfg: TrialConfig,
 ) -> list[list[int]]:
-    """Counts of active, covered, annulus-secure and secure trials for
-    each (d, r_g, gamma) design, all on the scene stream of one window
-    radius. Each batch's scene is built once and every design is read
-    off it; batches run as _in_batches schedules them, and their counts
-    are summed in batch order."""
+    """Counts of active, covered and secure trials for each (d, r_g,
+    gamma) design, all on the scene stream of one window radius. Each
+    batch's scene is built once and every design is read off it; batches
+    run as _in_batches schedules them, and their counts are summed in
+    batch order."""
     r_gs = sorted({r_g for _, r_g, _ in designs if r_g > 0.0})
     n = cfg.n_trials
     n_batches = (n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH
@@ -657,7 +617,7 @@ def _tallies(
         m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
         return _batch_tallies(params, designs, radius, r_gs, cfg.seed, batch, m)
 
-    tallies = [[0, 0, 0, 0] for _ in designs]
+    tallies = [[0, 0, 0] for _ in designs]
     for counts in _in_batches(n_batches, run):
         for total, batch_counts in zip(tallies, counts):
             total[:] = [a + b for a, b in zip(total, batch_counts)]
@@ -669,7 +629,7 @@ def _estimates(
 ) -> GzTrialEstimates | AnTrialEstimates:
     if isinstance(design, GuardZoneDesign):
         return GzTrialEstimates(*(_binomial_estimate(k, n) for k in tallies))
-    _, k_cov, k_sec, _ = tallies
+    _, k_cov, k_sec = tallies
     return AnTrialEstimates(*(_binomial_estimate(k, n) for k in (k_cov, k_sec)))
 
 
@@ -734,10 +694,10 @@ def trial_outcomes(
     batches = groupby(sorted(set(indices)), key=lambda i: i // _TRIALS_PER_BATCH)
     for batch, group in batches:
         scene = _batch_reductions(params, radius, r_gs, cfg.seed, batch)
-        strongest, outer, nearest, h = _design_scene(scene, r_gs, r_g)
-        active, snr_s, secure = _secrecy_indicators(
-            params, r_g, gamma, strongest, outer, nearest
-        )
+        outer, nearest, h = _design_scene(scene, r_gs, r_g)
+        active, secure = _secrecy_indicators(params, r_g, gamma, outer, nearest)
+        # snr_s is over every point: scene[0] is the strongest gain
+        snr_s = _eavesdropper_snr(params, gamma, scene[0])
         snr_p, covered = _coverage_indicators(params, params.d, gamma, h, active)
         columns = (active, snr_p, snr_s, covered, secure)
         for i in group:

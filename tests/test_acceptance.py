@@ -231,12 +231,12 @@ def test_criterion_6_simulation_agreement_suite(acceptance_record):
                         f"mc {estimate.mean} +/- {estimate.half_width}"
                     )
 
-        # negative control: the unconditioned secrecy tally must NOT match
-        # the conditioned closed form when the guard zone is real
+        # negative control: the r_g = 0 design of the same run judges every
+        # eavesdropper and must NOT match the conditioned closed form
         design = GuardZoneDesign(r_g=1.0)
-        control = run_gz_trials(
-            BASE, design, TrialConfig(n_trials=1_000_000, seed=606)
-        ).p_sec_unconditioned
+        cfg = TrialConfig(n_trials=1_000_000, seed=606)
+        pairs = [(BASE.d, design), (BASE.d, GuardZoneDesign(r_g=0.0))]
+        control = run_trials(BASE, pairs, cfg)[1].p_sec
         conditioned = p_sec_gz(BASE, design)
         if abs(control.mean - conditioned) <= 3.0 * control.half_width:
             failures.append(

@@ -7,17 +7,14 @@ checks use fixed seeds, so every assertion is deterministic.
 import math
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from d2d_secrecy.errors import (
-    DomainError,
-    ExcludedRegionError,
-    NumericalError,
-)
+from d2d_secrecy.errors import DomainError, NumericalError
 from d2d_secrecy.model import (
     GuardZoneDesign,
     NoiseSplitDesign,
@@ -128,7 +125,6 @@ class TestSampleField:
         field = sample_field(BASE, 2.0, trial_index=0, seed=9)
         distances = np.hypot(field.points[:, 0], field.points[:, 1])
         assert np.all(distances <= 2.0)
-        assert np.all(distances >= 1e-9)
         assert np.all(field.fading >= 0.0)
 
     def test_empty_when_field_density_zero(self):
@@ -182,11 +178,11 @@ class TestStrongestReceivedPower:
         assert strongest_received_power(field, BASE) == 0.0
 
     def test_origin_point_rejected(self):
+        # a point at the transmitter is an infinite gain, as in the kernel
         field = EavesdropperField(
             points=np.array([[0.0, 0.0]]), fading=np.array([1.0])
         )
-        with pytest.raises(ExcludedRegionError):
-            strongest_received_power(field, BASE)
+        assert strongest_received_power(field, BASE) == math.inf
 
 
 class TestGuardZoneTrials:
@@ -219,14 +215,16 @@ class TestGuardZoneTrials:
         assert result.p_active.mean == 1.0
 
     def test_negative_control_distinguishes_conditioning(self):
-        # the unconditioned secrecy tally must reproduce the r_g = 0
-        # closed form and sit far from the conditioned one, proving the
-        # conditioning in p_sec is real and not a bookkeeping accident
+        # the r_g = 0 design of the same run judges every eavesdropper: it
+        # must reproduce the r_g = 0 closed form and sit far from the
+        # conditioned one, proving the conditioning in p_sec is real
         cfg = TrialConfig(n_trials=400_000, seed=31)
-        result = run_gz_trials(BASE, GuardZoneDesign(r_g=1.0), cfg)
-        unconditioned = result.p_sec_unconditioned
+        designs = [(BASE.d, GuardZoneDesign(r_g=r_g)) for r_g in (1.0, 0.0)]
+        guarded, unguarded = mc.run_trials(BASE, designs, cfg)
+        unconditioned = unguarded.p_sec
         assert agrees(unconditioned, P_SEC_R0)
         assert abs(unconditioned.mean - P_SEC_R1) > 10.0 * unconditioned.half_width
+        assert agrees(guarded.p_sec, P_SEC_R1)
 
     def test_conditional_estimate_uses_every_trial(self):
         # secrecy given an active link is judged on each trial's annulus at
@@ -484,48 +482,6 @@ class TestTwoBatchesInFlight:
         assert threading.active_count() == threads
 
 
-class TestResamplePrefilter:
-    # _too_close screens the radius uniforms with a widened bound before the
-    # exact test; it must pick exactly the rows the exact test picks
-
-    @pytest.mark.parametrize(
-        "radius", [1e-300, 1e-10, 1e-9, 3e-9, 1e-8, 0.37, 1.0, 1.59, 2.0, 1e3, 1e150, 1e300]
-    )
-    def test_selects_exactly_the_rows_of_the_exact_test(self, radius):
-        scale = 1e-9 / radius
-        edge = scale * scale
-        near = [edge]
-        for direction in (0.0, math.inf):
-            value = edge
-            for _ in range(6):
-                value = float(np.nextafter(value, direction))
-                near.append(value)
-        values = [v for v in near if 0.0 <= v < 1.0]
-        values += [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]
-        values += list(np.random.default_rng(5).random(200))
-        attrs = np.zeros((len(values), 3))
-        attrs[:, 0] = values
-        exact = np.flatnonzero(radius * np.sqrt(attrs[:, 0]) < 1e-9)
-        np.testing.assert_array_equal(mc._too_close(radius, attrs[:, 0]), exact)
-
-    @pytest.mark.parametrize("radius", [1.2e-9, 3e-9, 2e-8])
-    def test_forced_resampling_matches_the_exact_loop(self, radius):
-        # at these radii 0.25-70% of the points fall inside 1e-9, at about
-        # one point per trial; the rows replaced, and the draws that
-        # replace them, are the exact test's
-        params = replace(BASE, lambda_e=1.0 / (math.pi * radius * radius))
-        counts, attrs = mc._batch_points(params, radius, seed=8, batch=1)
-        expected = mc._stream(8, mc._S_POINTS, 1).random((int(counts.sum()), 3))
-        resampler = mc._stream(8, mc._S_RESAMPLE, 1)
-        while True:
-            bad = radius * np.sqrt(expected[:, 0]) < 1e-9
-            if not bad.any():
-                break
-            expected[bad] = resampler.random((int(bad.sum()), 3))
-        np.testing.assert_array_equal(attrs, expected)
-        assert attrs.size and np.all(radius * np.sqrt(attrs[:, 0]) >= 1e-9)
-
-
 class TestTrialOutcomes:
     def test_gz_outcomes_aggregate_to_run_estimates(self):
         # per-trial indicators summed by hand must hit the batched run's
@@ -536,13 +492,15 @@ class TestTrialOutcomes:
         for window_radius in (None, 2.5):
             cfg = TrialConfig(n_trials=n, seed=5, window_radius=window_radius)
             outcomes = trial_outcomes(BASE, design, cfg, range(n))
-            result = run_gz_trials(BASE, design, cfg)
+            result, unguarded = mc.run_trials(
+                BASE, [(BASE.d, design), (BASE.d, GuardZoneDesign(r_g=0.0))], cfg
+            )
             assert not all(o.active for o in outcomes)
             k_sec_all = sum(o.snr_s <= BASE.beta_e for o in outcomes)
             assert result.p_active.mean == sum(o.active for o in outcomes) / n
             assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
             assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
-            assert result.p_sec_unconditioned.mean == k_sec_all / n
+            assert unguarded.p_sec.mean == k_sec_all / n
 
     def test_an_outcomes_aggregate_to_run_estimates(self):
         n = 150
@@ -553,6 +511,40 @@ class TestTrialOutcomes:
             result = run_an_trials(BASE, design, cfg)
             assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
             assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
+
+    @pytest.mark.parametrize(
+        "design",
+        [GuardZoneDesign(r_g=0.0), GuardZoneDesign(r_g=0.5)]
+        + [NoiseSplitDesign(gamma=0.4), NoiseSplitDesign(gamma=0.9)],
+        ids=["gz-0", "gz-0.5", "an-0.4", "an-0.9"],
+    )
+    def test_point_at_the_transmitter_is_an_infinite_gain(self, design, monkeypatch):
+        # a radius uniform of exactly 0 puts a point at distance 0; its gain
+        # is inf, like an overflowed one, and the run raises no warning
+        real = mc._batch_points
+
+        def with_origin_point(params, radius, seed, batch):
+            counts, attrs = real(params, radius, seed, batch)
+            if batch == 0:
+                attrs[0, 0] = 0.0
+            return counts, attrs
+
+        monkeypatch.setattr(mc, "_batch_points", with_origin_point)
+        n = 150
+        cfg = TrialConfig(n_trials=n, seed=5)
+        counts, _ = real(BASE, auto_window_radius(BASE), cfg.seed, 0)
+        r_g, gamma = mc._settings(design)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = trial_outcomes(BASE, design, cfg, range(n))
+            (result,) = mc.run_trials(BASE, [(BASE.d, design)], cfg)
+        hit = outcomes[np.flatnonzero(counts)[0]]
+        assert hit.snr_s == (math.inf if gamma == 1.0 else gamma / (1.0 - gamma))
+        assert hit.active == (r_g == 0.0)
+        if isinstance(design, GuardZoneDesign):
+            assert result.p_active.mean == sum(o.active for o in outcomes) / n
+        assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
+        assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
 
     def test_runs_agree_on_common_prefix_across_batches(self):
         # extending a run by one trial changes the tallies by exactly
