@@ -22,7 +22,8 @@ from them.
 
 Output is JSON (full precision) or CSV (fixed headers, probabilities at
 6 significant digits) to stdout or ``--out``. Exit codes: 0 success,
-2 usage or validation error, 3 numerical failure.
+2 usage or validation error (an unreadable config file or an ``--out``
+path that cannot be written included), 3 numerical failure.
 
 A report that holds a non-finite number, which strict JSON cannot
 carry, is a numerical failure in either format. A sweep grid may hold
@@ -186,12 +187,15 @@ def _load_config(path: str) -> dict[str, object]:
     # [DEFAULT] would merge into every section; no header line can spell a
     # name holding a newline, so [DEFAULT] stays an ordinary, unknown section
     parser = configparser.ConfigParser(default_section="\n")
+    # opened here, as ConfigParser.read skips a file it cannot open
     try:
-        read = parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise UsageError(f"cannot read config file {path}: {reason}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot parse config file {path}: {exc}") from exc
-    if not read:
-        raise UsageError(f"config file not found: {path}")
     kinds = {(section, key): kind for section, key, kind, _, _ in _OPTIONS}
     values: dict[str, object] = {}
     for section in parser.sections():
@@ -596,9 +600,12 @@ _COMMANDS = {
 def _emit(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # glibc mallopt parameters, and the size below which freed memory is kept
@@ -656,12 +663,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:
         print("error: the report holds a non-finite number", file=sys.stderr)
         return 3
-    if cfg.command == "select":
-        # the verdict token, only for a report that serialised
-        print(report["verdict"], file=sys.stderr)
     if cfg.format == "csv":
         text = _csv_text(columns, csv_rows)
-    _emit(text, cfg.out)
+    try:
+        _emit(text, cfg.out)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if cfg.command == "select":
+        # the verdict token, only for a report that was written
+        print(report["verdict"], file=sys.stderr)
     return 0
 
 

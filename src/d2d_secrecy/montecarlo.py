@@ -8,18 +8,19 @@ binomial estimates with 95% confidence half-widths.
 
 Both techniques run through one kernel: each is one link with two
 settings (silence radius, signal fraction), (r_g, 1) for the guard zone
-and (0, gamma) for artificial noise. A batch is reduced to a scene (per
-trial the strongest eavesdropper path gain over the whole disk, the
-nearest eavesdropper distance, the link gain h, and the strongest path
-gain over the annulus at distance >= r_g for each distinct r_g > 0), and
-a design's indicators are read off it. None of that depends on the link
-distance d, so run_trials evaluates every (d, design) pair that shares a
-window radius on one scene per batch; run_gz_trials and run_an_trials
-are its one-design case. Of the indicators only coverage depends on d:
-activity and secrecy are computed once per distinct (r_g, gamma) and
-shared by every d of that family, and coverage once per design.
-trial_outcomes reads single trials off the same arrays and expressions,
-so per-trial outcomes sum exactly to the batch tallies.
+and (0, gamma) for artificial noise. A batch is reduced to a scene: per
+trial the nearest eavesdropper distance, the link gain h, and for each
+distinct silence radius of the designs the strongest path gain over the
+points at distance >= it. Radius 0 is just another radius, whose
+maximum is over the whole disk. A design's indicators are read off the
+scene. None of that depends on the link distance d, so
+run_trials evaluates every (d, design) pair that shares a window radius
+on one scene per batch; run_gz_trials and run_an_trials are its
+one-design case. Of the indicators only coverage depends on d: activity
+and secrecy are computed once per distinct (r_g, gamma) and shared by
+every d of that family, and coverage once per design. trial_outcomes
+reads single trials off the same arrays and expressions, so per-trial
+outcomes sum exactly to the batch tallies.
 
 A batch is drawn, reduced, tallied over fixed slices of 2^14 trials and
 freed within one call, so no array of it outlives the call; at the
@@ -251,18 +252,6 @@ def _link_gains(seed: int, batch: int) -> np.ndarray:
     return _exponential(u, out=u)
 
 
-def _trial_rows(
-    params: SystemParams, radius: float, seed: int, trial_index: int
-) -> np.ndarray:
-    """Point-attribute rows of one trial."""
-    if trial_index < 0:
-        raise DomainError(f"trial_index must be nonnegative, got {trial_index}")
-    batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
-    counts, attrs = _batch_points(params, radius, seed, batch)
-    start = int(counts[:pos].sum())
-    return attrs[start : start + int(counts[pos])]
-
-
 def _decode(radius: float, attrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances to the transmitter and power gains of the points in attrs,
     each computed in one array of its own."""
@@ -281,7 +270,12 @@ def sample_field(
     """
     if not (radius > 0.0) or not math.isfinite(radius):
         raise DomainError(f"radius must be positive and finite, got {radius}")
-    rows = _trial_rows(params, radius, seed, trial_index)
+    if trial_index < 0:
+        raise DomainError(f"trial_index must be nonnegative, got {trial_index}")
+    batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
+    counts, attrs = _batch_points(params, radius, seed, batch)
+    start = int(counts[:pos].sum())
+    rows = attrs[start : start + int(counts[pos])]
     radii, fading = _decode(radius, rows)
     angles = 2.0 * math.pi * rows[:, 1]
     points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
@@ -373,15 +367,14 @@ def _settings(design: GuardZoneDesign | NoiseSplitDesign) -> tuple[float, float]
 
 def _windows(
     params: SystemParams,
-    designs: Sequence[GuardZoneDesign | NoiseSplitDesign],
+    settings: Sequence[tuple[float, float, float]],
     cfg: TrialConfig,
 ) -> list[float]:
-    """Simulation-disk radius of each design; rejects one it cannot
-    simulate. The auto radius is solved once, on first need."""
+    """Simulation-disk radius of each (d, r_g, gamma) design; rejects one
+    it cannot simulate. The auto radius is solved once, on first need."""
     auto = None
     radii = []
-    for design in designs:
-        r_g, gamma = _settings(design)
+    for _, r_g, gamma in settings:
         if gamma == 0.0:
             raise DomainError("gamma = 0 leaves no power on the information signal")
         if cfg.window_radius is not None:
@@ -403,10 +396,10 @@ def _windows(
 def _batch_reductions(
     params: SystemParams, radius: float, r_gs: Sequence[float], seed: int, batch: int
 ) -> tuple[np.ndarray, ...]:
-    """The scene of one batch: per trial the strongest path gain over all
-    points, the nearest point distance and h, then for each silence radius
-    in r_gs (positive, ascending) the strongest path gain over the points
-    at distance >= it. Trial i owns the next counts[i] points."""
+    """The scene of one batch: per trial the nearest point distance and h,
+    then for each silence radius in r_gs (ascending, 0 allowed) the
+    strongest path gain over the points at distance >= it, which at 0 is
+    every point. Trial i owns the next counts[i] points."""
     counts, attrs = _batch_points(params, radius, seed, batch)
     radii, path = _decode(radius, attrs)
     # the largest array of the batch; nothing reads it once decoded
@@ -417,8 +410,6 @@ def _batch_reductions(
         path *= radii**-params.alpha
     index = np.repeat(np.arange(_TRIALS_PER_BATCH), counts)
     del counts
-    strongest = np.zeros(_TRIALS_PER_BATCH)
-    np.maximum.at(strongest, index, path)
     outers = []
     # each radius drops the points inside it; ascending radii only add to
     # the points already dropped
@@ -433,18 +424,7 @@ def _batch_reductions(
     nearest = np.full(_TRIALS_PER_BATCH, np.inf)
     np.minimum.at(nearest, index, radii)
     del radii, index
-    return (strongest, nearest, _link_gains(seed, batch), *outers)
-
-
-def _design_scene(
-    scene: Sequence[np.ndarray], r_gs: Sequence[float], r_g: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(outer, nearest, h) for silence radius r_g, read off a scene
-    _batch_reductions built for the radii r_gs."""
-    strongest, nearest, h, *outers = scene
-    # without a guard disk the annulus is the whole disk
-    outer = outers[r_gs.index(r_g)] if r_g > 0.0 else strongest
-    return outer, nearest, h
+    return (nearest, _link_gains(seed, batch), *outers)
 
 
 def _eavesdropper_snr(
@@ -484,68 +464,6 @@ def _coverage_indicators(
     gamma, for the active trials given."""
     snr_p = gamma * params.p_t * h * _power(d, -params.alpha) / params.sigma2_p
     return snr_p, active & (snr_p >= params.beta_t)
-
-
-def _family_counts(
-    params: SystemParams,
-    ds: Sequence[float],
-    r_g: float,
-    gamma: float,
-    outer: np.ndarray,
-    nearest: np.ndarray,
-    h: np.ndarray,
-) -> tuple[list[int], list[int]]:
-    """([active, secure] counts, covered count at each link distance in
-    ds) of the (r_g, gamma) designs on one slice."""
-    active, secure = _secrecy_indicators(params, r_g, gamma, outer, nearest)
-    shared = [int(np.count_nonzero(x)) for x in (active, secure)]
-    del secure
-    covered = [
-        int(np.count_nonzero(_coverage_indicators(params, d, gamma, h, active)[1]))
-        for d in ds
-    ]
-    return shared, covered
-
-
-def _batch_tallies(
-    params: SystemParams,
-    designs: Sequence[tuple[float, float, float]],
-    radius: float,
-    r_gs: Sequence[float],
-    seed: int,
-    batch: int,
-    m: int,
-) -> list[list[int]]:
-    """Active, covered and secure counts of each (d, r_g, gamma) design
-    over the first m trials of one batch.
-
-    The scene is built here, so no array of the batch outlives the call,
-    and the indicators are taken over fixed slices of it, so that their
-    temporaries stay small beside the scene. The indicators that do not
-    depend on d are computed once per (r_g, gamma) family and slice; only
-    coverage is computed per design.
-    """
-    families: dict[tuple[float, float], list[int]] = {}
-    for i, (_, r_g, gamma) in enumerate(designs):
-        families.setdefault((r_g, gamma), []).append(i)
-    scene = _batch_reductions(params, radius, r_gs, seed, batch)
-    tallies = [[0, 0, 0] for _ in designs]
-    for start in range(0, m, _SLICE):
-        piece = [x[start : min(start + _SLICE, m)] for x in scene]
-        for (r_g, gamma), members in families.items():
-            (k_active, k_secure), covered = _family_counts(
-                params,
-                [designs[i][0] for i in members],
-                r_g,
-                gamma,
-                *_design_scene(piece, r_gs, r_g),
-            )
-            for i, k_covered in zip(members, covered):
-                total = tallies[i]
-                total[0] += k_active
-                total[1] += k_covered
-                total[2] += k_secure
-    return tallies
 
 
 def _usable_cores() -> int:
@@ -605,17 +523,43 @@ def _tallies(
     cfg: TrialConfig,
 ) -> list[list[int]]:
     """Counts of active, covered and secure trials for each (d, r_g,
-    gamma) design, all on the scene stream of one window radius. Each
-    batch's scene is built once and every design is read off it; batches
-    run as _in_batches schedules them, and their counts are summed in
-    batch order."""
-    r_gs = sorted({r_g for _, r_g, _ in designs if r_g > 0.0})
+    gamma) design, all on the scene stream of one window radius.
+
+    Each batch's scene is built and tallied within one call, so no array
+    of the batch outlives it, and every design is read off it over fixed
+    slices, so that the indicators' temporaries stay small beside the
+    scene. Activity and secrecy are computed once per (r_g, gamma) family
+    and slice; only coverage is computed per design. Batches run as
+    _in_batches schedules them, and their counts are summed in batch
+    order.
+    """
+    r_gs = sorted({r_g for _, r_g, _ in designs})
+    families: dict[tuple[float, float], list[int]] = {}
+    for i, (_, r_g, gamma) in enumerate(designs):
+        families.setdefault((r_g, gamma), []).append(i)
     n = cfg.n_trials
     n_batches = (n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH
 
     def run(batch: int) -> list[list[int]]:
         m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
-        return _batch_tallies(params, designs, radius, r_gs, cfg.seed, batch, m)
+        nearest, h, *outers = _batch_reductions(params, radius, r_gs, cfg.seed, batch)
+        counts = [[0, 0, 0] for _ in designs]
+        for start in range(0, m, _SLICE):
+            piece = slice(start, min(start + _SLICE, m))
+            for (r_g, gamma), members in families.items():
+                outer = outers[r_gs.index(r_g)][piece]
+                active, secure = _secrecy_indicators(
+                    params, r_g, gamma, outer, nearest[piece]
+                )
+                k_active, k_secure = (int(np.count_nonzero(x)) for x in (active, secure))
+                for i in members:
+                    d = designs[i][0]
+                    covered = _coverage_indicators(params, d, gamma, h[piece], active)[1]
+                    total = counts[i]
+                    total[0] += k_active
+                    total[1] += int(np.count_nonzero(covered))
+                    total[2] += k_secure
+        return counts
 
     tallies = [[0, 0, 0] for _ in designs]
     for counts in _in_batches(n_batches, run):
@@ -646,12 +590,13 @@ def run_trials(
     window rather than once per design. Every estimate is the one
     run_gz_trials or run_an_trials gives for that design at that d.
     """
-    radii = _windows(params, [design for _, design in designs], cfg)
+    settings = [(d, *_settings(design)) for d, design in designs]
+    radii = _windows(params, settings, cfg)
     tallies: list[list[int]] = [[] for _ in designs]
     for radius in dict.fromkeys(radii):
         group = [i for i, r in enumerate(radii) if r == radius]
-        settings = [(designs[i][0], *_settings(designs[i][1])) for i in group]
-        for i, counts in zip(group, _tallies(params, settings, radius, cfg)):
+        group_settings = [settings[i] for i in group]
+        for i, counts in zip(group, _tallies(params, group_settings, radius, cfg)):
             tallies[i] = counts
     return [
         _estimates(design, counts, cfg.n_trials)
@@ -687,18 +632,17 @@ def trial_outcomes(
     """
     if any(i < 0 for i in indices):
         raise DomainError(f"trial indices must be nonnegative, got {min(indices)}")
-    (radius,) = _windows(params, [design], cfg)
-    r_g, gamma = _settings(design)
-    r_gs = [r_g] if r_g > 0.0 else []
+    d, r_g, gamma = setting = (params.d, *_settings(design))
+    (radius,) = _windows(params, [setting], cfg)
+    r_gs = sorted({0.0, r_g})
     found = {}
     batches = groupby(sorted(set(indices)), key=lambda i: i // _TRIALS_PER_BATCH)
     for batch, group in batches:
-        scene = _batch_reductions(params, radius, r_gs, cfg.seed, batch)
-        outer, nearest, h = _design_scene(scene, r_gs, r_g)
-        active, secure = _secrecy_indicators(params, r_g, gamma, outer, nearest)
-        # snr_s is over every point: scene[0] is the strongest gain
-        snr_s = _eavesdropper_snr(params, gamma, scene[0])
-        snr_p, covered = _coverage_indicators(params, params.d, gamma, h, active)
+        nearest, h, *outers = _batch_reductions(params, radius, r_gs, cfg.seed, batch)
+        active, secure = _secrecy_indicators(params, r_g, gamma, outers[-1], nearest)
+        # snr_s is over every point, the maximum at radius 0
+        snr_s = _eavesdropper_snr(params, gamma, outers[0])
+        snr_p, covered = _coverage_indicators(params, d, gamma, h, active)
         columns = (active, snr_p, snr_s, covered, secure)
         for i in group:
             pos = i % _TRIALS_PER_BATCH

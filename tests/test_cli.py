@@ -640,6 +640,14 @@ class TestConfigFile:
         assert cli.main(["select", "--config", str(missing), "--d", "1"]) == 2
         capsys.readouterr()
 
+    def test_directory_rejected(self, capsys, tmp_path):
+        # a path that exists but cannot be read as a file is named as such,
+        # not as a missing file
+        assert cli.main(["select", "--config", str(tmp_path), "--d", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read config file {tmp_path}: ")
+
 
 # every flag each subcommand accepts, as listed by --help
 _PARAM_FLAGS = [
@@ -677,6 +685,17 @@ class TestOutputPlumbing:
         report = json.loads(out.read_text())
         oracle.VALIDATOR.validate(report)
         assert report["command"] == "optimize"
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        # the error is the only line on stderr: select prints no verdict
+        # token for a report it could not write
+        out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        assert cli.main(["select", "--d", "0.8", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
 
     def test_bad_format_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.ini"

@@ -168,12 +168,15 @@ def test_cli_reuses_batch_memory():
 
 def _unused_names(path):
     # names a module imports but neither uses nor re-exports in __all__, and
-    # that a function binds but never reads ("_" drops a value on purpose)
+    # that a function binds but never reads ("_" drops a value on purpose);
+    # with them the module's private top-level definitions and every name
+    # it reads, as a name, an attribute or an import
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
     exported = set()
     used = set()
     unread = set()
+    read_anywhere = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -181,8 +184,13 @@ def _unused_names(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+                read_anywhere.add(alias.name)
         elif isinstance(node, ast.Name):
             used.add(node.id)
+            if isinstance(node.ctx, ast.Load):
+                read_anywhere.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read_anywhere.add(node.attr)
         elif isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__"
             for target in node.targets
@@ -194,7 +202,20 @@ def _unused_names(path):
             unread.update((name.id, name.lineno) for name in names
                           if isinstance(name.ctx, ast.Store) and name.id not in read | {"_"})
     unused = {(name, line) for name, line in imported.items() if name not in used | exported}
-    return sorted(f"{path.name}:{line}: {name}" for name, line in unused | unread)
+    hits = sorted(f"{path.name}:{line}: {name}" for name, line in unused | unread)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    private = {name: line for name, line in defined.items()
+               if name.startswith("_") and not name.startswith("__")}
+    return hits, private, read_anywhere
 
 
 def test_no_unused_imports():
@@ -204,7 +225,22 @@ def test_no_unused_imports():
     paths = sorted((SRC / "d2d_secrecy").glob("*.py")) + sorted(
         (root / "tests").glob("*.py")
     )
-    assert [hit for path in paths for hit in _unused_names(path)] == []
+    assert [hit for path in paths for hit in _unused_names(path)[0]] == []
+
+
+def test_every_private_definition_in_src_is_read():
+    # a private module-level function, class or constant of the package
+    # that nothing in the package reads is dead code; the tests do not
+    # count, as one may still reach code the package left behind
+    scans = {path: _unused_names(path) for path in sorted((SRC / "d2d_secrecy").glob("*.py"))}
+    read = set().union(*(names for _, _, names in scans.values()))
+    assert sum(len(private) for _, private, _ in scans.values()) > 0
+    assert [
+        f"{path.name}:{line}: {name}"
+        for path, (_, private, _) in scans.items()
+        for name, line in private.items()
+        if name not in read
+    ] == []
 
 
 # bench/ modules that a test puts on sys.path itself

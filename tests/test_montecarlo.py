@@ -7,6 +7,7 @@ checks use fixed seeds, so every assertion is deterministic.
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -39,7 +40,15 @@ from d2d_secrecy.montecarlo import (
     trial_outcomes,
 )
 from d2d_secrecy.specfun import upper_incomplete_gamma
-from oracle import GAMMA_STAR, P_ACTIVE_R1, P_COV_AN_STAR, P_SEC_R0, P_SEC_R1, REFERENCE
+from oracle import (
+    GAMMA_STAR,
+    P_ACTIVE_R1,
+    P_COV_AN_STAR,
+    P_SEC_R0,
+    P_SEC_R1,
+    R_G_STAR,
+    REFERENCE,
+)
 
 BASE = replace(REFERENCE, d=0.6)
 
@@ -480,6 +489,44 @@ class TestTwoBatchesInFlight:
                 BASE, [(0.6, GuardZoneDesign(r_g=1.0))], TrialConfig(n_trials=6 << 16, seed=3)
             )
         assert threading.active_count() == threads
+
+
+class TestBatchMemory:
+    # every array of a batch is drawn, reduced, tallied and freed within
+    # one call. One batch at the reference density (about 0.8 points per
+    # trial) peaks at about 2.5 MiB, 2.7 MiB for the 58 designs of
+    # sweep-d, while its points are decoded; the raw point uniforms
+    # (1.2 MiB) kept alive past their decoding pass 3 MiB
+
+    # the default sweep-d grid 0.1 .. 1.5, with both optima per distance
+    SWEEP_D = [
+        (round(0.1 + 0.05 * i, 2), design)
+        for i in range(29)
+        for design in (GuardZoneDesign(r_g=R_G_STAR), NoiseSplitDesign(gamma=GAMMA_STAR))
+    ]
+
+    @pytest.mark.parametrize(
+        "designs",
+        [
+            [(BASE.d, GuardZoneDesign(r_g=R_G_STAR))],
+            [(BASE.d, NoiseSplitDesign(gamma=GAMMA_STAR))],
+            SWEEP_D,
+        ],
+        ids=["gz", "an", "sweep-d"],
+    )
+    def test_one_batch_peaks_below_3_mib(self, monkeypatch, designs):
+        monkeypatch.setattr(mc, "_WORKERS", 1)
+        cfg = TrialConfig(n_trials=1 << 16, seed=1)
+        # a first run imports the modules numpy's seeding needs, about
+        # 0.7 MiB that the batch does not allocate
+        mc.run_trials(BASE, designs, replace(cfg, seed=2))
+        tracemalloc.start()
+        try:
+            mc.run_trials(BASE, designs, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20, peak / (1 << 20)
 
 
 class TestTrialOutcomes:
