@@ -51,11 +51,10 @@ __version__ = "0.1.0"
 
 # montecarlo imports numpy, which costs most of the package's import time
 _MONTECARLO_NAMES = (
-    "AnTrialEstimates",
     "EavesdropperField",
-    "GzTrialEstimates",
     "McEstimate",
     "TrialConfig",
+    "TrialEstimates",
     "TrialOutcome",
     "auto_window_radius",
     "run_an_trials",

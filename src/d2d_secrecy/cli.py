@@ -63,6 +63,7 @@ from .montecarlo import (
     run_trials,
 )
 from .optimizer import (
+    OptimalDesign,
     SelectionVerdict,
     Technique,
     critical_distance,
@@ -351,28 +352,27 @@ OPTIMIZE_COLUMNS = (
 )
 
 
+def _optimum(cfg: argparse.Namespace, key: str, design: OptimalDesign) -> dict:
+    """One optimum block of the optimize report, its parameter under key;
+    p_cov is null where no --d was given."""
+    return {
+        key: design.parameter,
+        "constraint_active": design.constraint_active,
+        "p_cov": design.metrics.p_cov if cfg.d is not None else None,
+        "p_sec": design.metrics.p_sec,
+    }
+
+
 def cmd_optimize(cfg: argparse.Namespace) -> tuple[dict, list[dict]]:
     params = cfg.params
-    threshold = lambda_threshold(params)
     gz = optimal_guard_radius(params)
-    an = optimal_power_split(params)
     report = {
         "command": "optimize",
         "params": _params_json(cfg),
-        "lambda_threshold": threshold,
+        "lambda_threshold": lambda_threshold(params),
         "enhancement_needed": gz.constraint_active,
-        "guard_zone": {
-            "r_g_star": gz.parameter,
-            "constraint_active": gz.constraint_active,
-            "p_cov": gz.metrics.p_cov if cfg.d is not None else None,
-            "p_sec": gz.metrics.p_sec,
-        },
-        "artificial_noise": {
-            "gamma_star": an.parameter,
-            "constraint_active": an.constraint_active,
-            "p_cov": an.metrics.p_cov if cfg.d is not None else None,
-            "p_sec": an.metrics.p_sec,
-        },
+        "guard_zone": _optimum(cfg, "r_g_star", gz),
+        "artificial_noise": _optimum(cfg, "gamma_star", optimal_power_split(params)),
     }
     return report, [report]
 
@@ -642,34 +642,33 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
 
 
+def _serialise(
+    report: dict, columns: tuple[Column, ...], rows: list[dict], fmt: str
+) -> str:
+    """The report as text in fmt; NumericalError where it holds a number
+    strict JSON (RFC 8259) cannot carry, inf or nan. The CSV rows are read
+    from the same report, so the check holds for both formats."""
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError("the report holds a non-finite number") from exc
+    return _csv_text(columns, rows) if fmt == "csv" else text
+
+
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
-    parser = _build_parser()
-    cfg = parser.parse_args(argv)
+    cfg = _build_parser().parse_args(argv)
     try:
         _make_config(cfg)
         command, columns, _ = _COMMANDS[cfg.command]
         report, csv_rows = command(cfg)
+        _emit(_serialise(report, columns, csv_rows, cfg.format), cfg.out)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    try:
-        # strict JSON (RFC 8259) has no inf or nan; the CSV rows are read
-        # from the same report, so the check holds for both formats
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        print("error: the report holds a non-finite number", file=sys.stderr)
-        return 3
-    if cfg.format == "csv":
-        text = _csv_text(columns, csv_rows)
-    try:
-        _emit(text, cfg.out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if cfg.command == "select":
         # the verdict token, only for a report that was written
         print(report["verdict"], file=sys.stderr)

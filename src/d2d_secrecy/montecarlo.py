@@ -83,8 +83,7 @@ __all__ = [
     "EavesdropperField",
     "TrialOutcome",
     "McEstimate",
-    "GzTrialEstimates",
-    "AnTrialEstimates",
+    "TrialEstimates",
     "auto_window_radius",
     "sample_field",
     "strongest_received_power",
@@ -170,24 +169,17 @@ class McEstimate:
 
 
 @dataclass(frozen=True)
-class GzTrialEstimates:
-    """Guard-zone run summary; every estimate takes all trials.
+class TrialEstimates:
+    """Run summary of one design; every estimate takes all trials.
 
     p_sec is secrecy given an active link, estimated on each trial's
     annulus at distance >= r_g (see the module docstring). Secrecy over
     every eavesdropper, unconditioned, is the p_sec of the r_g = 0 design
-    on the same scene.
+    on the same scene. Artificial noise never silences the link, so its
+    p_active is 1.
     """
 
     p_active: McEstimate
-    p_cov: McEstimate
-    p_sec: McEstimate
-
-
-@dataclass(frozen=True)
-class AnTrialEstimates:
-    """Artificial-noise run summary (the link is always active)."""
-
     p_cov: McEstimate
     p_sec: McEstimate
 
@@ -568,20 +560,11 @@ def _tallies(
     return tallies
 
 
-def _estimates(
-    design: GuardZoneDesign | NoiseSplitDesign, tallies: list[int], n: int
-) -> GzTrialEstimates | AnTrialEstimates:
-    if isinstance(design, GuardZoneDesign):
-        return GzTrialEstimates(*(_binomial_estimate(k, n) for k in tallies))
-    _, k_cov, k_sec = tallies
-    return AnTrialEstimates(*(_binomial_estimate(k, n) for k in (k_cov, k_sec)))
-
-
 def run_trials(
     params: SystemParams,
     designs: Sequence[tuple[float, GuardZoneDesign | NoiseSplitDesign]],
     cfg: TrialConfig,
-) -> list[GzTrialEstimates | AnTrialEstimates]:
+) -> list[TrialEstimates]:
     """Simulate each (d, design) pair at link distance d; params.d is
     not read.
 
@@ -599,21 +582,21 @@ def run_trials(
         for i, counts in zip(group, _tallies(params, group_settings, radius, cfg)):
             tallies[i] = counts
     return [
-        _estimates(design, counts, cfg.n_trials)
-        for (_, design), counts in zip(designs, tallies)
+        TrialEstimates(*(_binomial_estimate(k, cfg.n_trials) for k in counts))
+        for counts in tallies
     ]
 
 
 def run_gz_trials(
     params: SystemParams, design: GuardZoneDesign, cfg: TrialConfig
-) -> GzTrialEstimates:
+) -> TrialEstimates:
     """Simulate the guard-zone technique."""
     return run_trials(params, [(params.d, design)], cfg)[0]
 
 
 def run_an_trials(
     params: SystemParams, design: NoiseSplitDesign, cfg: TrialConfig
-) -> AnTrialEstimates:
+) -> TrialEstimates:
     """Simulate the artificial-noise technique (always active)."""
     return run_trials(params, [(params.d, design)], cfg)[0]
 
