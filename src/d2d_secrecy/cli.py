@@ -168,12 +168,7 @@ def _params_json(cfg: argparse.Namespace) -> dict:
 
 def _trial_config(cfg: argparse.Namespace, n_trials: int) -> TrialConfig:
     """Monte-Carlo settings for a run of n_trials."""
-    return TrialConfig(
-        n_trials=n_trials,
-        seed=cfg.seed,
-        window_radius=cfg.window_radius,
-        tail_prob=cfg.tail_prob,
-    )
+    return TrialConfig(n_trials, cfg.seed, cfg.window_radius, cfg.tail_prob)
 
 
 def _csv_text(columns: tuple[Column, ...], rows: list[dict]) -> str:

@@ -4,7 +4,8 @@ Each trial realizes one snapshot of the scene: a Poisson number of
 eavesdroppers dropped uniformly on a finite disk, independent unit-mean
 exponential power gains per eavesdropper, and a fresh legitimate-channel
 gain. Indicator outcomes (active, covered, secure) aggregate into
-binomial estimates with 95% confidence half-widths.
+binomial estimates with 95% confidence half-widths, one TrialEstimates
+record per design whichever the technique.
 
 Both techniques run through one kernel: each is one link with two
 settings (silence radius, signal fraction), (r_g, 1) for the guard zone
@@ -25,7 +26,10 @@ outcomes sum exactly to the batch tallies.
 A batch is drawn, reduced, tallied over fixed slices of 2^14 trials and
 freed within one call, so no array of it outlives the call; at the
 reference density (about 0.8 points per trial) its arrays peak at about
-2.5 MiB (tracemalloc). Where two cores are usable, two batches are in
+2.5 MiB (tracemalloc). A batch draws only the trials it serves: a run's
+last batch its remaining trials, trial_outcomes and sample_field those up
+to the last one they read. Each stream gives those trials the values a
+full batch gives them. Where two cores are usable, two batches are in
 flight: the calling thread and one helper thread each take the next
 batch index, and the per-batch counts are summed in batch order, so the
 number of threads cannot move a tally.
@@ -208,25 +212,27 @@ def _stream(seed: int, stream: int, batch: int) -> np.random.Generator:
 
 
 def _batch_points(
-    params: SystemParams, radius: float, seed: int, batch: int
+    params: SystemParams,
+    radius: float,
+    seed: int,
+    batch: int,
+    trials: int = _TRIALS_PER_BATCH,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and raw point attributes for one full batch of trials.
+    """Counts and raw point attributes for the first trials of a batch.
 
-    Returns (counts, attrs): counts has _TRIALS_PER_BATCH entries; attrs
-    has one row per point holding the three uniforms (radius, angle,
-    fading), trial after trial, each kept as drawn (see the module
-    docstring for a point at distance 0).
+    Returns (counts, attrs): counts has one entry per trial; attrs has
+    one row per point holding the three uniforms (radius, angle, fading),
+    trial after trial, each kept as drawn (see the module docstring for a
+    point at distance 0). Both are prefixes of the full batch's draws.
     """
     area_mean = params.lambda_e * math.pi * radius * radius
-    if area_mean * _TRIALS_PER_BATCH > 5e8:
+    if area_mean * trials > 5e8:
         raise NumericalError(
             "simulation window is too large for the point density",
             radius=radius,
             mean_points_per_trial=area_mean,
         )
-    counts = _stream(seed, _S_COUNTS, batch).poisson(
-        area_mean, size=_TRIALS_PER_BATCH
-    )
+    counts = _stream(seed, _S_COUNTS, batch).poisson(area_mean, size=trials)
     attrs = _stream(seed, _S_POINTS, batch).random((int(counts.sum()), 3))
     return counts, attrs
 
@@ -239,8 +245,8 @@ def _exponential(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.negative(gains, out=gains)
 
 
-def _link_gains(seed: int, batch: int) -> np.ndarray:
-    u = _stream(seed, _S_LINK, batch).random(_TRIALS_PER_BATCH)
+def _link_gains(seed: int, batch: int, trials: int = _TRIALS_PER_BATCH) -> np.ndarray:
+    u = _stream(seed, _S_LINK, batch).random(trials)
     return _exponential(u, out=u)
 
 
@@ -265,9 +271,8 @@ def sample_field(
     if trial_index < 0:
         raise DomainError(f"trial_index must be nonnegative, got {trial_index}")
     batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
-    counts, attrs = _batch_points(params, radius, seed, batch)
-    start = int(counts[:pos].sum())
-    rows = attrs[start : start + int(counts[pos])]
+    counts, attrs = _batch_points(params, radius, seed, batch, pos + 1)
+    rows = attrs[int(counts[:pos].sum()) :]
     radii, fading = _decode(radius, rows)
     angles = 2.0 * math.pi * rows[:, 1]
     points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
@@ -386,13 +391,18 @@ def _windows(
 
 
 def _batch_reductions(
-    params: SystemParams, radius: float, r_gs: Sequence[float], seed: int, batch: int
+    params: SystemParams,
+    radius: float,
+    r_gs: Sequence[float],
+    seed: int,
+    batch: int,
+    trials: int = _TRIALS_PER_BATCH,
 ) -> tuple[np.ndarray, ...]:
-    """The scene of one batch: per trial the nearest point distance and h,
-    then for each silence radius in r_gs (ascending, 0 allowed) the
-    strongest path gain over the points at distance >= it, which at 0 is
-    every point. Trial i owns the next counts[i] points."""
-    counts, attrs = _batch_points(params, radius, seed, batch)
+    """The scene of the first trials of a batch: per trial the nearest
+    point distance and h, then for each silence radius in r_gs (ascending,
+    0 allowed) the strongest path gain over the points at distance >= it,
+    which at 0 is every point. Trial i owns the next counts[i] points."""
+    counts, attrs = _batch_points(params, radius, seed, batch, trials)
     radii, path = _decode(radius, attrs)
     # the largest array of the batch; nothing reads it once decoded
     del attrs
@@ -400,23 +410,23 @@ def _batch_reductions(
     # infinite gain, which the ratios below handle
     with np.errstate(over="ignore", divide="ignore"):
         path *= radii**-params.alpha
-    index = np.repeat(np.arange(_TRIALS_PER_BATCH), counts)
+    index = np.repeat(np.arange(trials), counts)
     del counts
     outers = []
     # each radius drops the points inside it; ascending radii only add to
     # the points already dropped
     for r_g in r_gs:
         path[radii < r_g] = 0.0
-        outer = np.zeros(_TRIALS_PER_BATCH)
+        outer = np.zeros(trials)
         np.maximum.at(outer, index, path)
         outers.append(outer)
     # each point array goes as soon as nothing reads it, and all of them
     # before the link gains are drawn
     del path
-    nearest = np.full(_TRIALS_PER_BATCH, np.inf)
+    nearest = np.full(trials, np.inf)
     np.minimum.at(nearest, index, radii)
     del radii, index
-    return (nearest, _link_gains(seed, batch), *outers)
+    return (nearest, _link_gains(seed, batch, trials), *outers)
 
 
 def _eavesdropper_snr(
@@ -534,7 +544,7 @@ def _tallies(
 
     def run(batch: int) -> list[list[int]]:
         m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
-        nearest, h, *outers = _batch_reductions(params, radius, r_gs, cfg.seed, batch)
+        nearest, h, *outers = _batch_reductions(params, radius, r_gs, cfg.seed, batch, m)
         counts = [[0, 0, 0] for _ in designs]
         for start in range(0, m, _SLICE):
             piece = slice(start, min(start + _SLICE, m))
@@ -553,11 +563,9 @@ def _tallies(
                     total[2] += k_secure
         return counts
 
-    tallies = [[0, 0, 0] for _ in designs]
-    for counts in _in_batches(n_batches, run):
-        for total, batch_counts in zip(tallies, counts):
-            total[:] = [a + b for a, b in zip(total, batch_counts)]
-    return tallies
+    # each design's counts of every batch, summed in batch order
+    per_design = zip(*_in_batches(n_batches, run))
+    return [[sum(k) for k in zip(*counts)] for counts in per_design]
 
 
 def run_trials(
@@ -621,13 +629,17 @@ def trial_outcomes(
     found = {}
     batches = groupby(sorted(set(indices)), key=lambda i: i // _TRIALS_PER_BATCH)
     for batch, group in batches:
-        nearest, h, *outers = _batch_reductions(params, radius, r_gs, cfg.seed, batch)
+        positions = [i - batch * _TRIALS_PER_BATCH for i in group]
+        # the scene reaches only as far as the last trial read off it
+        nearest, h, *outers = _batch_reductions(
+            params, radius, r_gs, cfg.seed, batch, positions[-1] + 1
+        )
         active, secure = _secrecy_indicators(params, r_g, gamma, outers[-1], nearest)
         # snr_s is over every point, the maximum at radius 0
         snr_s = _eavesdropper_snr(params, gamma, outers[0])
         snr_p, covered = _coverage_indicators(params, d, gamma, h, active)
         columns = (active, snr_p, snr_s, covered, secure)
-        for i in group:
-            pos = i % _TRIALS_PER_BATCH
-            found[i] = TrialOutcome(*(column[pos].item() for column in columns))
+        for pos in positions:
+            outcome = TrialOutcome(*(column[pos].item() for column in columns))
+            found[batch * _TRIALS_PER_BATCH + pos] = outcome
     return [found[i] for i in indices]

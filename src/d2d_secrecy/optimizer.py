@@ -283,4 +283,14 @@ def critical_distance(params: SystemParams) -> CriticalDistance:
     else:
         exponent_ratio = params.lambda_e * math.pi * (r_star * r_star) / (1.0 - g)
     d_alpha = exponent_ratio * params.p_t * g / (params.beta_t * params.sigma2_p)
-    return CriticalDistance(d_star=d_alpha ** (1.0 / params.alpha))
+    if 0.0 < d_alpha < math.inf:
+        return CriticalDistance(d_star=d_alpha ** (1.0 / params.alpha))
+    # d*^alpha leaves the float range where d* need not: ln d* is the sum
+    # of the factors' logs, less the divisors', over alpha
+    if g == 1.0:
+        up, down = (2.0, 1.0 + params.beta_e, -math.log(params.epsilon)), (params.alpha,)
+    else:
+        up, down = (params.lambda_e, math.pi, r_star, r_star), (1.0 - g,)
+    logs = [math.log(x) for x in (*up, params.p_t, g)]
+    logs += [-math.log(x) for x in (*down, params.beta_t, params.sigma2_p)]
+    return CriticalDistance(d_star=math.exp(math.fsum(logs) / params.alpha))

@@ -5,7 +5,8 @@ formulas rather than the package's code (a = 2 / alpha), each at the
 caller's precision (`with mp.workdps(n):`), never setting a global one.
 REFERENCE is the CLI's defaults at d = 1; the frozen values are the
 routes there, which test_mpmath_oracle checks. VALIDATOR checks a report
-against the schema.
+against the schema, and report_points reads the closed forms a report
+printed, with the parameters and design of each.
 
 Kept apart on purpose: each module's hypothesis strategies draw its own
 domain, and one builder would branch on its caller; test_specfun's
@@ -17,6 +18,7 @@ would shadow that module for the tests that put bench/ on sys.path.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -70,13 +72,21 @@ def lambda_threshold(params):
             * _ratio(params, params.p_t) ** -a)
 
 
+def _exp_neg(x):
+    """e^-x for x >= 0, and 0 from x = 2^64 on: e^-x lies below 10^-(8e18)
+    there, and mpmath would work out its exponent to every digit, which
+    took over a minute at x = 1e9000 (a distance of 1e300 at alpha = 1e6
+    gives x near 1e300000000)."""
+    return mp.exp(-x) if x < 2**64 else mp.mpf(0)
+
+
 def p_active(params, r_g):
-    return mp.exp(-mp.mpf(params.lambda_e) * mp.pi * mp.mpf(r_g) ** 2)
+    return _exp_neg(mp.mpf(params.lambda_e) * mp.pi * mp.mpf(r_g) ** 2)
 
 
 def p_cov_an(params, gamma):
     fade = params.beta_t * mp.mpf(params.sigma2_p) * mp.mpf(params.d) ** params.alpha / params.p_t
-    return mp.exp(-fade / gamma)
+    return _exp_neg(fade / gamma)
 
 
 def p_cov_gz(params, r_g):
@@ -161,3 +171,36 @@ def selection(params, g, h=None):
     h_of_g = params.beta_e * mp.mpf(params.sigma2_s) / params.p_t * inner ** (alpha / 2)
     at = h_of_g if h is None else h
     return _log_eps(params) / secrecy_scale(params) - mp.gammainc(_order(params), at), h_of_g
+
+
+# the sweep-lambda row keys under the names of the routes above
+_RENAMED = {"f_at_d_star": "f_value", "p_sec": "p_sec_gz"}
+
+
+def report_points(report):
+    """(params, r_g, gamma, fields) for each point of a CLI JSON report: where
+    it was computed, and its closed forms under the names of the routes
+    above; a form the report leaves null is None, and other keys pass as
+    they are."""
+    given = report["params"]
+    params = SystemParams(**{**given, "d": given["d"] or 1.0})
+    r_g, gamma, fields = report.get("r_g_star"), report.get("gamma_star"), report
+    if report["command"] in ("analytic", "mc-validate"):
+        r_g, gamma = report["design"]["r_g"], report["design"]["gamma"]
+        tech = "gz" if gamma is None else "an"
+        forms = report
+        if "checks" in report:  # mc-validate: the analytic side of each check
+            forms = {name: check["analytic"] for name, check in report["checks"].items()}
+        fields = {"p_active": forms.get("p_active"), f"p_cov_{tech}": forms["p_cov"],
+                  f"p_sec_{tech}": forms["p_sec"]}
+    elif report["command"] == "optimize":
+        gz, an = report["guard_zone"], report["artificial_noise"]
+        r_g, gamma = gz["r_g_star"], an["gamma_star"]
+        fields = {"lambda_threshold": report["lambda_threshold"], "r_g_star": r_g,
+                  "gamma_star": gamma, "p_cov_gz": gz["p_cov"], "p_sec_gz": gz["p_sec"],
+                  "p_cov_an": an["p_cov"], "p_sec_an": an["p_sec"]}
+    return [(params, r_g, gamma, fields)] + [
+        (replace(params, d=row.get("d") or row.get("d_star") or 1.0,
+                 lambda_e=row.get("lambda_e", params.lambda_e)),
+         row["r_g_star"], row["gamma_star"], {_RENAMED.get(k, k): v for k, v in row.items()})
+        for row in report.get("rows", [])]

@@ -369,9 +369,9 @@ class TestSweepSharedScene:
         draws = []
         draw = montecarlo._batch_points
 
-        def counted(params, radius, seed, batch):
+        def counted(params, radius, seed, batch, *trials):
             draws.append((radius, batch))
-            return draw(params, radius, seed, batch)
+            return draw(params, radius, seed, batch, *trials)
 
         monkeypatch.setattr(montecarlo, "_batch_points", counted)
         return draws
@@ -431,6 +431,15 @@ class TestSweepLambda:
             # at the crossing the two coverage curves meet
             assert row["p_cov_gz"] == pytest.approx(row["p_cov_an"], abs=1e-9)
             assert row["p_sec"] == pytest.approx(0.9, abs=1e-9)
+
+    def test_critical_distance_where_its_power_overflows(self, capsys):
+        # d*^alpha overflows at d* = 2.54e77, which is no numerical failure
+        argv = ["sweep-lambda", "--pt", "100", "--grid-start", "1e305",
+                "--grid-stop", "1e305", "--grid-step", "1"]
+        code, report, _ = run_json(capsys, argv)
+        assert code == 0
+        [row] = report["rows"]
+        assert row["d_star"] == pytest.approx(2.5408417795406534e77, rel=1e-9)
 
     def test_rows_below_threshold_are_marked(self, capsys):
         code, report, _ = run_json(

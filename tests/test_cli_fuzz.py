@@ -6,11 +6,14 @@ density exactly, an empty field, gamma near 0 and 1, alpha near 2 and up
 to 1e6, distances up to 1e300. Whatever the inputs, a run exits 0, 2 or
 3; a successful run prints strict JSON that validates against the
 schema, or CSV with the declared header; a failed run prints nothing on
-stdout.
+stdout. Every activity and coverage probability a JSON report prints is
+within the model's stated tolerance of tests/oracle.py at the parameters
+and design the report gives. The secrecy forms, r_g*, d* and F are not
+yet checked here, as large alpha still moves them past their tolerance.
 
-A Monte-Carlo batch draws the points of all its trials at once, so a
-run keeps at most 5 expected points per trial inside its window (the
-guard below) and at most a few hundred trials.
+A Monte-Carlo batch draws the points of every trial it serves in one
+call, so a run keeps at most 5 expected points per trial inside its
+window (the guard below) and at most a few hundred trials.
 """
 
 import contextlib
@@ -20,18 +23,21 @@ import json
 import math
 from unittest import mock
 
+import mpmath as mp
 from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
 from d2d_secrecy import cli, montecarlo
 from d2d_secrecy.model import SystemParams
 from d2d_secrecy.optimizer import lambda_threshold
-from oracle import VALIDATOR
+import oracle
 
 # most expected eavesdroppers per trial a fuzzed simulation may draw
 MAX_POINTS_PER_TRIAL = 5.0
 MAX_TRIALS = 300
 # the options' defaults, for the threshold density of a draw
 DEFAULTS = {key: default for _, key, _, default, _ in cli._OPTIONS}
+# the closed forms checked against the oracle, each by its own route
+CHECKED_FORMS = ("p_active", "p_cov_gz", "p_cov_an")
 
 
 def _log_uniform(lo_exp, hi_exp):
@@ -135,10 +141,10 @@ class _TooManyPoints(Exception):
 _draw_points = montecarlo._batch_points
 
 
-def _bounded_batch_points(params, radius, seed, batch):
+def _bounded_batch_points(params, radius, seed, batch, *trials):
     if params.lambda_e * math.pi * radius * radius > MAX_POINTS_PER_TRIAL:
         raise _TooManyPoints
-    return _draw_points(params, radius, seed, batch)
+    return _draw_points(params, radius, seed, batch, *trials)
 
 
 def _run(argv):
@@ -158,6 +164,23 @@ def _strict(constant):
     raise ValueError(f"{constant} is not strict JSON")
 
 
+def _misses(report):
+    """The activity and coverage probabilities of a report that miss the
+    oracle by more than the model's tolerance, 1e-10 relative or 1e-12
+    absolute, at the point where each was computed."""
+    misses = []
+    with mp.workdps(30):
+        for params, r_g, gamma, fields in oracle.report_points(report):
+            for name in CHECKED_FORMS:
+                got = fields.get(name)
+                if got is None:
+                    continue
+                want = getattr(oracle, name)(params, gamma if name == "p_cov_an" else r_g)
+                if abs(got - want) > max(1e-10 * want, 1e-12):
+                    misses.append(f"{name}: {got!r} against {mp.nstr(want, 17)}")
+    return misses
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=invocations())
 # h = inf: a report value strict JSON cannot carry
@@ -170,6 +193,10 @@ def _strict(constant):
                "--alpha", "1e6"])
 @example(argv=["mc-validate", "--d", "0.6", "--gamma", "0.4", "--trials", "200",
                "--alpha", "500", "--seed", "1"])
+# each checked form at a value far from 0 and 1, so that a relative error
+# of 1e-9 exceeds the tolerance whatever the drawn examples
+@example(argv=["analytic", "--d", "1", "--r-g", "0.5"])
+@example(argv=["analytic", "--d", "0.6", "--gamma", "0.6"])
 def test_every_invocation_exits_cleanly(argv):
     code, out = _run(argv)
     assert code in (0, 2, 3)
@@ -178,7 +205,9 @@ def test_every_invocation_exits_cleanly(argv):
         return
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
     if fmt == "json":
-        VALIDATOR.validate(json.loads(out, parse_constant=_strict))
+        report = json.loads(out, parse_constant=_strict)
+        oracle.VALIDATOR.validate(report)
+        assert _misses(report) == []
     else:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == cli._header(cli._COMMANDS[argv[0]][1])

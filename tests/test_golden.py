@@ -7,18 +7,18 @@ subcommand plus the edge rows each report can emit (no distance given,
 no enhancement needed, no active Monte-Carlo trial, densities below and
 at the threshold). Monte-Carlo cases use few trials, so their figures
 pin the random stream; every closed-form number of the other cases is
-also checked against tests/oracle.py.
+also checked against tests/oracle.py. The schema must reject each golden
+report with one key deleted from any object, or an unknown key added to
+any, and sweep-d counts below their bounds.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from d2d_secrecy import cli
-from d2d_secrecy.model import SystemParams
 import oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -68,34 +68,8 @@ def test_stdout_matches_golden(capsys, name, argv, exit_code, fmt):
         oracle.VALIDATOR.validate(json.loads(out))
 
 
-# the cases that simulate nothing, so every number they print is a closed
-# form; and the sweep-lambda row keys under the names of the oracle's routes
+# the cases that simulate nothing, so every number they print is a closed form
 CLOSED_FORM_CASES = [name for name, argv, _ in CASES if not {"--mc", "--trials"} & set(argv)]
-RENAMED = {"f_at_d_star": "f_value", "p_sec": "p_sec_gz"}
-
-
-def _points(report):
-    """(params, r_g, gamma, fields) for each point of a report: where it was
-    computed, and its closed forms under the names of the oracle's routes."""
-    given = report["params"]
-    params = SystemParams(**{**given, "d": given["d"] or 1.0})
-    r_g, gamma, fields = report.get("r_g_star"), report.get("gamma_star"), report
-    if report["command"] == "analytic":
-        r_g, gamma = report["design"]["r_g"], report["design"]["gamma"]
-        tech = "gz" if gamma is None else "an"
-        fields = {"p_active": report["p_active"], f"p_cov_{tech}": report["p_cov"],
-                  f"p_sec_{tech}": report["p_sec"]}
-    elif report["command"] == "optimize":
-        gz, an = report["guard_zone"], report["artificial_noise"]
-        r_g, gamma = gz["r_g_star"], an["gamma_star"]
-        fields = {"lambda_threshold": report["lambda_threshold"], "r_g_star": r_g,
-                  "gamma_star": gamma, "p_cov_gz": gz["p_cov"], "p_sec_gz": gz["p_sec"],
-                  "p_cov_an": an["p_cov"], "p_sec_an": an["p_sec"]}
-    return [(params, r_g, gamma, fields)] + [
-        (replace(params, d=row.get("d") or row.get("d_star") or 1.0,
-                 lambda_e=row.get("lambda_e", params.lambda_e)),
-         row["r_g_star"], row["gamma_star"], {RENAMED.get(k, k): v for k, v in row.items()})
-        for row in report.get("rows", [])]
 
 
 def _misses(params, r_g, gamma, fields):
@@ -148,4 +122,57 @@ def _misses(params, r_g, gamma, fields):
 def test_closed_forms_match_oracle(name):
     report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     with mp.workdps(30):
-        assert [miss for point in _points(report) for miss in _misses(*point)] == []
+        points = oracle.report_points(report)
+        assert [miss for point in points for miss in _misses(*point)] == []
+
+
+def _objects(node, path=()):
+    """(path, object) for every JSON object within node, node included."""
+    if isinstance(node, dict):
+        yield path, node
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _objects(child, (*path, key))
+
+
+def _at(report, path):
+    for key in path:
+        report = report[key]
+    return report
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CASES])
+def test_schema_requires_exactly_the_keys_written(name):
+    report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    # one row of each shape (the type of each value) is mutated, within a
+    # report of that one row: the schema treats rows of a shape alike
+    rows = report.get("rows", [])
+    shapes = {tuple((key, type(value)) for key, value in row.items()): row for row in rows}
+    accepted = []
+    for view in [{**report, "rows": [row]} for row in shapes.values()] or [report]:
+        text = json.dumps(view)
+        for path, node in _objects(view):
+            # only the guard zone reports a p_active check
+            optional = {"p_active"} if path == ("checks",) else set()
+            for key in [*node.keys() - optional, "unknown"]:
+                mutant = json.loads(text)
+                target = _at(mutant, path)
+                if key in target:
+                    del target[key]
+                else:
+                    target[key] = 0.5
+                if oracle.VALIDATOR.is_valid(mutant):
+                    accepted.append((*path, key))
+    assert accepted == []
+
+
+@pytest.mark.parametrize("key, value", [("mc_trials", 0), ("mc_trials", -1), ("seed", -1)])
+def test_schema_bounds_sweep_d_counts(key, value):
+    report = json.loads((GOLDEN / "sweep-d.json").read_text(encoding="utf-8"))
+    assert oracle.VALIDATOR.is_valid(report)
+    report[key] = value
+    assert not oracle.VALIDATOR.is_valid(report)

@@ -322,6 +322,14 @@ class TestArtificialNoiseTrials:
         result = run_an_trials(params, NoiseSplitDesign(gamma=1.0), cfg)
         assert agrees(result.p_cov, math.exp(-2.0))
 
+    def test_link_is_always_active(self):
+        # p_active is the kernel's all-active tally, and the whole record
+        # is the guard zone's without a guard radius on the same scenes
+        cfg = TrialConfig(n_trials=20_000, seed=3)
+        an = run_an_trials(BASE, NoiseSplitDesign(gamma=1.0), cfg)
+        assert (an.p_active.mean, an.p_active.n_effective) == (1.0, 20_000)
+        assert an == run_gz_trials(BASE, GuardZoneDesign(r_g=0.0), cfg)
+
     def test_rejects_zero_split(self):
         cfg = TrialConfig(n_trials=100, seed=1)
         with pytest.raises(DomainError):
@@ -373,9 +381,9 @@ class TestSharedScene:
         draws = []
         draw = mc._batch_points
 
-        def counted(params, radius, seed, batch):
+        def counted(params, radius, seed, batch, *trials):
             draws.append(radius)
-            return draw(params, radius, seed, batch)
+            return draw(params, radius, seed, batch, *trials)
 
         monkeypatch.setattr(mc, "_batch_points", counted)
         shared = mc.run_trials(BASE, designs, cfg)
@@ -384,6 +392,34 @@ class TestSharedScene:
         for (d, design), estimates in zip(designs, shared):
             run = run_gz_trials if isinstance(design, GuardZoneDesign) else run_an_trials
             assert estimates == run(replace(BASE, d=d), design, cfg)
+
+
+class TestPartialBatch:
+    # a run's last batch, trial_outcomes and sample_field draw only the
+    # trials they read, and every stream gives those trials the values
+    # the full batch gives them
+
+    @pytest.mark.parametrize("lambda_e", [0.1, 3.0])
+    def test_scene_of_m_trials_is_the_full_scene_prefix(self, lambda_e):
+        params = replace(BASE, lambda_e=lambda_e)
+        radius = auto_window_radius(params)
+        r_gs = [0.0, 0.5, R_G_STAR]
+        full = mc._batch_reductions(params, radius, r_gs, 11, 2)
+        for m in (1, 17, 18_928, (1 << 16) - 1):
+            part = mc._batch_reductions(params, radius, r_gs, 11, 2, m)
+            assert len(part) == len(full)
+            for column, whole in zip(part, full):
+                assert column.tobytes() == whole[:m].tobytes()
+
+    def test_guard_counts_only_the_trials_drawn(self):
+        # 1e4 points per trial: a whole batch would exceed the 5e8 points
+        # a call may draw, the one trial sample_field reads does not
+        params = replace(BASE, lambda_e=1e4 / math.pi)
+        with pytest.raises(NumericalError, match="too large"):
+            mc._batch_points(params, 1.0, 3, 0)
+        field = sample_field(params, 1.0, trial_index=0, seed=3)
+        counts, _ = mc._batch_points(params, 1.0, 3, 0, 1)
+        assert len(field.fading) == counts[0] > 9_000
 
 
 class TestTwoBatchesInFlight:
@@ -400,14 +436,14 @@ class TestTwoBatchesInFlight:
         seen = set()
         reductions = mc._batch_reductions
 
-        def met(params, radius, r_gs, seed, batch):
+        def met(params, radius, r_gs, seed, batch, *trials):
             thread = threading.current_thread()
             if len(seen) < 2 and thread not in seen:
                 seen.add(thread)
                 barrier.wait()
                 if raise_in_helper and thread is not threading.main_thread():
                     raise NumericalError("the helper's batch failed", batch=batch)
-            return reductions(params, radius, r_gs, seed, batch)
+            return reductions(params, radius, r_gs, seed, batch, *trials)
 
         monkeypatch.setattr(mc, "_batch_reductions", met)
         return seen
@@ -461,10 +497,10 @@ class TestTwoBatchesInFlight:
         # batch 3 of 6 fails, in whichever thread takes it
         reductions = mc._batch_reductions
 
-        def failing(params, radius, r_gs, seed, batch):
+        def failing(params, radius, r_gs, seed, batch, *trials):
             if batch == 3:
                 raise NumericalError("batch 3 failed")
-            return reductions(params, radius, r_gs, seed, batch)
+            return reductions(params, radius, r_gs, seed, batch, *trials)
 
         monkeypatch.setattr(mc, "_batch_reductions", failing)
         monkeypatch.setattr(mc, "_WORKERS", 2)
@@ -570,8 +606,8 @@ class TestTrialOutcomes:
         # is inf, like an overflowed one, and the run raises no warning
         real = mc._batch_points
 
-        def with_origin_point(params, radius, seed, batch):
-            counts, attrs = real(params, radius, seed, batch)
+        def with_origin_point(params, radius, seed, batch, *trials):
+            counts, attrs = real(params, radius, seed, batch, *trials)
             if batch == 0:
                 attrs[0, 0] = 0.0
             return counts, attrs

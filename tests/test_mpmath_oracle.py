@@ -198,6 +198,29 @@ def test_guard_radius_where_its_power_underflows():
     assert abs(r_got - r_want) <= 1e-9 * r_want
 
 
+_HIGH_POWER = replace(oracle.REFERENCE, p_t=100.0)
+_TINY_BETA_T = replace(oracle.REFERENCE, beta_t=1e-300, sigma2_p=1e-10)
+
+
+@pytest.mark.parametrize(
+    "params, route",
+    [
+        (replace(_HIGH_POWER, lambda_e=1e305), oracle.critical_distance),
+        (replace(_HIGH_POWER, lambda_e=1e307), oracle.critical_distance),
+        # at the threshold density d* is the limit of its closed form
+        (replace(_TINY_BETA_T, lambda_e=lambda_threshold(_TINY_BETA_T)),
+         oracle.threshold_limit),
+    ],
+    ids=["1e305", "1e307", "threshold"],
+)
+def test_critical_distance_where_its_power_overflows(params, route):
+    # d* is 2.54e77, 8.04e77 and 1.80e77 (mpmath), but d*^alpha overflows
+    with mp.workdps(40):
+        d_want = route(params)
+    d_got = critical_distance(params).d_star
+    assert abs(d_got - d_want) <= 1e-9 * d_want
+
+
 def test_frozen_values_match_their_routes():
     # each frozen value of the oracle is its mpmath route, to 1e-12 relative
     short = replace(oracle.REFERENCE, d=0.6)
