@@ -609,19 +609,20 @@ _KEEP_FREED_BYTES = 32 << 20
 
 
 def _keep_freed_memory() -> None:
-    """Let glibc reuse the Monte-Carlo batch arrays instead of unmapping them.
+    """Let glibc reuse the Monte-Carlo slice arrays instead of unmapping them.
 
-    Every batch of trials frees its arrays and allocates them again: at
-    peak about 2.5 MiB at the reference density (0.8 points per trial) and
-    73 MiB at lambda_e = 3, with up to two batches in flight at once. By
-    default glibc returns that memory to the kernel after each batch and
-    faults it back in, zeroed, for the next. Without this call, on fresh
-    processes (medians of two sets of 16 interleaved pairs, 2 cores),
-    `mc-validate --d 0.6 --r-g 0.789 --trials 2000000` (31 batches) took
-    26 000 minor page faults instead of 6 400, 0.071 s of system time
-    instead of 0.026-0.036 s and 6-8% more wall time (slower in 25 of 32
-    pairs); `sweep-d --mc 150000` (3 batches) took 8 500 faults instead
-    of 6 600, with no wall-time difference resolved (slower in 19 of 32).
+    Every slice of a batch frees its arrays and allocates them again,
+    with up to two batches in flight at once. Since batches are walked in
+    slices, those arrays peak below 1 MiB at up to 25 000 points per trial (a
+    whole batch took 2.5 MiB at the reference density of 0.8 points per
+    trial and 73 MiB at lambda_e = 3), but by default glibc still returns
+    freed memory to the kernel and faults it back in, zeroed, for the
+    next slice. Without this call, on fresh processes (2 cores), 12 extra
+    batches of `mc-validate --d 0.6 --r-g 0.79` (16 against 4) took about
+    1 000 more minor page faults instead of about 25 (medians of 5
+    interleaved pairs). When batches were drawn whole, the same call
+    halved the system time of `mc-validate --d 0.6 --r-g 0.789 --trials
+    2000000` and saved 6-8% of its wall time.
     Allocations below 32 MB now come from the heap, and the heap shrinks
     only past 32 MB free at its top.
     The setting is process-wide, so only the CLI makes it; where mallopt

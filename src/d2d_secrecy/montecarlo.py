@@ -23,16 +23,23 @@ every d of that family, and coverage once per design. trial_outcomes
 reads single trials off the same arrays and expressions, so per-trial
 outcomes sum exactly to the batch tallies.
 
-A batch is drawn, reduced, tallied over fixed slices of 2^14 trials and
-freed within one call, so no array of it outlives the call; at the
-reference density (about 0.8 points per trial) its arrays peak at about
-2.5 MiB (tracemalloc). A batch draws only the trials it serves: a run's
-last batch its remaining trials, trial_outcomes and sample_field those up
-to the last one they read. Each stream gives those trials the values a
-full batch gives them. Where two cores are usable, two batches are in
-flight: the calling thread and one helper thread each take the next
-batch index, and the per-batch counts are summed in batch order, so the
-number of threads cannot move a tally.
+A batch is walked in slices of at most 2^13 trials, and fewer where a
+trial's expected point count exceeds 1, so that a slice expects at most
+2^13 points unless a single trial does; a trial that expects more than
+2^22 raises NumericalError. Each slice is drawn, reduced and tallied
+before the next is drawn, by continuing the batch's generators, so no
+array outlives its slice: one run's arrays peak below 1 MiB
+(tracemalloc) at up to 25 000 points per trial, where drawing each batch
+whole took 2.5 MiB at the reference density (about 0.8 points per trial)
+and 73 MiB at 29 points per trial. A batch draws only the trials it
+serves: a run's last batch its remaining trials, trial_outcomes and
+sample_field those up to the last one they read. Draws continued from
+one generator give the values one large draw gives, so each stream gives
+those trials the values a full batch gives them, however the batch is
+sliced. Where two cores are usable, two batches are in flight: the
+calling thread and one helper thread each take the next batch index, and
+the per-batch counts are summed in batch order, so the number of threads
+cannot move a tally.
 
 Guard-zone secrecy is defined given an active link, that is, given no
 eavesdropper inside r_g. A Poisson process is independent on disjoint
@@ -67,7 +74,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections.abc import Callable, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -98,8 +106,11 @@ __all__ = [
 ]
 
 _TRIALS_PER_BATCH = 1 << 16
-# trials per slice of a batch's scene that the indicators are taken over
-_SLICE = 1 << 14
+# most trials, and most expected points, of one slice of a batch
+_SLICE = 1 << 13
+# most expected points one call may draw, 96 MiB of uniforms; a slice
+# exceeds it only where a single trial does
+_MAX_SLICE_POINTS = 1 << 22
 # stream ids for the counter-based generators
 _S_COUNTS, _S_POINTS, _S_LINK = range(3)
 # window used when the field is empty anyway
@@ -211,29 +222,58 @@ def _stream(seed: int, stream: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
+def _streams(seed: int, batch: int) -> tuple[np.random.Generator, ...]:
+    """The batch's generators of point counts, point attributes and link
+    gains, in stream-id order; each slice of the batch continues them."""
+    return (
+        _stream(seed, _S_COUNTS, batch),
+        _stream(seed, _S_POINTS, batch),
+        _stream(seed, _S_LINK, batch),
+    )
+
+
+def _mean_points(params: SystemParams, radius: float) -> float:
+    """Expected number of points per trial on a disk of this radius."""
+    return params.lambda_e * math.pi * radius * radius
+
+
+def _slices(params: SystemParams, radius: float, trials: int) -> Iterator[range]:
+    """The trial positions of each slice the first trials of a batch are
+    walked in, in order: _SLICE trials, or where a trial's expected point
+    count m exceeds 1, _SLICE // m of them, but at least one."""
+    area_mean = _mean_points(params, radius)
+    step = max(1, int(_SLICE // area_mean)) if area_mean > 1.0 else _SLICE
+    for start in range(0, trials, step):
+        yield range(start, min(start + step, trials))
+
+
 def _batch_points(
     params: SystemParams,
     radius: float,
     seed: int,
     batch: int,
     trials: int = _TRIALS_PER_BATCH,
+    streams: tuple[np.random.Generator, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and raw point attributes for the first trials of a batch.
+    """Counts and raw point attributes of the next trials of a batch.
 
     Returns (counts, attrs): counts has one entry per trial; attrs has
     one row per point holding the three uniforms (radius, angle, fading),
     trial after trial, each kept as drawn (see the module docstring for a
-    point at distance 0). Both are prefixes of the full batch's draws.
+    point at distance 0). The draws continue the batch's streams; without
+    them they start afresh, so they are the batch's first trials.
     """
-    area_mean = params.lambda_e * math.pi * radius * radius
-    if area_mean * trials > 5e8:
+    area_mean = _mean_points(params, radius)
+    # a non-finite mean fails the comparison too
+    if not area_mean * trials <= _MAX_SLICE_POINTS:
         raise NumericalError(
             "simulation window is too large for the point density",
             radius=radius,
             mean_points_per_trial=area_mean,
         )
-    counts = _stream(seed, _S_COUNTS, batch).poisson(area_mean, size=trials)
-    attrs = _stream(seed, _S_POINTS, batch).random((int(counts.sum()), 3))
+    counts_rng, points_rng, _ = _streams(seed, batch) if streams is None else streams
+    counts = counts_rng.poisson(area_mean, size=trials)
+    attrs = points_rng.random((int(counts.sum()), 3))
     return counts, attrs
 
 
@@ -245,8 +285,16 @@ def _exponential(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.negative(gains, out=gains)
 
 
-def _link_gains(seed: int, batch: int, trials: int = _TRIALS_PER_BATCH) -> np.ndarray:
-    u = _stream(seed, _S_LINK, batch).random(trials)
+def _link_gains(
+    seed: int,
+    batch: int,
+    trials: int = _TRIALS_PER_BATCH,
+    streams: tuple[np.random.Generator, ...] | None = None,
+) -> np.ndarray:
+    """Link gains h of the next trials of a batch; without the batch's
+    streams, of its first trials."""
+    link_rng = _stream(seed, _S_LINK, batch) if streams is None else streams[_S_LINK]
+    u = link_rng.random(trials)
     return _exponential(u, out=u)
 
 
@@ -271,8 +319,11 @@ def sample_field(
     if trial_index < 0:
         raise DomainError(f"trial_index must be nonnegative, got {trial_index}")
     batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
-    counts, attrs = _batch_points(params, radius, seed, batch, pos + 1)
-    rows = attrs[int(counts[:pos].sum()) :]
+    streams = _streams(seed, batch)
+    for piece in _slices(params, radius, pos + 1):
+        counts, attrs = _batch_points(params, radius, seed, batch, len(piece), streams)
+    # the trial is the last one of the last slice
+    rows = attrs[int(counts[:-1].sum()) :]
     radii, fading = _decode(radius, rows)
     angles = 2.0 * math.pi * rows[:, 1]
     points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
@@ -397,14 +448,16 @@ def _batch_reductions(
     seed: int,
     batch: int,
     trials: int = _TRIALS_PER_BATCH,
+    streams: tuple[np.random.Generator, ...] | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """The scene of the first trials of a batch: per trial the nearest
+    """The scene of the next trials of a batch, drawn by continuing its
+    streams (without them, of its first trials): per trial the nearest
     point distance and h, then for each silence radius in r_gs (ascending,
     0 allowed) the strongest path gain over the points at distance >= it,
     which at 0 is every point. Trial i owns the next counts[i] points."""
-    counts, attrs = _batch_points(params, radius, seed, batch, trials)
+    counts, attrs = _batch_points(params, radius, seed, batch, trials, streams)
     radii, path = _decode(radius, attrs)
-    # the largest array of the batch; nothing reads it once decoded
+    # the largest array of the slice; nothing reads it once decoded
     del attrs
     # a point at distance 0, like a gain past the float range, is an
     # infinite gain, which the ratios below handle
@@ -426,7 +479,24 @@ def _batch_reductions(
     nearest = np.full(trials, np.inf)
     np.minimum.at(nearest, index, radii)
     del radii, index
-    return (nearest, _link_gains(seed, batch, trials), *outers)
+    return (nearest, _link_gains(seed, batch, trials, streams), *outers)
+
+
+def _scenes(
+    params: SystemParams,
+    radius: float,
+    r_gs: Sequence[float],
+    seed: int,
+    batch: int,
+    trials: int,
+) -> Iterator[tuple[range, tuple[np.ndarray, ...]]]:
+    """(positions, scene) of each slice of the first trials of a batch, in
+    order; each slice is drawn only once the one before it is read."""
+    streams = _streams(seed, batch)
+    for piece in _slices(params, radius, trials):
+        yield piece, _batch_reductions(
+            params, radius, r_gs, seed, batch, len(piece), streams
+        )
 
 
 def _eavesdropper_snr(
@@ -459,13 +529,14 @@ def _secrecy_indicators(
     return active, _eavesdropper_snr(params, gamma, outer) <= params.beta_e
 
 
-def _coverage_indicators(
-    params: SystemParams, d: float, gamma: float, h: np.ndarray, active: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(snr_p, covered) per trial at link distance d and signal fraction
-    gamma, for the active trials given."""
-    snr_p = gamma * params.p_t * h * _power(d, -params.alpha) / params.sigma2_p
-    return snr_p, active & (snr_p >= params.beta_t)
+def _received(params: SystemParams, gamma: float, h: np.ndarray) -> np.ndarray:
+    """Signal power per trial at signal fraction gamma, before path loss."""
+    return gamma * params.p_t * h
+
+
+def _link_snr(params: SystemParams, d: float, received: np.ndarray) -> np.ndarray:
+    """The receiver's ratio snr_p at link distance d of the powers given."""
+    return received * _power(d, -params.alpha) / params.sigma2_p
 
 
 def _usable_cores() -> int:
@@ -527,13 +598,12 @@ def _tallies(
     """Counts of active, covered and secure trials for each (d, r_g,
     gamma) design, all on the scene stream of one window radius.
 
-    Each batch's scene is built and tallied within one call, so no array
-    of the batch outlives it, and every design is read off it over fixed
-    slices, so that the indicators' temporaries stay small beside the
-    scene. Activity and secrecy are computed once per (r_g, gamma) family
-    and slice; only coverage is computed per design. Batches run as
-    _in_batches schedules them, and their counts are summed in batch
-    order.
+    Each slice of a batch is drawn, reduced and tallied before the next
+    one is drawn, so no array outlives its slice. Activity and secrecy
+    are computed once per (r_g, gamma) family and slice, and so is the
+    received power of the active trials; each design then costs one
+    ratio and one comparison per active trial. Batches run as _in_batches
+    schedules them, and their counts are summed in batch order.
     """
     r_gs = sorted({r_g for _, r_g, _ in designs})
     families: dict[tuple[float, float], list[int]] = {}
@@ -544,22 +614,18 @@ def _tallies(
 
     def run(batch: int) -> list[list[int]]:
         m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
-        nearest, h, *outers = _batch_reductions(params, radius, r_gs, cfg.seed, batch, m)
         counts = [[0, 0, 0] for _ in designs]
-        for start in range(0, m, _SLICE):
-            piece = slice(start, min(start + _SLICE, m))
+        for _, (nearest, h, *outers) in _scenes(params, radius, r_gs, cfg.seed, batch, m):
             for (r_g, gamma), members in families.items():
-                outer = outers[r_gs.index(r_g)][piece]
-                active, secure = _secrecy_indicators(
-                    params, r_g, gamma, outer, nearest[piece]
-                )
+                outer = outers[r_gs.index(r_g)]
+                active, secure = _secrecy_indicators(params, r_g, gamma, outer, nearest)
                 k_active, k_secure = (int(np.count_nonzero(x)) for x in (active, secure))
+                received = _received(params, gamma, h[active])
                 for i in members:
-                    d = designs[i][0]
-                    covered = _coverage_indicators(params, d, gamma, h[piece], active)[1]
+                    snr_p = _link_snr(params, designs[i][0], received)
                     total = counts[i]
                     total[0] += k_active
-                    total[1] += int(np.count_nonzero(covered))
+                    total[1] += int(np.count_nonzero(snr_p >= params.beta_t))
                     total[2] += k_secure
         return counts
 
@@ -617,8 +683,8 @@ def trial_outcomes(
 ) -> list[TrialOutcome]:
     """Indicator views of the trials at indices, in that order.
 
-    Each batch the indices reach is built once, and each trial is read
-    off the same scene and indicator arrays run_gz_trials /
+    Each slice the indices reach is built once, and each trial is read
+    off the same scene and indicator expressions run_gz_trials /
     run_an_trials tally, so the outcomes sum exactly to their tallies.
     """
     if any(i < 0 for i in indices):
@@ -630,16 +696,20 @@ def trial_outcomes(
     batches = groupby(sorted(set(indices)), key=lambda i: i // _TRIALS_PER_BATCH)
     for batch, group in batches:
         positions = [i - batch * _TRIALS_PER_BATCH for i in group]
-        # the scene reaches only as far as the last trial read off it
-        nearest, h, *outers = _batch_reductions(
-            params, radius, r_gs, cfg.seed, batch, positions[-1] + 1
-        )
-        active, secure = _secrecy_indicators(params, r_g, gamma, outers[-1], nearest)
-        # snr_s is over every point, the maximum at radius 0
-        snr_s = _eavesdropper_snr(params, gamma, outers[0])
-        snr_p, covered = _coverage_indicators(params, d, gamma, h, active)
-        columns = (active, snr_p, snr_s, covered, secure)
-        for pos in positions:
-            outcome = TrialOutcome(*(column[pos].item() for column in columns))
-            found[batch * _TRIALS_PER_BATCH + pos] = outcome
+        # the scenes reach only as far as the last trial read off them
+        scenes = _scenes(params, radius, r_gs, cfg.seed, batch, positions[-1] + 1)
+        for piece, (nearest, h, *outers) in scenes:
+            first = bisect_left(positions, piece.start)
+            read = positions[first : bisect_left(positions, piece.stop)]
+            if not read:
+                continue
+            active, secure = _secrecy_indicators(params, r_g, gamma, outers[-1], nearest)
+            # snr_s is over every point, the maximum at radius 0
+            snr_s = _eavesdropper_snr(params, gamma, outers[0])
+            snr_p = _link_snr(params, d, _received(params, gamma, h))
+            covered = active & (snr_p >= params.beta_t)
+            columns = (active, snr_p, snr_s, covered, secure)
+            for pos in read:
+                outcome = TrialOutcome(*(c[pos - piece.start].item() for c in columns))
+                found[batch * _TRIALS_PER_BATCH + pos] = outcome
     return [found[i] for i in indices]

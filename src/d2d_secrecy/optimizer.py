@@ -48,6 +48,7 @@ from .model import (
     p_sec_gz,
     secrecy_scale,
 )
+from .errors import NumericalError
 from .specfun import (
     complete_gamma,
     upper_incomplete_gamma,
@@ -220,6 +221,9 @@ def _selection_f(params: SystemParams, g: float) -> tuple[float, float]:
             / params.p_t
             * _power(inner, params.alpha / 2.0)
         )
+        # inner is inf / inf at a huge density
+        if not h >= 0.0:
+            raise NumericalError(f"selection argument h = {h} is not a nonnegative float")
     target = -math.log(params.epsilon) / secrecy_scale(params)
     return target - upper_incomplete_gamma(a, h), h
 

@@ -362,26 +362,30 @@ class TestSweepD:
 
 class TestSweepSharedScene:
     # sweep-d --mc simulates all its designs on one scene stream per window
-    # radius, so each batch is drawn once per window, not once per design
+    # radius, so each slice of a batch is drawn once per window, not once
+    # per design
 
     @staticmethod
     def _count_draws(monkeypatch):
         draws = []
         draw = montecarlo._batch_points
 
-        def counted(params, radius, seed, batch, *trials):
-            draws.append((radius, batch))
-            return draw(params, radius, seed, batch, *trials)
+        def counted(params, radius, seed, batch, trials, *streams):
+            draws.append((radius, batch, trials))
+            return draw(params, radius, seed, batch, trials, *streams)
 
         monkeypatch.setattr(montecarlo, "_batch_points", counted)
         return draws
 
     def test_each_batch_drawn_once(self, capsys, monkeypatch):
-        # 29 rows, 58 designs and 150 000 trials: three batches of 65 536
+        # 29 rows, 58 designs and 150 000 trials on one window: batches of
+        # 65 536, 65 536 and 18 928 trials, in slices of 8 192
         draws = self._count_draws(monkeypatch)
         assert cli.main(["sweep-d", "--mc", "150000"]) == 0
         capsys.readouterr()
-        assert len(draws) == 3
+        assert len({radius for radius, _, _ in draws}) == 1
+        slices = [(0, 8192)] * 8 + [(1, 8192)] * 8 + [(2, 2544)] + [(2, 8192)] * 2
+        assert sorted((batch, trials) for _, batch, trials in draws) == slices
 
     @pytest.mark.parametrize("epsilon, windows", [("0.9", 1), ("0.99999", 2)])
     def test_rows_equal_single_design_runs(self, capsys, monkeypatch, epsilon, windows):
@@ -401,8 +405,14 @@ class TestSweepSharedScene:
                 "--seed", "4",
             ],
         )
-        # two batches per window, the second one partly used
-        assert len(draws) == 2 * len({radius for radius, _ in draws}) == 2 * windows
+        # per window, batch 0 in 8 slices of 8 192 trials and batch 1,
+        # partly used, in one of 4 464
+        per_window = [(0, 8192)] * 8 + [(1, 4464)]
+        radii = {radius for radius, _, _ in draws}
+        assert len(radii) == windows
+        for window in radii:
+            drawn = [(batch, trials) for radius, batch, trials in draws if radius == window]
+            assert sorted(drawn) == per_window
         params = replace(oracle.REFERENCE, epsilon=float(epsilon))
         cfg = montecarlo.TrialConfig(n_trials=70000, seed=4)
         for row in report["rows"]:
@@ -746,6 +756,16 @@ class TestOutputPlumbing:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "not a finite float" in captured.err
+
+    def test_selection_argument_overflow_exits_3(self, capsys):
+        # at d* = 8.04e77, beta_t * sigma2_p * d^alpha and lambda_e * pi *
+        # p_t are both inf, so the selection argument h is nan
+        argv = ["sweep-lambda", "--pt", "100", "--grid-start", "1e307",
+                "--grid-stop", "1e307", "--grid-step", "1"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: selection argument h = nan is not a nonnegative float\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(

@@ -11,8 +11,9 @@ within the model's stated tolerance of tests/oracle.py at the parameters
 and design the report gives. The secrecy forms, r_g*, d* and F are not
 yet checked here, as large alpha still moves them past their tolerance.
 
-A Monte-Carlo batch draws the points of every trial it serves in one
-call, so a run keeps at most 5 expected points per trial inside its
+A Monte-Carlo run's memory grows with the density only where a single
+trial expects more than 2^13 points, but its time grows with the points
+it draws, so a run keeps at most 5 expected points per trial inside its
 window (the guard below) and at most a few hundred trials.
 """
 

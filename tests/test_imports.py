@@ -103,6 +103,17 @@ def test_package_import_defers_numpy_to_first_simulation():
     }
 
 
+def test_montecarlo_import_loads_no_numpy_random():
+    # numpy.random adds about 6 MB resident; a process that imports the
+    # simulation but draws nothing, such as the benchmark's design-grid
+    # worker, must not load it, so no module-level code may touch it
+    probe = (
+        "import sys, d2d_secrecy.cli, d2d_secrecy.montecarlo; "
+        "print('numpy.random' in sys.modules)"
+    )
+    assert _fresh(["-c", probe]).stdout.strip() == "False"
+
+
 def _imported_modules(tree, into_functions):
     # absolute name of each module an import statement names, relative
     # ones resolved against the package

@@ -367,7 +367,8 @@ class TestSharedScene:
     def test_every_design_equals_its_own_run(self, monkeypatch):
         # designs at several distances and guard radii, out of order; all
         # but r_g = 1.7 fit the auto window (1.59), so two windows are
-        # drawn, two batches each, and each estimate is that design's own
+        # drawn, each slice of two batches once per window, and each
+        # estimate is that design's own
         cfg = TrialConfig(n_trials=70_000, seed=21)
         designs = [
             (0.6, GuardZoneDesign(r_g=1.0)),
@@ -381,13 +382,19 @@ class TestSharedScene:
         draws = []
         draw = mc._batch_points
 
-        def counted(params, radius, seed, batch, *trials):
-            draws.append(radius)
-            return draw(params, radius, seed, batch, *trials)
+        def counted(params, radius, seed, batch, trials, *streams):
+            draws.append((radius, batch, trials))
+            return draw(params, radius, seed, batch, trials, *streams)
 
         monkeypatch.setattr(mc, "_batch_points", counted)
         shared = mc.run_trials(BASE, designs, cfg)
-        assert len(draws) == 4 and len(set(draws)) == 2
+        # batch 0 in 8 slices of 8 192 trials, batch 1 in one of 4 464
+        per_window = sorted([(0, 8192)] * 8 + [(1, 4464)])
+        windows = {radius for radius, _, _ in draws}
+        assert len(windows) == 2
+        for window in windows:
+            drawn = [(batch, trials) for radius, batch, trials in draws if radius == window]
+            assert sorted(drawn) == per_window
         monkeypatch.undo()
         for (d, design), estimates in zip(designs, shared):
             run = run_gz_trials if isinstance(design, GuardZoneDesign) else run_an_trials
@@ -528,11 +535,10 @@ class TestTwoBatchesInFlight:
 
 
 class TestBatchMemory:
-    # every array of a batch is drawn, reduced, tallied and freed within
-    # one call. One batch at the reference density (about 0.8 points per
-    # trial) peaks at about 2.5 MiB, 2.7 MiB for the 58 designs of
-    # sweep-d, while its points are decoded; the raw point uniforms
-    # (1.2 MiB) kept alive past their decoding pass 3 MiB
+    # every array of a slice is drawn, reduced, tallied and freed before
+    # the next slice is drawn, and a slice holds at most 2^13 trials and
+    # about 2^13 expected points, so one run's peak does not grow with the
+    # density: about 0.3-1 MiB from 0.8 to 25 000 points per trial
 
     # the default sweep-d grid 0.1 .. 1.5, with both optima per distance
     SWEEP_D = [
@@ -542,27 +548,30 @@ class TestBatchMemory:
     ]
 
     @pytest.mark.parametrize(
-        "designs",
+        "lambda_e, n_trials, designs",
         [
-            [(BASE.d, GuardZoneDesign(r_g=R_G_STAR))],
-            [(BASE.d, NoiseSplitDesign(gamma=GAMMA_STAR))],
-            SWEEP_D,
+            (0.1, 1 << 16, [(BASE.d, GuardZoneDesign(r_g=R_G_STAR))]),
+            (0.1, 1 << 16, [(BASE.d, NoiseSplitDesign(gamma=GAMMA_STAR))]),
+            (0.1, 1 << 16, SWEEP_D),
+            (3.0, 1 << 16, [(BASE.d, GuardZoneDesign(r_g=1.3281047314704306))]),
+            (2000.0, 50, [(BASE.d, GuardZoneDesign(r_g=0.5))]),
         ],
-        ids=["gz", "an", "sweep-d"],
+        ids=["gz", "an", "sweep-d", "gz-lambda-3", "gz-lambda-2000"],
     )
-    def test_one_batch_peaks_below_3_mib(self, monkeypatch, designs):
+    def test_one_run_peaks_below_2_mib(self, monkeypatch, lambda_e, n_trials, designs):
         monkeypatch.setattr(mc, "_WORKERS", 1)
-        cfg = TrialConfig(n_trials=1 << 16, seed=1)
+        params = replace(BASE, lambda_e=lambda_e)
+        cfg = TrialConfig(n_trials=n_trials, seed=1)
         # a first run imports the modules numpy's seeding needs, about
-        # 0.7 MiB that the batch does not allocate
-        mc.run_trials(BASE, designs, replace(cfg, seed=2))
+        # 0.7 MiB that the run does not allocate
+        mc.run_trials(params, designs, replace(cfg, seed=2))
         tracemalloc.start()
         try:
-            mc.run_trials(BASE, designs, cfg)
+            mc.run_trials(params, designs, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 << 20, peak / (1 << 20)
+        assert peak < 2 << 20, peak / (1 << 20)
 
 
 class TestTrialOutcomes:
