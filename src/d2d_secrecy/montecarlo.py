@@ -67,6 +67,12 @@ prefix of trials.
 The infinite plane is truncated to a disk: auto_window_radius picks the
 smallest radius whose neglected outer region shifts any secrecy estimate
 by less than tail_prob, via the guard-zone inverse model.guard_radius.
+
+Importing this module does not import numpy. The module global np is a
+stand-in until something first reads an attribute of it, which imports
+numpy and rebinds np to the module, so a process that imports the
+simulation but never draws a field, such as a CLI planning command, never
+loads numpy (about 70 ms and 11 MB resident).
 """
 
 from __future__ import annotations
@@ -78,8 +84,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import groupby
-
-import numpy as np
+from types import ModuleType
 
 from .errors import DomainError, NumericalError
 from .model import (
@@ -104,6 +109,27 @@ __all__ = [
     "run_trials",
     "trial_outcomes",
 ]
+
+
+class _NumpyOnFirstUse:
+    """Stands in for numpy as the module global np until the first
+    attribute read, which imports numpy and rebinds np to it."""
+
+    def __getattr__(self, name: str) -> object:
+        return getattr(_load_numpy(), name)
+
+
+np = _NumpyOnFirstUse()
+
+
+def _load_numpy() -> ModuleType:
+    """Import numpy, bind it as np and return it. Safe on two threads at
+    once: the import system hands the second the module the first made."""
+    global np
+    import numpy as np
+
+    return np
+
 
 _TRIALS_PER_BATCH = 1 << 16
 # most trials, and most expected points, of one slice of a batch

@@ -2,6 +2,7 @@
 on fresh interpreters, and on what running the CLI costs the process."""
 
 import ast
+import functools
 import importlib
 import os
 import pkgutil
@@ -73,8 +74,10 @@ for closed_form, design in ((pkg.p_active, gz), (pkg.p_cov_gz, gz), (pkg.p_sec_g
     closed_form(params, design)
 seen["closed forms"] = numpy_modules()
 run_trials = pkg.run_trials
-seen["numpy loaded by run_trials"] = "numpy" in sys.modules
+seen["numpy loaded by reading run_trials"] = "numpy" in sys.modules
 seen["same object"] = run_trials is pkg.montecarlo.run_trials
+run_trials(params, [(params.d, gz)], pkg.TrialConfig(n_trials=8, seed=0))
+seen["numpy loaded by the first simulation"] = "numpy" in sys.modules
 seen["not in dir"] = [n for n in pkg._MONTECARLO_NAMES if n not in dir(pkg)]
 try:
     pkg.no_such_name
@@ -90,13 +93,15 @@ print(repr(seen))
 
 def test_package_import_defers_numpy_to_first_simulation():
     # the closed forms, the optimizer and the selection rule need only
-    # math; numpy is loaded when a Monte-Carlo name is first read
+    # math; a Monte-Carlo name is resolved on first read, and numpy is
+    # loaded when something is first simulated
     seen = ast.literal_eval(_fresh(["-c", _LAZY_PROBE]).stdout.strip())
     assert seen == {
         "import": [],
         "closed forms": [],
-        "numpy loaded by run_trials": True,
+        "numpy loaded by reading run_trials": False,
         "same object": True,
+        "numpy loaded by the first simulation": True,
         "not in dir": [],
         "unknown name": "AttributeError",
         "unbound by star import": [],
@@ -104,14 +109,120 @@ def test_package_import_defers_numpy_to_first_simulation():
 
 
 def test_montecarlo_import_loads_no_numpy_random():
-    # numpy.random adds about 6 MB resident; a process that imports the
-    # simulation but draws nothing, such as the benchmark's design-grid
-    # worker, must not load it, so no module-level code may touch it
+    # numpy adds about 11 MB resident, numpy.random 6 MB of that; a process
+    # that imports the simulation but draws nothing, such as the
+    # benchmark's design-grid worker, must load neither, so no module-level
+    # code may touch np
     probe = (
         "import sys, d2d_secrecy.cli, d2d_secrecy.montecarlo; "
-        "print('numpy.random' in sys.modules)"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     )
-    assert _fresh(["-c", probe]).stdout.strip() == "False"
+    assert _fresh(["-c", probe]).stdout.strip() == "[]"
+
+
+_PLANNING = (
+    ["analytic", "--d", "0.6", "--r-g", "0.79"],
+    ["optimize", "--d", "0.6"],
+    ["select", "--d", "0.6"],
+    ["sweep-lambda"],
+    ["sweep-d"],
+)
+_SIMULATIONS = (
+    ["mc-validate", "--d", "0.6", "--r-g", "0.79", "--trials", "1000"],
+    ["sweep-d", "--mc", "1000"],
+)
+
+# runs cli.main on each argv of ARGVS in turn and records, after each, its
+# exit code, the numpy modules loaded and every mallopt call made so far
+# with whether numpy was loaded at that call
+_CLI_PROBE = """
+import contextlib, ctypes, io, sys
+from d2d_secrecy import cli
+
+calls = []
+libc = ctypes.CDLL(None)
+cdll = ctypes.CDLL
+
+class Libc:
+    def __getattr__(self, name):
+        function = getattr(libc, name)
+        if name != "mallopt":
+            return function
+
+        def mallopt(param, value):
+            calls.append((param, value, "numpy" in sys.modules))
+            return function(param, value)
+
+        return mallopt
+
+ctypes.CDLL = lambda name, *args, **kwargs: (
+    Libc() if name is None else cdll(name, *args, **kwargs))
+seen = []
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+    seen.append((code, numpy, list(calls)))
+print(repr(seen))
+"""
+
+
+@functools.cache
+def _cli_probe(simulation):
+    # the five planning commands, then one simulation, in one fresh
+    # interpreter; cached, as two tests read the same run
+    argvs = [*_PLANNING, list(simulation)]
+    out = _fresh(["-c", f"ARGVS = {argvs!r}\n" + _CLI_PROBE]).stdout
+    return ast.literal_eval(out.strip())
+
+
+@pytest.mark.parametrize("simulation", _SIMULATIONS, ids=["mc-validate", "sweep-d-mc"])
+def test_only_a_simulation_loads_numpy(simulation):
+    # the planning commands are closed-form arithmetic: numpy costs each
+    # about 70 ms and 11 MB resident, so none may load it
+    seen = _cli_probe(tuple(simulation))
+    assert [code for code, _, _ in seen] == [0] * len(seen)
+    assert [numpy for _, numpy, _ in seen[:-1]] == [[]] * len(_PLANNING)
+    assert "numpy" in seen[-1][1]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+@pytest.mark.parametrize("simulation", _SIMULATIONS, ids=["mc-validate", "sweep-d-mc"])
+def test_mallopt_only_before_a_simulation_and_after_numpy(simulation):
+    # under the raised thresholds numpy's import-time allocations would
+    # stay resident, so numpy is loaded first; a planning command never
+    # allocates a slice, so it leaves the allocator alone
+    seen = _cli_probe(tuple(simulation))
+    assert [calls for _, _, calls in seen[:-1]] == [[]] * len(_PLANNING)
+    calls = seen[-1][2]
+    assert calls and all(numpy_loaded for _, _, numpy_loaded in calls), calls
+
+
+_FIRST_USE_PROBE = f"REFERENCE = {asdict(replace(REFERENCE, d=0.6))!r}\n" + """
+import sys
+from d2d_secrecy import GuardZoneDesign, SystemParams, TrialConfig, montecarlo
+
+# switch threads often, so both threads are likely to reach np at once
+sys.setswitchinterval(1e-6)
+params = SystemParams(**REFERENCE)
+designs = [(params.d, GuardZoneDesign(r_g=0.79))]
+cfg = TrialConfig(n_trials=(1 << 16) + 5000, seed=3)
+montecarlo._WORKERS = 2
+first = montecarlo.run_trials(params, designs, cfg)
+bound = montecarlo.np is sys.modules["numpy"]
+sys.setswitchinterval(0.005)
+montecarlo._WORKERS = 1
+print(repr((bound, first == montecarlo.run_trials(params, designs, cfg))))
+"""
+
+
+def test_first_simulation_on_two_threads_binds_numpy_once():
+    # the caller and the helper thread of _in_batches may both read the
+    # stand-in np before numpy is imported; the import system hands both
+    # the one module, and the tallies equal a one-thread run
+    out = _fresh(["-c", _FIRST_USE_PROBE]).stdout
+    assert ast.literal_eval(out.strip()) == (True, True)
 
 
 def _imported_modules(tree, into_functions):
@@ -137,17 +248,24 @@ def _imported_modules(tree, into_functions):
 
 
 def test_only_montecarlo_imports_numpy():
-    # numpy must stay behind the package's lazy montecarlo names: only
-    # montecarlo imports it, __init__ never imports montecarlo at module
-    # level, and the lazy names are montecarlo's public ones
+    # numpy must stay behind the first simulation: only montecarlo imports
+    # it, and only inside a function, never at module level; and behind
+    # the package's lazy montecarlo names: __init__ never imports
+    # montecarlo at module level, and the lazy names are montecarlo's
+    # public ones
     package = SRC / "d2d_secrecy"
     trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
-    numpy_users = [
-        name
-        for name, tree in trees.items()
-        if any(m.split(".")[0] == "numpy" for m in _imported_modules(tree, into_functions=True))
-    ]
-    assert numpy_users == ["montecarlo.py"]
+
+    def numpy_users(into_functions):
+        return [
+            name
+            for name, tree in trees.items()
+            if any(m.split(".")[0] == "numpy"
+                   for m in _imported_modules(tree, into_functions=into_functions))
+        ]
+
+    assert numpy_users(into_functions=True) == ["montecarlo.py"]
+    assert numpy_users(into_functions=False) == []
     init = trees["__init__.py"]
     assert [
         m for m in _imported_modules(init, into_functions=False)
