@@ -18,11 +18,15 @@ decides that regime for both optima and their constraint_active flags;
 the selection function and d* read it off the guard-zone optimum and
 answer None below it. Rounding can still null one optimum just above.
 
-r_g* is the one iterative solve here, and it depends on (alpha, p_t,
-beta_e, sigma2_s, epsilon, lambda_e) only, never on d. A one-entry memo
-keyed on those six values holds it, so a d-sweep, or one density of a
-lambda-sweep, solves it once; the regime decision, gamma* and every
-closed form are still computed per call.
+Only the coverage terms and F(d) depend on the link distance d. The
+regime decision, r_g* (the one iterative solve here), gamma*, the
+secrecy probability each reaches and the selection target -ln epsilon /
+secrecy_scale depend on (alpha, p_t, beta_e, sigma2_s, epsilon,
+lambda_e) only. A one-entry memo keyed on those six values holds them,
+so a d-sweep, or one density of a lambda-sweep, computes them once; a
+call then computes only p_cov_gz, p_cov_an, h and Gamma(a, h). Each
+technique's part is computed on first use, so where r_g* raises gamma*
+still answers.
 """
 
 from __future__ import annotations
@@ -120,34 +124,86 @@ def lambda_threshold(params: SystemParams) -> float:
     )
 
 
-def _enhancement_needed(params: SystemParams) -> bool:
-    # the one regime decision: below the threshold both optima are null
-    return params.lambda_e >= lambda_threshold(params)
+class _SecrecySolution:
+    """Everything the optimizer computes that does not read d, for one
+    secrecy parameter set. Each part is computed on first use and kept,
+    so one technique's failure never stops the other; a part that raises
+    is not kept and raises again on the next use."""
+
+    def __init__(self, params: SystemParams):
+        self.params = params
+
+    @functools.cached_property
+    def needed(self) -> bool:
+        # the one regime decision: below the threshold both optima are null
+        return self.params.lambda_e >= lambda_threshold(self.params)
+
+    @functools.cached_property
+    def guard_zone(self) -> tuple[GuardZoneDesign, float]:
+        # r_g* and p_sec_gz there
+        params = self.params
+        r_star = guard_radius(params, -math.log(params.epsilon)) if self.needed else 0.0
+        design = GuardZoneDesign(r_star)
+        return design, p_sec_gz(params, design)
+
+    @functools.cached_property
+    def power_split(self) -> tuple[NoiseSplitDesign, float]:
+        # gamma* and p_sec_an there
+        params = self.params
+        gamma_star = 1.0
+        if self.needed:
+            a = order(params)
+            lift = (params.sigma2_s / params.p_t) * _power(
+                params.alpha
+                * -math.log(params.epsilon)
+                / (2.0 * math.pi * params.lambda_e * complete_gamma(a)),
+                params.alpha / 2.0,
+            )
+            gamma_star = min(1.0, params.beta_e / (1.0 + params.beta_e) * (1.0 + lift))
+        design = NoiseSplitDesign(gamma_star)
+        return design, p_sec_an(params, design)
+
+    @functools.cached_property
+    def target(self) -> float:
+        # the selection function's F is target - Gamma(a, h)
+        return -math.log(self.params.epsilon) / secrecy_scale(self.params)
 
 
 @functools.lru_cache(maxsize=1)
-def _guard_radius_star(
+def _secrecy_solution(
     alpha: float,
     p_t: float,
     beta_e: float,
     sigma2_s: float,
     epsilon: float,
     lambda_e: float,
-) -> float:
-    # r_g* reads no other parameter, so the rest are placeholders; one
-    # entry serves a sweep, and a failed solve raises and is not kept
-    params = SystemParams(
-        alpha=alpha,
-        p_t=p_t,
-        beta_t=1.0,
-        beta_e=beta_e,
-        epsilon=epsilon,
-        sigma2_p=1.0,
-        sigma2_s=sigma2_s,
-        lambda_e=lambda_e,
-        d=1.0,
+) -> _SecrecySolution:
+    # nothing in _SecrecySolution reads another parameter, so the rest
+    # are placeholders; one entry serves a sweep
+    return _SecrecySolution(
+        SystemParams(
+            alpha=alpha,
+            p_t=p_t,
+            beta_t=1.0,
+            beta_e=beta_e,
+            epsilon=epsilon,
+            sigma2_p=1.0,
+            sigma2_s=sigma2_s,
+            lambda_e=lambda_e,
+            d=1.0,
+        )
     )
-    return guard_radius(params, -math.log(epsilon))
+
+
+def _solution(params: SystemParams) -> _SecrecySolution:
+    return _secrecy_solution(
+        params.alpha,
+        params.p_t,
+        params.beta_e,
+        params.sigma2_s,
+        params.epsilon,
+        params.lambda_e,
+    )
 
 
 def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
@@ -157,52 +213,32 @@ def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
     r_g* is within 1e-9 relative of mpmath where lambda_e exceeds the
     threshold by a relative margin of 1e-6 or more. Closer to it, the
     rounding of lambda_e - lambda*, a few ulps of lambda*, limits any
-    double-precision r_g* to about 1e-15 / margin. The solve is memoised
-    for the last secrecy parameter set (see the module docstring).
+    double-precision r_g* to about 1e-15 / margin. r_g* and p_sec_gz are
+    memoised for the last secrecy parameter set, so a call computes only
+    p_cov_gz (see the module docstring).
     """
-    needed = _enhancement_needed(params)
-    r_star = 0.0
-    if needed:
-        r_star = _guard_radius_star(
-            params.alpha,
-            params.p_t,
-            params.beta_e,
-            params.sigma2_s,
-            params.epsilon,
-            params.lambda_e,
-        )
-    design = GuardZoneDesign(r_star)
-    metrics = TechniqueMetrics(
-        p_cov=p_cov_gz(params, design), p_sec=p_sec_gz(params, design)
-    )
-    return OptimalDesign(Technique.GUARD_ZONE, r_star, metrics, needed)
+    solution = _solution(params)
+    design, p_sec = solution.guard_zone
+    metrics = TechniqueMetrics(p_cov=p_cov_gz(params, design), p_sec=p_sec)
+    return OptimalDesign(Technique.GUARD_ZONE, design.r_g, metrics, solution.needed)
 
 
 def optimal_power_split(params: SystemParams) -> OptimalDesign:
     """Largest signal fraction that still meets the secrecy target.
 
     gamma* is within 1e-14 * alpha relative of mpmath: the power alpha/2
-    in the closed form scales the rounding of its base.
+    in the closed form scales the rounding of its base. gamma* and
+    p_sec_an are memoised like r_g* (see optimal_guard_radius).
     """
-    needed = _enhancement_needed(params)
-    gamma_star = 1.0
-    if needed:
-        a = order(params)
-        lift = (params.sigma2_s / params.p_t) * _power(
-            params.alpha
-            * -math.log(params.epsilon)
-            / (2.0 * math.pi * params.lambda_e * complete_gamma(a)),
-            params.alpha / 2.0,
-        )
-        gamma_star = min(1.0, params.beta_e / (1.0 + params.beta_e) * (1.0 + lift))
-    design = NoiseSplitDesign(gamma_star)
-    metrics = TechniqueMetrics(
-        p_cov=p_cov_an(params, design), p_sec=p_sec_an(params, design)
+    solution = _solution(params)
+    design, p_sec = solution.power_split
+    metrics = TechniqueMetrics(p_cov=p_cov_an(params, design), p_sec=p_sec)
+    return OptimalDesign(
+        Technique.ARTIFICIAL_NOISE, design.gamma, metrics, solution.needed
     )
-    return OptimalDesign(Technique.ARTIFICIAL_NOISE, gamma_star, metrics, needed)
 
 
-def _selection_f(params: SystemParams, g: float) -> tuple[float, float]:
+def _selection_f(params: SystemParams, g: float, target: float) -> tuple[float, float]:
     # returns (F, H) at params.d for a fixed optimal power split g
     a = order(params)
     if g >= 1.0:
@@ -224,7 +260,6 @@ def _selection_f(params: SystemParams, g: float) -> tuple[float, float]:
         # inner is inf / inf at a huge density
         if not h >= 0.0:
             raise NumericalError(f"selection argument h = {h} is not a nonnegative float")
-    target = -math.log(params.epsilon) / secrecy_scale(params)
     return target - upper_incomplete_gamma(a, h), h
 
 
@@ -242,7 +277,7 @@ def selection_function(params: SystemParams) -> SelectionVerdict:
     an = optimal_power_split(params)
     if not gz.constraint_active:
         return SelectionVerdict(None, None, None, None, gz, an)
-    f_value, h_value = _selection_f(params, an.parameter)
+    f_value, h_value = _selection_f(params, an.parameter, _solution(params).target)
     better = Technique.GUARD_ZONE if f_value > 0.0 else Technique.ARTIFICIAL_NOISE
     return SelectionVerdict(
         f_value=f_value,
@@ -272,11 +307,11 @@ def critical_distance(params: SystemParams) -> CriticalDistance:
     one being null selects the limit; below the threshold d_star is None.
     d* has the tolerance of r_g* (optimal_guard_radius) against mpmath.
     """
-    gz = optimal_guard_radius(params)
-    if not gz.constraint_active:
+    solution = _solution(params)
+    r_star = solution.guard_zone[0].r_g
+    if not solution.needed:
         return CriticalDistance(d_star=None)
-    r_star = gz.parameter
-    g = optimal_power_split(params).parameter
+    g = solution.power_split[0].gamma
     if r_star == 0.0 or g == 1.0:
         # at the threshold gamma* -> 1 and
         # lambda_e*pi*r_g*^2 / (1 - gamma*) -> 2*(1 + beta_e)*(-ln eps)/alpha

@@ -4,9 +4,11 @@ The acceptance tests record a verdict per criterion; the terminal
 summary hook prints them as one line each at the end of the run, so the
 pass/fail ledger is visible even though pytest captures test output.
 
-The optimizer memoises r_g* for the last secrecy parameter set; every
-test starts with that memo empty, so no result or solve count depends on
-which test ran before it.
+The optimizer memoises everything it computes that does not read d
+(the regime, r_g*, gamma*, their secrecy probabilities and the selection
+target) for the last secrecy parameter set; every test starts with that
+memo empty, so no result or solve count depends on which test ran before
+it.
 
 The Monte-Carlo engine runs batches on a helper thread; a test that ends
 with a thread still alive that it started fails, since such a thread
@@ -21,8 +23,8 @@ from d2d_secrecy import optimizer
 
 
 @pytest.fixture(autouse=True)
-def _cold_guard_radius_memo():
-    optimizer._guard_radius_star.cache_clear()
+def _cold_secrecy_memo():
+    optimizer._secrecy_solution.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from d2d_secrecy import cli, model, montecarlo
+from d2d_secrecy import cli, model, montecarlo, optimizer, specfun
 import oracle
 
 
@@ -526,24 +526,42 @@ class TestSweepLambda:
 
 
 class TestSweepSolves:
-    # r_g* does not depend on d, so a sweep solves its incomplete-gamma
-    # inverse once per secrecy parameter set: once for all of sweep-d, and
-    # once per sweep-lambda density (for d* and again at d*, a memo hit)
+    # Nothing the optimizer solves for but the coverage terms and F(d)
+    # depends on d, so a sweep solves r_g*'s incomplete-gamma inverse and
+    # evaluates p_sec_gz's forward Gamma(a, x) once per secrecy parameter
+    # set: once for all of sweep-d, once per sweep-lambda density (for d*
+    # and again at d*, a memo hit). The other forward evaluations are
+    # Gamma(a, h), one per selection verdict: sweep-d's 29 distances, and
+    # one at d* for each of sweep-lambda's 9 densities.
     @pytest.mark.parametrize(
-        "argv, solves", [(["sweep-d"], 1), (["sweep-lambda"], 9)], ids=["d", "lambda"]
+        "argv, solves, forward",
+        [(["sweep-d"], 1, 1 + 29), (["sweep-lambda"], 9, 9 + 9)],
+        ids=["d", "lambda"],
     )
-    def test_inverse_solves_per_sweep(self, capsys, monkeypatch, argv, solves):
-        calls = []
-        inverse = model.inverse_upper_incomplete_gamma
+    def test_inverse_solves_per_sweep(self, capsys, monkeypatch, argv, solves, forward):
+        calls = {"inverse": 0, "forward": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return inverse(*args, **kwargs)
+        def counted(kind, function):
+            def call(*args, **kwargs):
+                calls[kind] += 1
+                return function(*args, **kwargs)
 
-        monkeypatch.setattr(model, "inverse_upper_incomplete_gamma", counted)
+            return call
+
+        monkeypatch.setattr(
+            model,
+            "inverse_upper_incomplete_gamma",
+            counted("inverse", model.inverse_upper_incomplete_gamma),
+        )
+        # the forward function's two callers: p_sec_gz and the selection F
+        forward_function = specfun.upper_incomplete_gamma
+        for module in (model, optimizer):
+            monkeypatch.setattr(
+                module, "upper_incomplete_gamma", counted("forward", forward_function)
+            )
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert len(calls) == solves
+        assert calls == {"inverse": solves, "forward": forward}
 
 
 class TestConfigFile:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from d2d_secrecy import model, specfun
 from d2d_secrecy.errors import NumericalError
@@ -136,6 +136,10 @@ def system_params(draw, max_alpha):
 
 
 @given(params=system_params(max_alpha=1e6))
+# r_g*'s root underflows here and optimal_guard_radius raises, while
+# gamma* is an ordinary number: the two optima must fail separately
+@example(params=SystemParams(alpha=102.0, p_t=1.0, beta_t=1.0, beta_e=1.0, epsilon=0.5,
+                             sigma2_p=1.0, sigma2_s=1.0, lambda_e=0.2230770653092853, d=1.0))
 def test_threshold_and_power_split_match_mpmath(params):
     with mp.workdps(30):
         threshold = oracle.lambda_threshold(params)

@@ -184,9 +184,10 @@ def _results(sets, distances, before=lambda: None):
 @settings(max_examples=80)
 @given(pair=parameter_pairs(), distances=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4))
 def test_memo_never_changes_a_result(pair, distances):
-    # results with the r_g* memo cold before every call, with the two sets
-    # alternating call by call, and with one set at a time (warm) are equal
-    memo = optimizer._guard_radius_star
+    # results with the d-free memo cold before every call, with the two
+    # sets alternating call by call, and with one set at a time (warm) are
+    # equal
+    memo = optimizer._secrecy_solution
     cold = _results(pair, distances, memo.cache_clear)
     alternating = _results(pair, distances)
     warm = [_results([params], distances)[0] for params in pair]
