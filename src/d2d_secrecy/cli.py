@@ -58,7 +58,6 @@ from .model import (
 from .montecarlo import (
     McEstimate,
     TrialConfig,
-    _load_numpy,
     run_an_trials,
     run_gz_trials,
     run_trials,
@@ -168,9 +167,7 @@ def _params_json(cfg: argparse.Namespace) -> dict:
 
 
 def _trial_config(cfg: argparse.Namespace, n_trials: int) -> TrialConfig:
-    """Monte-Carlo settings for a run of n_trials; every simulation the CLI
-    runs takes them from here, so the allocator is set up here first."""
-    _keep_freed_memory()
+    """Monte-Carlo settings for a run of n_trials."""
     return TrialConfig(n_trials, cfg.seed, cfg.window_radius, cfg.tail_prob)
 
 
@@ -604,47 +601,6 @@ def _emit(text: str, path: str) -> None:
             handle.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-# glibc mallopt parameters, and the size below which freed memory is kept
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_KEEP_FREED_BYTES = 32 << 20
-
-
-def _keep_freed_memory() -> None:
-    """Let glibc reuse the Monte-Carlo slice arrays instead of unmapping them.
-
-    Every slice of a batch frees its arrays and allocates them again,
-    with up to two batches in flight at once. Since batches are walked in
-    slices, those arrays peak below 1 MiB at up to 25 000 points per trial (a
-    whole batch took 2.5 MiB at the reference density of 0.8 points per
-    trial and 73 MiB at lambda_e = 3), but by default glibc still returns
-    freed memory to the kernel and faults it back in, zeroed, for the
-    next slice. Without this call, on fresh processes (2 cores), 12 extra
-    batches of `mc-validate --d 0.6 --r-g 0.79` (16 against 4) took about
-    1 000 more minor page faults instead of about 25 (medians of 5
-    interleaved pairs). When batches were drawn whole, the same call
-    halved the system time of `mc-validate --d 0.6 --r-g 0.789 --trials
-    2000000` and saved 6-8% of its wall time.
-    Allocations below 32 MB now come from the heap, and the heap shrinks
-    only past 32 MB free at its top.
-    The setting is process-wide, so only the CLI makes it, and only
-    before a simulation: the planning commands never allocate a slice.
-    numpy is imported first, as the thresholds would otherwise keep its
-    import-time allocations resident: with mallopt first, `sweep-d --mc`
-    and both `mc-validate` runs of the benchmark peaked about 0.3 MB
-    higher, in 30 of 30 interleaved pairs. Where mallopt is missing it
-    does nothing.
-    """
-    _load_numpy()
-    if not sys.platform.startswith("linux"):
-        return
-    import ctypes
-
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, _KEEP_FREED_BYTES)
-        mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
 
 
 def _serialise(

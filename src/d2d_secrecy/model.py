@@ -218,13 +218,17 @@ def p_sec_gz(params: SystemParams, design: GuardZoneDesign) -> float:
 
 def guard_radius(params: SystemParams, exponent: float) -> float:
     """Smallest r_g with -ln p_sec_gz <= exponent (inverts p_sec_gz); 0 when
-    exponent / secrecy_scale >= Gamma(a), since then no guard zone is needed.
+    exponent / secrecy_scale >= Gamma(a), or the scale is 0 (certain
+    secrecy, as p_sec_gz reads it), since then no guard zone is needed.
 
     Raises NumericalError where the root x = r_g^alpha * beta_e * sigma2_s
     / p_t underflows to 0 (at large alpha), since r_g = 0 would then miss
     the secrecy target."""
     a = order(params)
-    target = exponent / secrecy_scale(params)
+    scale = secrecy_scale(params)
+    if scale == 0.0:
+        return 0.0
+    target = exponent / scale
     if target >= complete_gamma(a):
         return 0.0
     x = inverse_upper_incomplete_gamma(a, target)

@@ -29,14 +29,12 @@ trial's expected point count exceeds 1, so that a slice expects at most
 2^22 raises NumericalError. Each slice is drawn, reduced and tallied
 before the next is drawn, by continuing the batch's generators, so no
 array outlives its slice: one run's arrays peak below 1 MiB
-(tracemalloc) at up to 25 000 points per trial, where drawing each batch
-whole took 2.5 MiB at the reference density (about 0.8 points per trial)
-and 73 MiB at 29 points per trial. A batch draws only the trials it
-serves: a run's last batch its remaining trials, trial_outcomes and
-sample_field those up to the last one they read. Draws continued from
-one generator give the values one large draw gives, so each stream gives
-those trials the values a full batch gives them, however the batch is
-sliced. Where two cores are usable, two batches are in flight: the
+(tracemalloc) at up to 25 000 points per trial. A batch draws only the
+trials it serves: a run's last batch its remaining trials, trial_outcomes
+and sample_field those up to the last one they read. Draws continued
+from one generator give the values one large draw gives, so each stream
+gives those trials the values a full batch gives them, however the batch
+is sliced. Where two cores are usable, two batches are in flight: the
 calling thread and one helper thread each take the next batch index, and
 the per-batch counts are summed in batch order, so the number of threads
 cannot move a tally.
@@ -84,7 +82,6 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import groupby
-from types import ModuleType
 
 from .errors import DomainError, NumericalError
 from .model import (
@@ -116,19 +113,15 @@ class _NumpyOnFirstUse:
     attribute read, which imports numpy and rebinds np to it."""
 
     def __getattr__(self, name: str) -> object:
-        return getattr(_load_numpy(), name)
+        # safe on two threads at once: the import system hands the second
+        # the module the first made
+        global np
+        import numpy as np
+
+        return getattr(np, name)
 
 
 np = _NumpyOnFirstUse()
-
-
-def _load_numpy() -> ModuleType:
-    """Import numpy, bind it as np and return it. Safe on two threads at
-    once: the import system hands the second the module the first made."""
-    global np
-    import numpy as np
-
-    return np
 
 
 _TRIALS_PER_BATCH = 1 << 16
@@ -148,6 +141,11 @@ _EXACT_BELOW = 10
 _CP_TAIL = 0.025
 
 
+def _check_seed(seed: int) -> None:
+    if not (0 <= seed < 2**64):
+        raise DomainError(f"seed must be an unsigned 64-bit value, got {seed}")
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """How many trials to run and how to randomize/truncate them.
@@ -164,8 +162,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.n_trials < 1:
             raise DomainError(f"n_trials must be at least 1, got {self.n_trials}")
-        if not (0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be an unsigned 64-bit value, got {self.seed}")
+        _check_seed(self.seed)
         if self.window_radius is not None and not (
             self.window_radius > 0.0 and math.isfinite(self.window_radius)
         ):
@@ -344,6 +341,7 @@ def sample_field(
         raise DomainError(f"radius must be positive and finite, got {radius}")
     if trial_index < 0:
         raise DomainError(f"trial_index must be nonnegative, got {trial_index}")
+    _check_seed(seed)
     batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
     streams = _streams(seed, batch)
     for piece in _slices(params, radius, pos + 1):

@@ -220,6 +220,17 @@ class TestMcValidate:
         for entry in report["checks"].values():
             assert entry["n_effective"] == 20
 
+    def test_vanishing_secrecy_scale_is_certain_secrecy(self, capsys):
+        # the secrecy scale underflows to 0, which the window rule divided by
+        code, report, _ = run_json(
+            capsys,
+            ["mc-validate", "--d", "0.6", "--r-g", "0", "--lambda-e", "1e-300",
+             "--pt", "1e-300", "--trials", "10"],
+        )
+        assert code == 0
+        assert report["checks"]["p_sec"]["analytic"] == 1.0
+        assert report["all_pass"] is True
+
     def test_guard_zone_validates_where_it_rarely_transmits(self, capsys):
         # at lambda_e = 3 the optimal guard zone is active in about 6e-8 of
         # trials, yet p_sec gets every trial's annulus as a sample
@@ -308,20 +319,19 @@ class TestSweepD:
             ]["half_width"]
 
     def test_sparse_field_marks_every_row(self, capsys):
-        code, report, _ = run_json(
-            capsys,
-            [
-                "sweep-d",
-                "--lambda-e", "0",
-                "--grid-stop", "0.3",
-            ],
-        )
-        assert code == 0
-        assert report["d_star"] is None
-        for row in report["rows"]:
-            assert row["verdict"] == "no-enhancement-needed"
-            assert row["f_value"] is None
-            assert row["p_sec_gz"] == 1.0
+        # an empty field, and one whose secrecy scale underflows to 0
+        for field in (
+            ["--lambda-e", "0", "--grid-stop", "0.3"],
+            ["--lambda-e", "1e-300", "--pt", "1e-300", "--grid-start", "0.1",
+             "--grid-stop", "0.1", "--mc", "10"],
+        ):
+            code, report, _ = run_json(capsys, ["sweep-d", *field])
+            assert code == 0
+            assert report["d_star"] is None
+            for row in report["rows"]:
+                assert row["verdict"] == "no-enhancement-needed"
+                assert row["f_value"] is None
+                assert row["p_sec_gz"] == 1.0
 
     def test_rejects_nonpositive_grid(self, capsys):
         assert cli.main(["sweep-d", "--grid-start", "-0.5"]) == 2

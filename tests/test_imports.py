@@ -2,13 +2,10 @@
 on fresh interpreters, and on what running the CLI costs the process."""
 
 import ast
-import functools
 import importlib
 import os
 import pkgutil
-import platform
 import re
-import resource
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -133,46 +130,26 @@ _SIMULATIONS = (
 )
 
 # runs cli.main on each argv of ARGVS in turn and records, after each, its
-# exit code, the numpy modules loaded and every mallopt call made so far
-# with whether numpy was loaded at that call
+# exit code and the numpy modules loaded
 _CLI_PROBE = """
-import contextlib, ctypes, io, sys
+import contextlib, io, sys
 from d2d_secrecy import cli
 
-calls = []
-libc = ctypes.CDLL(None)
-cdll = ctypes.CDLL
-
-class Libc:
-    def __getattr__(self, name):
-        function = getattr(libc, name)
-        if name != "mallopt":
-            return function
-
-        def mallopt(param, value):
-            calls.append((param, value, "numpy" in sys.modules))
-            return function(param, value)
-
-        return mallopt
-
-ctypes.CDLL = lambda name, *args, **kwargs: (
-    Libc() if name is None else cdll(name, *args, **kwargs))
 seen = []
 for argv in ARGVS:
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
-    seen.append((code, numpy, list(calls)))
+    seen.append((code, numpy))
 print(repr(seen))
 """
 
 
-@functools.cache
 def _cli_probe(simulation):
     # the five planning commands, then one simulation, in one fresh
-    # interpreter; cached, as two tests read the same run
-    argvs = [*_PLANNING, list(simulation)]
+    # interpreter
+    argvs = [*_PLANNING, simulation]
     out = _fresh(["-c", f"ARGVS = {argvs!r}\n" + _CLI_PROBE]).stdout
     return ast.literal_eval(out.strip())
 
@@ -181,22 +158,10 @@ def _cli_probe(simulation):
 def test_only_a_simulation_loads_numpy(simulation):
     # the planning commands are closed-form arithmetic: numpy costs each
     # about 70 ms and 11 MB resident, so none may load it
-    seen = _cli_probe(tuple(simulation))
-    assert [code for code, _, _ in seen] == [0] * len(seen)
-    assert [numpy for _, numpy, _ in seen[:-1]] == [[]] * len(_PLANNING)
+    seen = _cli_probe(simulation)
+    assert [code for code, _ in seen] == [0] * len(seen)
+    assert [numpy for _, numpy in seen[:-1]] == [[]] * len(_PLANNING)
     assert "numpy" in seen[-1][1]
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-@pytest.mark.parametrize("simulation", _SIMULATIONS, ids=["mc-validate", "sweep-d-mc"])
-def test_mallopt_only_before_a_simulation_and_after_numpy(simulation):
-    # under the raised thresholds numpy's import-time allocations would
-    # stay resident, so numpy is loaded first; a planning command never
-    # allocates a slice, so it leaves the allocator alone
-    seen = _cli_probe(tuple(simulation))
-    assert [calls for _, _, calls in seen[:-1]] == [[]] * len(_PLANNING)
-    calls = seen[-1][2]
-    assert calls and all(numpy_loaded for _, _, numpy_loaded in calls), calls
 
 
 _FIRST_USE_PROBE = f"REFERENCE = {asdict(replace(REFERENCE, d=0.6))!r}\n" + """
@@ -252,7 +217,8 @@ def test_only_montecarlo_imports_numpy():
     # it, and only inside a function, never at module level; and behind
     # the package's lazy montecarlo names: __init__ never imports
     # montecarlo at module level, and the lazy names are montecarlo's
-    # public ones
+    # public ones. No other module reaches a private montecarlo name, so
+    # montecarlo alone decides when numpy loads
     package = SRC / "d2d_secrecy"
     trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
 
@@ -279,20 +245,17 @@ def test_only_montecarlo_imports_numpy():
     ]
     montecarlo = importlib.import_module("d2d_secrecy.montecarlo")
     assert sorted(lazy) == sorted(set(montecarlo.__all__) - {"trial_outcomes"})
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-def test_cli_reuses_batch_memory():
-    # 4 and 16 batches of 65 536 trials: with glibc's default trimming each
-    # extra batch faulted about 200 pages back in (2 300 for the 12), with
-    # the freed arrays kept the count barely moves
-    faults = []
-    for trials in (4 << 16, 16 << 16):
-        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-        _fresh(["-m", "d2d_secrecy.cli", "mc-validate", "--d", "0.6", "--r-g", "0.79",
-                "--trials", str(trials), "--seed", "1"])
-        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
-    assert faults[1] - faults[0] < 200, faults
+    private = [
+        f"{name}: {alias.name}"
+        for name, tree in trees.items()
+        if name != "montecarlo.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("montecarlo", "d2d_secrecy.montecarlo")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def _unused_names(path):

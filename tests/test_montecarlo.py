@@ -103,8 +103,10 @@ class TestAutoWindowRadius:
         assert auto_window_radius(BASE, 1e-6) > auto_window_radius(BASE, 1e-4)
 
     def test_sparse_field_clamps_to_zero(self):
-        params = replace(BASE, lambda_e=1e-12)
-        assert auto_window_radius(params, 1e-4) == 0.0
+        # in the second the secrecy scale underflows to 0: certain secrecy
+        for field in ({"lambda_e": 1e-12}, {"lambda_e": 1e-300, "p_t": 1e-300}):
+            params = replace(BASE, **field)
+            assert auto_window_radius(params, 1e-4) == 0.0, field
 
     def test_empty_field_uses_fixed_radius(self):
         params = replace(BASE, lambda_e=0.0)
@@ -158,6 +160,11 @@ class TestSampleField:
     def test_rejects_bad_radius(self, radius):
         with pytest.raises(DomainError):
             sample_field(BASE, radius, trial_index=0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_no_run_can_draw(self, seed):
+        with pytest.raises(DomainError, match="unsigned 64-bit"):
+            sample_field(BASE, 2.0, trial_index=0, seed=seed)
 
     def test_rejects_negative_trial_index(self):
         with pytest.raises(DomainError):
