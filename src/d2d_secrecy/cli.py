@@ -106,7 +106,7 @@ _OPTIONS = (
     ("mc", "trials", int, 1_000_000, ("mc-validate",)),
     ("mc", "seed", int, 0, _MC_COMMANDS),
     ("mc", "window_radius", float, None, _MC_COMMANDS),
-    ("mc", "tail_prob", float, 1e-4, _MC_COMMANDS),
+    ("mc", "tail_prob", float, TrialConfig.tail_prob, _MC_COMMANDS),
     ("sweep", "grid_start", float, 0.1, ("sweep-d",)),
     ("sweep", "grid_stop", float, 1.5, ("sweep-d",)),
     ("sweep", "grid_step", float, 0.05, ("sweep-d",)),

@@ -222,7 +222,9 @@ class TrialEstimates:
     p_sec: McEstimate
 
 
-def auto_window_radius(params: SystemParams, tail_prob: float = 1e-4) -> float:
+def auto_window_radius(
+    params: SystemParams, tail_prob: float = TrialConfig.tail_prob
+) -> float:
     """Smallest simulation-disk radius whose neglected outer region biases
     secrecy estimates by less than tail_prob.
 
@@ -240,18 +242,14 @@ def auto_window_radius(params: SystemParams, tail_prob: float = 1e-4) -> float:
     return guard_radius(params, tail_prob * (1.0 - 1e-9))
 
 
-def _stream(seed: int, stream: int, batch: int) -> np.random.Generator:
-    key = np.random.SeedSequence(entropy=seed, spawn_key=(stream, batch))
-    return np.random.Generator(np.random.Philox(key))
-
-
 def _streams(seed: int, batch: int) -> tuple[np.random.Generator, ...]:
     """The batch's generators of point counts, point attributes and link
     gains, in stream-id order; each slice of the batch continues them."""
-    return (
-        _stream(seed, _S_COUNTS, batch),
-        _stream(seed, _S_POINTS, batch),
-        _stream(seed, _S_LINK, batch),
+    return tuple(
+        np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(s, batch)))
+        )
+        for s in (_S_COUNTS, _S_POINTS, _S_LINK)
     )
 
 
@@ -270,21 +268,24 @@ def _slices(params: SystemParams, radius: float, trials: int) -> Iterator[range]
         yield range(start, min(start + step, trials))
 
 
+# seed and batch of _batch_points and _batch_reductions draw nothing, the
+# streams do: bench/tracer.py's hook on _batch_points reads them as the
+# name of the scene drawn, and they go once the package reports that itself
 def _batch_points(
     params: SystemParams,
     radius: float,
     seed: int,
     batch: int,
-    trials: int = _TRIALS_PER_BATCH,
-    streams: tuple[np.random.Generator, ...] | None = None,
+    trials: int,
+    streams: tuple[np.random.Generator, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and raw point attributes of the next trials of a batch.
+    """Counts and raw point attributes of the next trials of a batch,
+    drawn by continuing the batch's streams (see _streams).
 
     Returns (counts, attrs): counts has one entry per trial; attrs has
     one row per point holding the three uniforms (radius, angle, fading),
     trial after trial, each kept as drawn (see the module docstring for a
-    point at distance 0). The draws continue the batch's streams; without
-    them they start afresh, so they are the batch's first trials.
+    point at distance 0).
     """
     area_mean = _mean_points(params, radius)
     # a non-finite mean fails the comparison too
@@ -294,7 +295,7 @@ def _batch_points(
             radius=radius,
             mean_points_per_trial=area_mean,
         )
-    counts_rng, points_rng, _ = _streams(seed, batch) if streams is None else streams
+    counts_rng, points_rng, _ = streams
     counts = counts_rng.poisson(area_mean, size=trials)
     attrs = points_rng.random((int(counts.sum()), 3))
     return counts, attrs
@@ -308,15 +309,9 @@ def _exponential(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.negative(gains, out=gains)
 
 
-def _link_gains(
-    seed: int,
-    batch: int,
-    trials: int = _TRIALS_PER_BATCH,
-    streams: tuple[np.random.Generator, ...] | None = None,
-) -> np.ndarray:
-    """Link gains h of the next trials of a batch; without the batch's
-    streams, of its first trials."""
-    link_rng = _stream(seed, _S_LINK, batch) if streams is None else streams[_S_LINK]
+def _link_gains(link_rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Link gains h of the next trials of a batch, drawn by continuing its
+    link generator."""
     u = link_rng.random(trials)
     return _exponential(u, out=u)
 
@@ -471,14 +466,14 @@ def _batch_reductions(
     r_gs: Sequence[float],
     seed: int,
     batch: int,
-    trials: int = _TRIALS_PER_BATCH,
-    streams: tuple[np.random.Generator, ...] | None = None,
+    trials: int,
+    streams: tuple[np.random.Generator, ...],
 ) -> tuple[np.ndarray, ...]:
     """The scene of the next trials of a batch, drawn by continuing its
-    streams (without them, of its first trials): per trial the nearest
-    point distance and h, then for each silence radius in r_gs (ascending,
-    0 allowed) the strongest path gain over the points at distance >= it,
-    which at 0 is every point. Trial i owns the next counts[i] points."""
+    streams: per trial the nearest point distance and h, then for each
+    silence radius in r_gs (ascending, 0 allowed) the strongest path gain
+    over the points at distance >= it, which at 0 is every point. Trial i
+    owns the next counts[i] points."""
     counts, attrs = _batch_points(params, radius, seed, batch, trials, streams)
     radii, path = _decode(radius, attrs)
     # the largest array of the slice; nothing reads it once decoded
@@ -503,7 +498,7 @@ def _batch_reductions(
     nearest = np.full(trials, np.inf)
     np.minimum.at(nearest, index, radii)
     del radii, index
-    return (nearest, _link_gains(seed, batch, trials, streams), *outers)
+    return (nearest, _link_gains(streams[_S_LINK], trials), *outers)
 
 
 def _scenes(

@@ -5,8 +5,9 @@ formulas rather than the package's code (a = 2 / alpha), each at the
 caller's precision (`with mp.workdps(n):`), never setting a global one.
 REFERENCE is the CLI's defaults at d = 1; the frozen values are the
 routes there, which test_mpmath_oracle checks. VALIDATOR checks a report
-against the schema, and report_points reads the closed forms a report
-printed, with the parameters and design of each.
+against the schema, report_points reads the closed forms a report
+printed, with the parameters and design of each, and misses lists those
+that miss the oracle by more than their tolerance.
 
 Kept apart on purpose: each module's hypothesis strategies draw its own
 domain, and one builder would branch on its caller; test_specfun's
@@ -204,3 +205,61 @@ def report_points(report):
                  lambda_e=row.get("lambda_e", params.lambda_e)),
          row["r_g_star"], row["gamma_star"], {_RENAMED.get(k, k): v for k, v in row.items()})
         for row in report.get("rows", [])]
+
+
+def _point_misses(params, r_g, gamma, fields, names):
+    """The fields of one point named in names (all where names is None)
+    that miss the oracle by more than the docstring tolerance of the
+    function that printed them; a coverage without a distance is None.
+    r_g* and d* have optimal_guard_radius's conditioning bound: from 1 up,
+    lambda_e is lambda* within rounding, and either regime may be printed."""
+    alpha = mp.mpf(params.alpha)
+    margin = params.lambda_e / lambda_threshold(params) - 1
+    design_tol = max(1e-9, 1e-15 / abs(margin))
+    found = []
+    for name, got in fields.items():
+        if names is not None and name not in names:
+            continue
+        regime = name in ("f_value", "h_value", "g_value", "d_star") and design_tol < 1
+        if regime and (got is None) != (margin < 0):
+            found.append(f"{name}: {got!r} at a margin of {mp.nstr(margin, 3)}")
+        if got is None or (regime and margin < 0):
+            continue
+        rel, floor = 0, 0
+        if name == "lambda_threshold":
+            want, rel = lambda_threshold(params), 1e-13
+        elif name == "r_g_star":
+            want, rel = guard_radius_star(params), design_tol
+        elif name in ("gamma_star", "g_value"):
+            want, rel = gamma_star(params), 1e-14 * alpha
+        elif name == "d_star":
+            want, rel = critical_distance(params), design_tol
+            if want is None:  # within rounding of lambda*, the limit there
+                want, rel = threshold_limit(params), 1e-9
+        elif name in ("h_value", "f_value"):
+            # F at the printed h; where none is printed, at the oracle's,
+            # widened by the error a printed h would carry
+            f_value, h = selection(params, gamma, fields.get("h_value"))
+            h_rel = 1e-14 * alpha / (1 - gamma) if h else 0
+            if name == "h_value":
+                want, rel = h, h_rel
+            else:
+                spread = 0 if "h_value" in fields else h_rel * h ** (2 / alpha) * mp.exp(-h)
+                want, floor = f_value, 1e-13 * mp.gamma(2 / alpha) + spread
+        elif name.startswith("p_"):
+            design = r_g if name.endswith(("_gz", "active")) else gamma
+            want, rel, floor = globals()[name](params, design), 1e-10, 1e-12
+        else:
+            continue
+        if abs(got - want) > max(rel * abs(want), floor):
+            found.append(f"{name}: {got!r} against {mp.nstr(want, 17)}")
+    return found
+
+
+def misses(report, names=None):
+    """The closed forms of a CLI JSON report, those named in names or all
+    where names is None, that miss the oracle by more than their stated
+    tolerance at the point where each was computed (see report_points);
+    taken at the caller's precision."""
+    return [miss for point in report_points(report)
+            for miss in _point_misses(*point, names)]

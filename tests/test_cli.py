@@ -380,9 +380,9 @@ class TestSweepSharedScene:
         draws = []
         draw = montecarlo._batch_points
 
-        def counted(params, radius, seed, batch, trials, *streams):
+        def counted(params, radius, seed, batch, trials, streams):
             draws.append((radius, batch, trials))
-            return draw(params, radius, seed, batch, trials, *streams)
+            return draw(params, radius, seed, batch, trials, streams)
 
         monkeypatch.setattr(montecarlo, "_batch_points", counted)
         return draws

@@ -142,10 +142,10 @@ class _TooManyPoints(Exception):
 _draw_points = montecarlo._batch_points
 
 
-def _bounded_batch_points(params, radius, seed, batch, *trials):
+def _bounded_batch_points(params, radius, seed, batch, trials, streams):
     if params.lambda_e * math.pi * radius * radius > MAX_POINTS_PER_TRIAL:
         raise _TooManyPoints
-    return _draw_points(params, radius, seed, batch, *trials)
+    return _draw_points(params, radius, seed, batch, trials, streams)
 
 
 def _run(argv):
@@ -163,23 +163,6 @@ def _run(argv):
 
 def _strict(constant):
     raise ValueError(f"{constant} is not strict JSON")
-
-
-def _misses(report):
-    """The activity and coverage probabilities of a report that miss the
-    oracle by more than the model's tolerance, 1e-10 relative or 1e-12
-    absolute, at the point where each was computed."""
-    misses = []
-    with mp.workdps(30):
-        for params, r_g, gamma, fields in oracle.report_points(report):
-            for name in CHECKED_FORMS:
-                got = fields.get(name)
-                if got is None:
-                    continue
-                want = getattr(oracle, name)(params, gamma if name == "p_cov_an" else r_g)
-                if abs(got - want) > max(1e-10 * want, 1e-12):
-                    misses.append(f"{name}: {got!r} against {mp.nstr(want, 17)}")
-    return misses
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -208,7 +191,8 @@ def test_every_invocation_exits_cleanly(argv):
     if fmt == "json":
         report = json.loads(out, parse_constant=_strict)
         oracle.VALIDATOR.validate(report)
-        assert _misses(report) == []
+        with mp.workdps(30):
+            assert oracle.misses(report, CHECKED_FORMS) == []
     else:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == cli._header(cli._COMMANDS[argv[0]][1])

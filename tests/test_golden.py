@@ -72,58 +72,11 @@ def test_stdout_matches_golden(capsys, name, argv, exit_code, fmt):
 CLOSED_FORM_CASES = [name for name, argv, _ in CASES if not {"--mc", "--trials"} & set(argv)]
 
 
-def _misses(params, r_g, gamma, fields):
-    """The fields that miss the oracle by more than the docstring tolerance
-    of the function that printed them; a coverage without a distance is None.
-    r_g* and d* have optimal_guard_radius's conditioning bound: from 1 up,
-    lambda_e is lambda* within rounding, and either regime may be printed."""
-    alpha = mp.mpf(params.alpha)
-    margin = params.lambda_e / oracle.lambda_threshold(params) - 1
-    design_tol = max(1e-9, 1e-15 / abs(margin))
-    misses = []
-    for name, got in fields.items():
-        regime = name in ("f_value", "h_value", "g_value", "d_star") and design_tol < 1
-        if regime and (got is None) != (margin < 0):
-            misses.append(f"{name}: {got!r} at a margin of {mp.nstr(margin, 3)}")
-        if got is None or (regime and margin < 0):
-            continue
-        rel, floor = 0, 0
-        if name == "lambda_threshold":
-            want, rel = oracle.lambda_threshold(params), 1e-13
-        elif name == "r_g_star":
-            want, rel = oracle.guard_radius_star(params), design_tol
-        elif name in ("gamma_star", "g_value"):
-            want, rel = oracle.gamma_star(params), 1e-14 * alpha
-        elif name == "d_star":
-            want, rel = oracle.critical_distance(params), design_tol
-            if want is None:  # within rounding of lambda*, the limit there
-                want, rel = oracle.threshold_limit(params), 1e-9
-        elif name in ("h_value", "f_value"):
-            # F at the printed h; where none is printed, at the oracle's,
-            # widened by the error a printed h would carry
-            f_value, h = oracle.selection(params, gamma, fields.get("h_value"))
-            h_rel = 1e-14 * alpha / (1 - gamma) if h else 0
-            if name == "h_value":
-                want, rel = h, h_rel
-            else:
-                spread = 0 if "h_value" in fields else h_rel * h ** (2 / alpha) * mp.exp(-h)
-                want, floor = f_value, 1e-13 * mp.gamma(2 / alpha) + spread
-        elif name.startswith("p_"):
-            design = r_g if name.endswith(("_gz", "active")) else gamma
-            want, rel, floor = getattr(oracle, name)(params, design), 1e-10, 1e-12
-        else:
-            continue
-        if abs(got - want) > max(rel * abs(want), floor):
-            misses.append(f"{name}: {got!r} against {mp.nstr(want, 17)}")
-    return misses
-
-
 @pytest.mark.parametrize("name", CLOSED_FORM_CASES)
 def test_closed_forms_match_oracle(name):
     report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     with mp.workdps(30):
-        points = oracle.report_points(report)
-        assert [miss for point in points for miss in _misses(*point)] == []
+        assert oracle.misses(report) == []
 
 
 def _objects(node, path=()):

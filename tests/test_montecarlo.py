@@ -147,7 +147,7 @@ class TestSampleField:
     def test_mean_count_matches_intensity(self):
         # one internal batch of trials at lambda 0.1 on a radius-5 disk;
         # the mean count must sit within 3 standard errors of lambda*pi*25
-        counts, _ = mc._batch_points(BASE, 5.0, seed=1234, batch=0)
+        counts, _ = mc._batch_points(BASE, 5.0, 1234, 0, 1 << 16, mc._streams(1234, 0))
         expected = BASE.lambda_e * math.pi * 25.0
         stderr = math.sqrt(expected / counts.size)
         assert abs(counts.mean() - expected) <= 3.0 * stderr
@@ -389,9 +389,9 @@ class TestSharedScene:
         draws = []
         draw = mc._batch_points
 
-        def counted(params, radius, seed, batch, trials, *streams):
+        def counted(params, radius, seed, batch, trials, streams):
             draws.append((radius, batch, trials))
-            return draw(params, radius, seed, batch, trials, *streams)
+            return draw(params, radius, seed, batch, trials, streams)
 
         monkeypatch.setattr(mc, "_batch_points", counted)
         shared = mc.run_trials(BASE, designs, cfg)
@@ -418,21 +418,22 @@ class TestPartialBatch:
         params = replace(BASE, lambda_e=lambda_e)
         radius = auto_window_radius(params)
         r_gs = [0.0, 0.5, R_G_STAR]
-        full = mc._batch_reductions(params, radius, r_gs, 11, 2)
+        full = mc._batch_reductions(params, radius, r_gs, 11, 2, 1 << 16, mc._streams(11, 2))
         for m in (1, 17, 18_928, (1 << 16) - 1):
-            part = mc._batch_reductions(params, radius, r_gs, 11, 2, m)
+            part = mc._batch_reductions(params, radius, r_gs, 11, 2, m, mc._streams(11, 2))
             assert len(part) == len(full)
             for column, whole in zip(part, full):
                 assert column.tobytes() == whole[:m].tobytes()
 
     def test_guard_counts_only_the_trials_drawn(self):
-        # 1e4 points per trial: a whole batch would exceed the 5e8 points
-        # a call may draw, the one trial sample_field reads does not
+        # 1e4 points per trial: a whole batch, 6.6e8 expected points, would
+        # exceed the 2^22 (about 4.2e6) a call may draw, the one trial
+        # sample_field reads does not
         params = replace(BASE, lambda_e=1e4 / math.pi)
         with pytest.raises(NumericalError, match="too large"):
-            mc._batch_points(params, 1.0, 3, 0)
+            mc._batch_points(params, 1.0, 3, 0, 1 << 16, mc._streams(3, 0))
         field = sample_field(params, 1.0, trial_index=0, seed=3)
-        counts, _ = mc._batch_points(params, 1.0, 3, 0, 1)
+        counts, _ = mc._batch_points(params, 1.0, 3, 0, 1, mc._streams(3, 0))
         assert len(field.fading) == counts[0] > 9_000
 
 
@@ -450,14 +451,14 @@ class TestTwoBatchesInFlight:
         seen = set()
         reductions = mc._batch_reductions
 
-        def met(params, radius, r_gs, seed, batch, *trials):
+        def met(params, radius, r_gs, seed, batch, trials, streams):
             thread = threading.current_thread()
             if len(seen) < 2 and thread not in seen:
                 seen.add(thread)
                 barrier.wait()
                 if raise_in_helper and thread is not threading.main_thread():
                     raise NumericalError("the helper's batch failed", batch=batch)
-            return reductions(params, radius, r_gs, seed, batch, *trials)
+            return reductions(params, radius, r_gs, seed, batch, trials, streams)
 
         monkeypatch.setattr(mc, "_batch_reductions", met)
         return seen
@@ -511,10 +512,10 @@ class TestTwoBatchesInFlight:
         # batch 3 of 6 fails, in whichever thread takes it
         reductions = mc._batch_reductions
 
-        def failing(params, radius, r_gs, seed, batch, *trials):
+        def failing(params, radius, r_gs, seed, batch, trials, streams):
             if batch == 3:
                 raise NumericalError("batch 3 failed")
-            return reductions(params, radius, r_gs, seed, batch, *trials)
+            return reductions(params, radius, r_gs, seed, batch, trials, streams)
 
         monkeypatch.setattr(mc, "_batch_reductions", failing)
         monkeypatch.setattr(mc, "_WORKERS", 2)
@@ -622,8 +623,8 @@ class TestTrialOutcomes:
         # is inf, like an overflowed one, and the run raises no warning
         real = mc._batch_points
 
-        def with_origin_point(params, radius, seed, batch, *trials):
-            counts, attrs = real(params, radius, seed, batch, *trials)
+        def with_origin_point(params, radius, seed, batch, trials, streams):
+            counts, attrs = real(params, radius, seed, batch, trials, streams)
             if batch == 0:
                 attrs[0, 0] = 0.0
             return counts, attrs
@@ -631,7 +632,8 @@ class TestTrialOutcomes:
         monkeypatch.setattr(mc, "_batch_points", with_origin_point)
         n = 150
         cfg = TrialConfig(n_trials=n, seed=5)
-        counts, _ = real(BASE, auto_window_radius(BASE), cfg.seed, 0)
+        streams = mc._streams(cfg.seed, 0)
+        counts, _ = real(BASE, auto_window_radius(BASE), cfg.seed, 0, n, streams)
         r_g, gamma = mc._settings(design)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -43,6 +43,9 @@ def _traced_metrics(tracer, capsys, trials):
         ["sweep-d"],
         ["mc-validate", "--d", "0.6", "--r-g", repr(R_G_STAR), "--trials", str(trials)],
     )
+    # the first simulation rebinds montecarlo's numpy stand-in to numpy,
+    # so load numpy now, for the snapshot to hold what the run leaves
+    montecarlo.np.ndarray
     before = [dict(vars(module)) for module in (cli, montecarlo)]
     traced = tracer.Tracer()
     with traced.installed():
