@@ -64,6 +64,7 @@ _MONTECARLO_NAMES = (
     "run_trials",
     "sample_field",
     "strongest_received_power",
+    "trial_outcomes",
 )
 
 __all__ = [

@@ -15,8 +15,8 @@ distinct silence radius of the designs the strongest path gain over the
 points at distance >= it. Radius 0 is just another radius, whose
 maximum is over the whole disk. A design's indicators are read off the
 scene. None of that depends on the link distance d, so
-run_trials evaluates every (d, design) pair that shares a window radius
-on one scene per batch; run_gz_trials and run_an_trials are its
+run_trials evaluates every (d, design) pair of a run on one scene per
+batch, drawn on one window; run_gz_trials and run_an_trials are its
 one-design case. Of the indicators only coverage depends on d: activity
 and secrecy are computed once per distinct (r_g, gamma) and shared by
 every d of that family, and coverage once per design. trial_outcomes
@@ -83,7 +83,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
-from .errors import DomainError, NumericalError
+from .errors import DegenerateDesignError, DomainError, NumericalError
 from .model import (
     GuardZoneDesign,
     NoiseSplitDesign,
@@ -132,8 +132,6 @@ _SLICE = 1 << 13
 _MAX_SLICE_POINTS = 1 << 22
 # stream ids for the counter-based generators
 _S_COUNTS, _S_POINTS, _S_LINK = range(3)
-# window used when the field is empty anyway
-_EMPTY_FIELD_RADIUS = 1.0
 # below this count in either tally the normal approximation gives way to
 # Clopper-Pearson; it also caps the binomial sums the exact bounds take
 _EXACT_BELOW = 10
@@ -230,13 +228,10 @@ def auto_window_radius(
 
     The contribution of eavesdroppers beyond R is the guard-zone secrecy
     exponent at r_g = R, so model.guard_radius inverts it. Returns 0 when
-    even the full exponent stays below tail_prob, and a fixed small
-    radius when the field is empty.
+    even the full exponent stays below tail_prob, an empty field included.
     """
     if not (0.0 < tail_prob < 1.0):
         raise DomainError(f"tail_prob must lie in (0, 1), got {tail_prob}")
-    if params.lambda_e == 0.0:
-        return _EMPTY_FIELD_RADIUS
     # shade the target slightly so the forward bound holds strictly: the
     # inverse returns the root only to the rounding of its smaller tail
     return guard_radius(params, tail_prob * (1.0 - 1e-9))
@@ -432,32 +427,30 @@ def _settings(design: GuardZoneDesign | NoiseSplitDesign) -> tuple[float, float]
     return 0.0, design.gamma
 
 
-def _windows(
+def _window(
     params: SystemParams,
     settings: Sequence[tuple[float, float, float]],
     cfg: TrialConfig,
-) -> list[float]:
-    """Simulation-disk radius of each (d, r_g, gamma) design; rejects one
-    it cannot simulate. The auto radius is solved once, on first need."""
-    auto = None
-    radii = []
-    for _, r_g, gamma in settings:
-        if gamma == 0.0:
-            raise DomainError("gamma = 0 leaves no power on the information signal")
-        if cfg.window_radius is not None:
-            if cfg.window_radius <= r_g:
-                raise DomainError(
-                    f"window_radius {cfg.window_radius} must exceed the guard "
-                    f"radius {r_g}"
-                )
-            radii.append(cfg.window_radius)
-            continue
-        if auto is None:
-            auto = auto_window_radius(params, cfg.tail_prob)
-        # the guard zone must be fully visible for the active test; beyond
-        # r_g the auto rule already bounds the neglected secrecy mass
-        radii.append(max(auto, r_g))
-    return radii
+) -> float:
+    """The one simulation-disk radius of a run of (d, r_g, gamma) designs;
+    rejects a design it cannot simulate.
+
+    Every guard zone must be fully visible for the active test, so the
+    auto radius grows to the largest r_g; a wider disk only shrinks the
+    neglected secrecy mass beyond it.
+    """
+    if any(gamma == 0.0 for _, _, gamma in settings):
+        raise DegenerateDesignError(
+            "gamma = 0 leaves no power on the information signal"
+        )
+    r_g = max(r_g for _, r_g, _ in settings)
+    if cfg.window_radius is None:
+        return max(auto_window_radius(params, cfg.tail_prob), r_g)
+    if cfg.window_radius <= r_g:
+        raise DomainError(
+            f"window_radius {cfg.window_radius} must exceed the guard radius {r_g}"
+        )
+    return cfg.window_radius
 
 
 def _batch_reductions(
@@ -618,7 +611,7 @@ def _tallies(
     cfg: TrialConfig,
 ) -> list[list[int]]:
     """Counts of active, covered and secure trials for each (d, r_g,
-    gamma) design, all on the scene stream of one window radius.
+    gamma) design, all on one scene stream drawn on a disk of this radius.
 
     Each slice of a batch is drawn, reduced and tallied before the next
     one is drawn, so no array outlives its slice. Activity and secrecy
@@ -664,19 +657,16 @@ def run_trials(
     """Simulate each (d, design) pair at link distance d; params.d is
     not read.
 
-    The designs are grouped by window radius, one group at a time, and
-    each group shares one scene stream, so each batch is drawn once per
-    window rather than once per design. Every estimate is the one
-    run_gz_trials or run_an_trials gives for that design at that d.
+    Every design runs on one window, the auto radius widened to the
+    largest r_g (see _window), and on one scene stream, so each batch is
+    drawn once rather than once per design. Each estimate is the one
+    run_gz_trials or run_an_trials gives for that design at that d on
+    that window. A run of no designs draws nothing.
     """
+    if not designs:
+        return []
     settings = [(d, *_settings(design)) for d, design in designs]
-    radii = _windows(params, settings, cfg)
-    tallies: list[list[int]] = [[] for _ in designs]
-    for radius in dict.fromkeys(radii):
-        group = [i for i, r in enumerate(radii) if r == radius]
-        group_settings = [settings[i] for i in group]
-        for i, counts in zip(group, _tallies(params, group_settings, radius, cfg)):
-            tallies[i] = counts
+    tallies = _tallies(params, settings, _window(params, settings, cfg), cfg)
     return [
         TrialEstimates(*(_binomial_estimate(k, cfg.n_trials) for k in counts))
         for counts in tallies
@@ -712,7 +702,7 @@ def trial_outcomes(
     if any(i < 0 for i in indices):
         raise DomainError(f"trial indices must be nonnegative, got {min(indices)}")
     d, r_g, gamma = setting = (params.d, *_settings(design))
-    (radius,) = _windows(params, [setting], cfg)
+    radius = _window(params, [setting], cfg)
     r_gs = sorted({0.0, r_g})
     found = {}
     batches = groupby(sorted(set(indices)), key=lambda i: i // _TRIALS_PER_BATCH)

@@ -13,6 +13,9 @@ it.
 The Monte-Carlo engine runs batches on a helper thread; a test that ends
 with a thread still alive that it started fails, since such a thread
 would keep running after the call that owns it has returned.
+
+A test that takes batch_draws sees every slice the engine draws, as
+(window radius, batch index, trial count), in the order drawn.
 """
 
 import threading
@@ -34,6 +37,23 @@ def _no_thread_left_running():
     left = [thread.name for thread in threading.enumerate() if thread not in before]
     if left:
         pytest.fail(f"threads still running after the test: {left}")
+
+
+@pytest.fixture
+def batch_draws(monkeypatch):
+    # imported here, so that loading this file loads no simulation module
+    from d2d_secrecy import montecarlo
+
+    draws = []
+    draw = montecarlo._batch_points
+
+    def counted(params, radius, seed, batch, trials, streams):
+        draws.append((radius, batch, trials))
+        return draw(params, radius, seed, batch, trials, streams)
+
+    monkeypatch.setattr(montecarlo, "_batch_points", counted)
+    return draws
+
 
 _RESULTS: dict[int, str] = {}
 

@@ -371,38 +371,23 @@ class TestSweepD:
 
 
 class TestSweepSharedScene:
-    # sweep-d --mc simulates all its designs on one scene stream per window
-    # radius, so each slice of a batch is drawn once per window, not once
-    # per design
+    # sweep-d --mc simulates all its designs on one window and one scene
+    # stream, so each slice of a batch is drawn once, not once per design
 
-    @staticmethod
-    def _count_draws(monkeypatch):
-        draws = []
-        draw = montecarlo._batch_points
-
-        def counted(params, radius, seed, batch, trials, streams):
-            draws.append((radius, batch, trials))
-            return draw(params, radius, seed, batch, trials, streams)
-
-        monkeypatch.setattr(montecarlo, "_batch_points", counted)
-        return draws
-
-    def test_each_batch_drawn_once(self, capsys, monkeypatch):
+    def test_each_batch_drawn_once(self, capsys, batch_draws):
         # 29 rows, 58 designs and 150 000 trials on one window: batches of
         # 65 536, 65 536 and 18 928 trials, in slices of 8 192
-        draws = self._count_draws(monkeypatch)
         assert cli.main(["sweep-d", "--mc", "150000"]) == 0
         capsys.readouterr()
-        assert len({radius for radius, _, _ in draws}) == 1
+        assert len({radius for radius, _, _ in batch_draws}) == 1
         slices = [(0, 8192)] * 8 + [(1, 8192)] * 8 + [(2, 2544)] + [(2, 8192)] * 2
-        assert sorted((batch, trials) for _, batch, trials in draws) == slices
+        assert sorted((batch, trials) for _, batch, trials in batch_draws) == slices
 
-    @pytest.mark.parametrize("epsilon, windows", [("0.9", 1), ("0.99999", 2)])
-    def test_rows_equal_single_design_runs(self, capsys, monkeypatch, epsilon, windows):
+    @pytest.mark.parametrize("epsilon", ["0.9", "0.99999"])
+    def test_rows_equal_single_design_runs(self, capsys, batch_draws, epsilon):
         # at epsilon = 0.99999, -ln(epsilon) is below tail_prob (1e-4), so
-        # r_g* (1.71) exceeds the auto radius (1.59) and the guard-zone
-        # designs take a window of their own
-        draws = self._count_draws(monkeypatch)
+        # r_g* (1.71) exceeds the auto radius (1.59) and the run's one
+        # window widens to r_g*
         _, report, _ = run_json(
             capsys,
             [
@@ -415,20 +400,25 @@ class TestSweepSharedScene:
                 "--seed", "4",
             ],
         )
-        # per window, batch 0 in 8 slices of 8 192 trials and batch 1,
-        # partly used, in one of 4 464
-        per_window = [(0, 8192)] * 8 + [(1, 4464)]
-        radii = {radius for radius, _, _ in draws}
-        assert len(radii) == windows
-        for window in radii:
-            drawn = [(batch, trials) for radius, batch, trials in draws if radius == window]
-            assert sorted(drawn) == per_window
+        # batch 0 in 8 slices of 8 192 trials and batch 1, partly used, in
+        # one of 4 464, all on one window
+        (window,) = {radius for radius, _, _ in batch_draws}
+        per_batch = sorted((batch, trials) for _, batch, trials in batch_draws)
+        assert per_batch == [(0, 8192)] * 8 + [(1, 4464)]
         params = replace(oracle.REFERENCE, epsilon=float(epsilon))
+        (r_g_star,) = {row["r_g_star"] for row in report["rows"]}
+        assert window == max(montecarlo.auto_window_radius(params), r_g_star)
         cfg = montecarlo.TrialConfig(n_trials=70000, seed=4)
         for row in report["rows"]:
             point = replace(params, d=row["d"])
-            gz = montecarlo.run_gz_trials(point, model.GuardZoneDesign(row["r_g_star"]), cfg)
-            an = montecarlo.run_an_trials(point, model.NoiseSplitDesign(row["gamma_star"]), cfg)
+            # a given window must exceed r_g*, so the guard zone takes the
+            # auto window, which widens to the same one
+            gz = montecarlo.run_gz_trials(point, model.GuardZoneDesign(r_g_star), cfg)
+            an = montecarlo.run_an_trials(
+                point,
+                model.NoiseSplitDesign(row["gamma_star"]),
+                replace(cfg, window_radius=window),
+            )
             assert row["mc_p_cov_gz"] == asdict(gz.p_cov)
             assert row["mc_p_cov_an"] == asdict(an.p_cov)
 

@@ -244,7 +244,7 @@ def test_only_montecarlo_imports_numpy():
         and [getattr(target, "id", None) for target in node.targets] == ["_MONTECARLO_NAMES"]
     ]
     montecarlo = importlib.import_module("d2d_secrecy.montecarlo")
-    assert sorted(lazy) == sorted(set(montecarlo.__all__) - {"trial_outcomes"})
+    assert sorted(lazy) == sorted(montecarlo.__all__)
     private = [
         f"{name}: {alias.name}"
         for name, tree in trees.items()

@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from d2d_secrecy.errors import DomainError, NumericalError
+from d2d_secrecy.errors import DegenerateDesignError, DomainError, NumericalError
 from d2d_secrecy.model import (
     GuardZoneDesign,
     NoiseSplitDesign,
@@ -103,14 +103,15 @@ class TestAutoWindowRadius:
         assert auto_window_radius(BASE, 1e-6) > auto_window_radius(BASE, 1e-4)
 
     def test_sparse_field_clamps_to_zero(self):
-        # in the second the secrecy scale underflows to 0: certain secrecy
-        for field in ({"lambda_e": 1e-12}, {"lambda_e": 1e-300, "p_t": 1e-300}):
+        # in the last two the secrecy scale is 0, an empty field's and an
+        # underflow's: certain secrecy
+        for field in (
+            {"lambda_e": 1e-12},
+            {"lambda_e": 0.0},
+            {"lambda_e": 1e-300, "p_t": 1e-300},
+        ):
             params = replace(BASE, **field)
             assert auto_window_radius(params, 1e-4) == 0.0, field
-
-    def test_empty_field_uses_fixed_radius(self):
-        params = replace(BASE, lambda_e=0.0)
-        assert auto_window_radius(params, 1e-4) == 1.0
 
     @pytest.mark.parametrize("tail", [0.0, 1.0, -0.5])
     def test_rejects_bad_tail(self, tail):
@@ -339,7 +340,7 @@ class TestArtificialNoiseTrials:
 
     def test_rejects_zero_split(self):
         cfg = TrialConfig(n_trials=100, seed=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DegenerateDesignError):
             run_an_trials(BASE, NoiseSplitDesign(gamma=0.0), cfg)
 
     def test_secrecy_monotone_in_split_on_shared_fields(self):
@@ -371,11 +372,11 @@ class TestNullDesignEquivalence:
 
 
 class TestSharedScene:
-    def test_every_design_equals_its_own_run(self, monkeypatch):
-        # designs at several distances and guard radii, out of order; all
-        # but r_g = 1.7 fit the auto window (1.59), so two windows are
-        # drawn, each slice of two batches once per window, and each
-        # estimate is that design's own
+    def test_every_design_equals_its_own_run(self, batch_draws):
+        # designs at several distances and guard radii, out of order;
+        # r_g = 1.7 exceeds the auto window (1.59), so the run's one window
+        # widens to 1.7, each slice of two batches is drawn once, and each
+        # estimate is that design's own run on that window
         cfg = TrialConfig(n_trials=70_000, seed=21)
         designs = [
             (0.6, GuardZoneDesign(r_g=1.0)),
@@ -386,26 +387,24 @@ class TestSharedScene:
             (1.2, GuardZoneDesign(r_g=1.0)),
             (0.6, NoiseSplitDesign(gamma=1.0)),
         ]
-        draws = []
-        draw = mc._batch_points
-
-        def counted(params, radius, seed, batch, trials, streams):
-            draws.append((radius, batch, trials))
-            return draw(params, radius, seed, batch, trials, streams)
-
-        monkeypatch.setattr(mc, "_batch_points", counted)
         shared = mc.run_trials(BASE, designs, cfg)
         # batch 0 in 8 slices of 8 192 trials, batch 1 in one of 4 464
-        per_window = sorted([(0, 8192)] * 8 + [(1, 4464)])
-        windows = {radius for radius, _, _ in draws}
-        assert len(windows) == 2
-        for window in windows:
-            drawn = [(batch, trials) for radius, batch, trials in draws if radius == window]
-            assert sorted(drawn) == per_window
-        monkeypatch.undo()
+        assert sorted(batch_draws) == [(1.7, 0, 8192)] * 8 + [(1.7, 1, 4464)]
+        on_window = replace(cfg, window_radius=1.7)
         for (d, design), estimates in zip(designs, shared):
-            run = run_gz_trials if isinstance(design, GuardZoneDesign) else run_an_trials
-            assert estimates == run(replace(BASE, d=d), design, cfg)
+            point = replace(BASE, d=d)
+            if not isinstance(design, GuardZoneDesign):
+                own = run_an_trials(point, design, on_window)
+            elif design.r_g < 1.7:
+                own = run_gz_trials(point, design, on_window)
+            else:
+                # a given window must exceed r_g; the auto one widens to it
+                own = run_gz_trials(point, design, cfg)
+            assert estimates == own
+
+    def test_no_designs_draw_nothing(self, batch_draws):
+        assert mc.run_trials(BASE, [], TrialConfig(n_trials=70_000, seed=21)) == []
+        assert batch_draws == []
 
 
 class TestPartialBatch:
@@ -466,8 +465,8 @@ class TestTwoBatchesInFlight:
     @pytest.mark.parametrize(
         "designs, n_trials",
         [
-            # two windows (r_g = 1.7 exceeds the auto radius 1.59), three
-            # guard radii, two distances and both techniques
+            # a widened window (r_g = 1.7 exceeds the auto radius 1.59),
+            # three guard radii, two distances and both techniques
             (
                 [
                     (0.6, GuardZoneDesign(r_g=1.0)),
