@@ -260,15 +260,19 @@ def p_sec_an(params: SystemParams, design: NoiseSplitDesign) -> float:
     position, so whenever gamma <= beta_e/(1+beta_e) secrecy holds with
     certainty. Above that the unjammed part of the field matters and the
     exponent picks up a complete gamma. Within 1e-10 relative or 1e-12
-    absolute of mpmath.
+    absolute of mpmath: the unjammed part gamma - (1 - gamma) beta_e is
+    the correctly rounded value of the floats' exact ratios, since near
+    the cap it cancels while a dense field's exponent reads its last digits.
     """
     if design.gamma <= params.beta_e / (1.0 + params.beta_e):
         return 1.0
     if params.lambda_e == 0.0:
         return 1.0
-    effective = design.gamma - (1.0 - design.gamma) * params.beta_e
+    g_num, g_den = design.gamma.as_integer_ratio()
+    b_num, b_den = params.beta_e.as_integer_ratio()
+    effective = (g_num * b_den - (g_den - g_num) * b_num) / (g_den * b_den)
     if effective <= 0.0:
-        # cancellation right at the boundary; secrecy still certain
+        # at or below the exact cap, which rounds down to the float one
         return 1.0
     scale = secrecy_scale(params, params.p_t * effective)
     return math.exp(-scale * complete_gamma(order(params)))

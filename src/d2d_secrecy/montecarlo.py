@@ -50,8 +50,10 @@ active trial it is the indicator over every point.
 The field has no hole around the transmitter: like the closed forms,
 which integrate the field from distance 0, a point may land anywhere on
 the disk. One at distance 0 (a radius uniform of exactly 0, probability
-2^-53 per point) has an infinite path gain, the same as a gain past the
-float range, and the ratios handle both.
+2^-53 per point) has an infinite path gain, as has any gain, received
+power or ratio past the float range. None is a special case: a slice's
+indicators are computed with overflow and division by 0 ignored, and
+each ratio reaches its limit by IEEE arithmetic alone.
 
 Randomness is counter-based so that results never depend on execution
 order: every batch of trials owns Philox generators keyed on
@@ -514,17 +516,11 @@ def _scenes(
 def _eavesdropper_snr(
     params: SystemParams, gamma: float, strongest: np.ndarray
 ) -> np.ndarray:
-    """The strongest eavesdropper's ratio at signal fraction gamma."""
-    received = params.p_t * strongest
-    # no jamming term at gamma = 1: 0 * inf would turn an overflowed
-    # received power into nan
-    jamming = (1.0 - gamma) * received if gamma < 1.0 else 0.0
-    with np.errstate(invalid="ignore"):
-        snr = gamma * received / (jamming + params.sigma2_s)
-    if gamma < 1.0:
-        # inf / inf is nan there; an overflowed power sits at the ratio's cap
-        snr[np.isinf(received)] = gamma / (1.0 - gamma)
-    return snr
+    """The strongest eavesdropper's ratio gamma P/((1 - gamma) P + sigma2_s)
+    at signal fraction gamma and received power P, in a form whose limits
+    are arithmetic: 0 with no eavesdropper, and at P = inf the cap
+    gamma/(1 - gamma), inf at gamma = 1."""
+    return gamma / ((1.0 - gamma) + params.sigma2_s / (params.p_t * strongest))
 
 
 def _secrecy_indicators(
@@ -631,17 +627,19 @@ def _tallies(
         m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
         counts = [[0, 0, 0] for _ in designs]
         for _, (nearest, h, *outers) in _scenes(params, radius, r_gs, cfg.seed, batch, m):
-            for (r_g, gamma), members in families.items():
-                outer = outers[r_gs.index(r_g)]
-                active, secure = _secrecy_indicators(params, r_g, gamma, outer, nearest)
-                k_active, k_secure = (int(np.count_nonzero(x)) for x in (active, secure))
-                received = _received(params, gamma, h[active])
-                for i in members:
-                    snr_p = _link_snr(params, designs[i][0], received)
-                    total = counts[i]
-                    total[0] += k_active
-                    total[1] += int(np.count_nonzero(snr_p >= params.beta_t))
-                    total[2] += k_secure
+            # an overflowed power or ratio is a value, like an origin point's
+            with np.errstate(over="ignore", divide="ignore"):
+                for (r_g, gamma), members in families.items():
+                    outer = outers[r_gs.index(r_g)]
+                    active, secure = _secrecy_indicators(params, r_g, gamma, outer, nearest)
+                    k_active, k_secure = (int(np.count_nonzero(x)) for x in (active, secure))
+                    received = _received(params, gamma, h[active])
+                    for i in members:
+                        snr_p = _link_snr(params, designs[i][0], received)
+                        total = counts[i]
+                        total[0] += k_active
+                        total[1] += int(np.count_nonzero(snr_p >= params.beta_t))
+                        total[2] += k_secure
         return counts
 
     # each design's counts of every batch, summed in batch order
@@ -715,10 +713,11 @@ def trial_outcomes(
             read = positions[first : bisect_left(positions, piece.stop)]
             if not read:
                 continue
-            active, secure = _secrecy_indicators(params, r_g, gamma, outers[-1], nearest)
-            # snr_s is over every point, the maximum at radius 0
-            snr_s = _eavesdropper_snr(params, gamma, outers[0])
-            snr_p = _link_snr(params, d, _received(params, gamma, h))
+            with np.errstate(over="ignore", divide="ignore"):
+                active, secure = _secrecy_indicators(params, r_g, gamma, outers[-1], nearest)
+                # snr_s is over every point, the maximum at radius 0
+                snr_s = _eavesdropper_snr(params, gamma, outers[0])
+                snr_p = _link_snr(params, d, _received(params, gamma, h))
             covered = active & (snr_p >= params.beta_t)
             columns = (active, snr_p, snr_s, covered, secure)
             for pos in read:

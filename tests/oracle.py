@@ -104,7 +104,9 @@ def p_sec_gz(params, r_g):
 def p_sec_an(params, gamma):
     if gamma <= params.beta_e / (1.0 + params.beta_e):
         return mp.mpf(1)
-    effective = gamma - (1 - mp.mpf(gamma)) * params.beta_e
+    # exact: near the cap the difference cancels to its last digits
+    jammed = mp.fmul(mp.fsub(1, gamma, exact=True), params.beta_e, exact=True)
+    effective = mp.fsub(gamma, jammed, exact=True)
     return mp.exp(-secrecy_scale(params, params.p_t * effective) * mp.gamma(_order(params)))
 
 

@@ -334,9 +334,22 @@ class TestSweepD:
                 assert row["p_sec_gz"] == 1.0
 
     def test_rejects_nonpositive_grid(self, capsys):
-        assert cli.main(["sweep-d", "--grid-start", "-0.5"]) == 2
-        assert cli.main(["sweep-d", "--grid-step", "0"]) == 2
-        capsys.readouterr()
+        # with the count checks, each usage error a sweep's options can make
+        for argv, error in (
+            (["sweep-d", "--grid-start", "-0.5"],
+             "link distances must be positive, got grid start -0.5"),
+            (["sweep-d", "--grid-step", "0"], "--grid-step must be positive, got 0.0"),
+            (["sweep-d", "--grid-start", "inf"], "--grid-start must be finite, got inf"),
+            (["sweep-d", "--grid-start", "0.5", "--grid-stop", "0.1"],
+             "--grid-stop must not be below --grid-start"),
+            (["sweep-lambda", "--grid-start", "-0.1"],
+             "densities must be nonnegative, got grid start -0.1"),
+            (["mc-validate", "--d", "0.6", "--r-g", "0.5", "--trials", "0"],
+             "--trials must be at least 1, got 0"),
+            (["sweep-d", "--mc", "0"], "--mc must be at least 1, got 0"),
+        ):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_grid_row_limit(self, capsys):
         limit = cli.MAX_GRID_ROWS
@@ -635,10 +648,15 @@ class TestConfigFile:
             assert len(report["rows"]) == count
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
+        # and a known key whose value does not parse
         config = tmp_path / "run.ini"
-        config.write_text("[params]\nbogus = 1\n")
-        assert cli.main(["select", "--config", str(config), "--d", "1"]) == 2
-        assert "bogus" in capsys.readouterr().err
+        for text, error in (
+            ("[params]\nbogus = 1\n", "unknown config key 'bogus' in [params]"),
+            ("[params]\nalpha = abc\n", "bad value for 'alpha' in [params]: 'abc'"),
+        ):
+            config.write_text(text)
+            assert cli.main(["select", "--config", str(config), "--d", "1"]) == 2
+            assert capsys.readouterr() == ("", f"error: {error}\n")
 
     @pytest.mark.parametrize(
         "text",

@@ -177,6 +177,13 @@ def _strict(constant):
                "--alpha", "1e6"])
 @example(argv=["mc-validate", "--d", "0.6", "--gamma", "0.4", "--trials", "200",
                "--alpha", "500", "--seed", "1"])
+# a finite received power past the float range is inf, and raises no warning
+@example(argv=["mc-validate", "--d", "0.6", "--gamma", "0.9", "--pt", "1.7e308",
+               "--lambda-e", "0.3", "--alpha", "3", "--window-radius", "2",
+               "--trials", "100"])
+@example(argv=["mc-validate", "--d", "0.6", "--r-g", "0.5", "--pt", "1.7e308",
+               "--lambda-e", "0.3", "--alpha", "3", "--window-radius", "2",
+               "--trials", "100"])
 # each checked form at a value far from 0 and 1, so that a relative error
 # of 1e-9 exceeds the tolerance whatever the drawn examples
 @example(argv=["analytic", "--d", "1", "--r-g", "0.5"])

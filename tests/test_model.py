@@ -71,6 +71,11 @@ def test_p_sec_gz_matches_mpmath_route(params, r_g):
 
 
 @given(params=system_params(), gamma=st.floats(0.01, 1.0))
+# a dense field one float above the cap beta_e/(1 + beta_e), where
+# gamma - (1 - gamma) beta_e cancels to its last digits: p_sec is 0.906
+@example(params=replace(oracle.REFERENCE, alpha=3.0, beta_e=0.1809275167692512,
+                        lambda_e=1582747777.2922149, d=0.6),
+         gamma=0.15320797779717057)
 def test_p_sec_an_matches_mpmath_route(params, gamma):
     design = NoiseSplitDesign(gamma)
     with mp.workdps(20):

@@ -483,7 +483,7 @@ class TestTwoBatchesInFlight:
             # one batch, which never starts a helper
             ([(0.6, NoiseSplitDesign(gamma=GAMMA_STAR))], 1 << 16),
         ],
-        ids=["two-windows", "partial-last-batch", "one-batch"],
+        ids=["widened-window", "partial-last-batch", "one-batch"],
     )
     def test_tallies_do_not_depend_on_the_worker_count(
         self, monkeypatch, designs, n_trials
