@@ -26,18 +26,24 @@ outcomes sum exactly to the batch tallies.
 A batch is walked in slices of at most 2^13 trials, and fewer where a
 trial's expected point count exceeds 1, so that a slice expects at most
 2^13 points unless a single trial does; a trial that expects more than
-2^22 raises NumericalError. Each slice is drawn, reduced and tallied
-before the next is drawn, by continuing the batch's generators, so no
-array outlives its slice: one run's arrays peak below 1 MiB
-(tracemalloc) at up to 25 000 points per trial. A batch draws only the
-trials it serves: a run's last batch its remaining trials, trial_outcomes
-and sample_field those up to the last one they read. Draws continued
-from one generator give the values one large draw gives, so each stream
-gives those trials the values a full batch gives them, however the batch
-is sliced. Where two cores are usable, two batches are in flight: the
-calling thread and one helper thread each take the next batch index, and
-the per-batch counts are summed in batch order, so the number of threads
-cannot move a tally.
+2^22 raises NumericalError. Each slice is drawn whole, reduced and
+tallied before the next is drawn, by continuing the batch's generators,
+so no array outlives its slice: one run's arrays peak below 1 MiB
+(tracemalloc) at up to 25 000 points per trial. A call reads only the
+trials it serves off a slice, so a trial's values do not depend on how
+many trials the call serves. Where two cores are usable, two batches are
+in flight: the calling thread and one helper thread each take the next
+batch index, and the per-batch counts are summed in batch order, so the
+number of threads cannot move a tally.
+
+A slice of T trials draws one Poisson(m T) total, m a trial's expected
+point count, then per point a uniform trial label in [0, T) and two
+uniforms, radius and fading. Given the total, the labels split it into T
+independent Poisson(m) counts, each point i.i.d. uniform on the disk (the
+colouring theorem: Kingman, Poisson Processes, 1993, section 5.1;
+Haenggi, Stochastic Geometry for Wireless Networks, 2012, ch. 2). The
+field is isotropic, so a point is a distance and a gain; no bearing is
+drawn.
 
 Guard-zone secrecy is defined given an active link, that is, given no
 eavesdropper inside r_g. A Poisson process is independent on disjoint
@@ -55,14 +61,14 @@ power or ratio past the float range. None is a special case: a slice's
 indicators are computed with overflow and division by 0 ignored, and
 each ratio reaches its limit by IEEE arithmetic alone.
 
-Randomness is counter-based so that results never depend on execution
-order: every batch of trials owns Philox generators keyed on
-(seed, stream, batch_index), with three streams: point counts, point
-attributes and the legitimate channel. A trial's draws are a pure
-function of (seed, trial_index) and the fixed internal batch size, which
-is what makes sample_field reproduce exactly the field any run_*_trials
-call used, and makes runs of different lengths agree on their common
-prefix of trials.
+Results never depend on execution order: every batch of trials owns
+SFC64 generators seeded from (seed, stream, batch_index), with three
+streams: point totals and labels, point attributes and the legitimate
+channel; numpy documents that distinct SFC64 seeds do not meet for at
+least 2^64 draws. On a given window a trial's draws are a pure function
+of (seed, trial_index), which is what makes sample_field reproduce
+exactly the field any run_*_trials call used, and makes runs of
+different lengths agree on their common prefix of trials.
 
 The infinite plane is truncated to a disk: auto_window_radius picks the
 smallest radius whose neglected outer region shifts any secrecy estimate
@@ -129,10 +135,10 @@ np = _NumpyOnFirstUse()
 _TRIALS_PER_BATCH = 1 << 16
 # most trials, and most expected points, of one slice of a batch
 _SLICE = 1 << 13
-# most expected points one call may draw, 96 MiB of uniforms; a slice
-# exceeds it only where a single trial does
+# most expected points one call may draw, 96 MiB of labels and uniforms;
+# a slice exceeds it only where a single trial does
 _MAX_SLICE_POINTS = 1 << 22
-# stream ids for the counter-based generators
+# stream ids, part of each generator's seed key
 _S_COUNTS, _S_POINTS, _S_LINK = range(3)
 # below this count in either tally the normal approximation gives way to
 # Clopper-Pearson; it also caps the binomial sums the exact bounds take
@@ -175,9 +181,11 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class EavesdropperField:
-    """One realized snapshot: planar positions and per-point power gains."""
+    """One realized snapshot: each eavesdropper's distance to the
+    transmitter and its power gain. The field is isotropic, so no
+    bearing is kept."""
 
-    points: np.ndarray  # shape (n, 2)
+    distances: np.ndarray  # shape (n,)
     fading: np.ndarray  # shape (n,)
 
 
@@ -240,11 +248,12 @@ def auto_window_radius(
 
 
 def _streams(seed: int, batch: int) -> tuple[np.random.Generator, ...]:
-    """The batch's generators of point counts, point attributes and link
-    gains, in stream-id order; each slice of the batch continues them."""
+    """The batch's generators of point totals and labels, point
+    attributes and link gains, in stream-id order; each slice of the
+    batch continues them."""
     return tuple(
         np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(s, batch)))
+            np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(s, batch)))
         )
         for s in (_S_COUNTS, _S_POINTS, _S_LINK)
     )
@@ -256,13 +265,15 @@ def _mean_points(params: SystemParams, radius: float) -> float:
 
 
 def _slices(params: SystemParams, radius: float, trials: int) -> Iterator[range]:
-    """The trial positions of each slice the first trials of a batch are
-    walked in, in order: _SLICE trials, or where a trial's expected point
-    count m exceeds 1, _SLICE // m of them, but at least one."""
+    """The trial positions of each slice a batch is walked in, up to the
+    one holding its first trials, in order: _SLICE trials, or where a
+    trial's expected point count m exceeds 1, _SLICE // m of them, but at
+    least one. Each slice is whole, as a full batch walks it, so the last
+    may reach past the trials asked for."""
     area_mean = _mean_points(params, radius)
     step = max(1, int(_SLICE // area_mean)) if area_mean > 1.0 else _SLICE
     for start in range(0, trials, step):
-        yield range(start, min(start + step, trials))
+        yield range(start, min(start + step, _TRIALS_PER_BATCH))
 
 
 # seed and batch of _batch_points and _batch_reductions draw nothing, the
@@ -276,13 +287,13 @@ def _batch_points(
     trials: int,
     streams: tuple[np.random.Generator, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and raw point attributes of the next trials of a batch,
-    drawn by continuing the batch's streams (see _streams).
+    """Points of the next slice of a batch, of this many trials, drawn by
+    continuing the batch's streams (see _streams).
 
-    Returns (counts, attrs): counts has one entry per trial; attrs has
-    one row per point holding the three uniforms (radius, angle, fading),
-    trial after trial, each kept as drawn (see the module docstring for a
-    point at distance 0).
+    Returns (labels, attrs): labels holds each point's trial, its
+    position in the slice; attrs has shape (2, n), the radius and fading
+    uniforms of the n points, each kept as drawn (see the module
+    docstring for a point at distance 0).
     """
     area_mean = _mean_points(params, radius)
     # a non-finite mean fails the comparison too
@@ -293,38 +304,39 @@ def _batch_points(
             mean_points_per_trial=area_mean,
         )
     counts_rng, points_rng, _ = streams
-    counts = counts_rng.poisson(area_mean, size=trials)
-    attrs = points_rng.random((int(counts.sum()), 3))
-    return counts, attrs
+    total = counts_rng.poisson(area_mean * trials)
+    labels = counts_rng.integers(0, trials, total)
+    return labels, points_rng.random((2, total))
 
 
-def _exponential(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Unit-mean exponential gains -ln(1 - u) of the uniforms u, written to
-    out (u itself may be passed) or to a new array."""
-    gains = np.negative(u, out=out)
-    np.log1p(gains, out=gains)
-    return np.negative(gains, out=gains)
+def _exponential(u: np.ndarray) -> np.ndarray:
+    """Unit-mean exponential gains -ln(1 - u) of the uniforms u, in place."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 def _link_gains(link_rng: np.random.Generator, trials: int) -> np.ndarray:
     """Link gains h of the next trials of a batch, drawn by continuing its
     link generator."""
-    u = link_rng.random(trials)
-    return _exponential(u, out=u)
+    return _exponential(link_rng.random(trials))
 
 
 def _decode(radius: float, attrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances to the transmitter and power gains of the points in attrs,
-    each computed in one array of its own."""
-    radii = np.sqrt(attrs[:, 0])
+    """Distances to the transmitter and power gains of the points whose
+    uniforms are attrs (see _batch_points), decoded in place: the two
+    rows of attrs."""
+    radii, gains = attrs
+    np.sqrt(radii, out=radii)
     radii *= radius
-    return radii, _exponential(attrs[:, 2])
+    return radii, _exponential(gains)
 
 
 def sample_field(
     params: SystemParams, radius: float, trial_index: int, seed: int
 ) -> EavesdropperField:
-    """The eavesdropper snapshot a given trial sees.
+    """The eavesdropper snapshot a given trial sees: its points' distances
+    and gains, in the order drawn.
 
     Bit-identical to the field used by run_gz_trials / run_an_trials for
     the same (seed, trial_index) and radius.
@@ -337,13 +349,10 @@ def sample_field(
     batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
     streams = _streams(seed, batch)
     for piece in _slices(params, radius, pos + 1):
-        counts, attrs = _batch_points(params, radius, seed, batch, len(piece), streams)
-    # the trial is the last one of the last slice
-    rows = attrs[int(counts[:-1].sum()) :]
-    radii, fading = _decode(radius, rows)
-    angles = 2.0 * math.pi * rows[:, 1]
-    points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    return EavesdropperField(points=points, fading=fading)
+        labels, attrs = _batch_points(params, radius, seed, batch, len(piece), streams)
+    # the trial is in the last slice, at its position there
+    distances, fading = _decode(radius, attrs[:, labels == pos - piece.start])
+    return EavesdropperField(distances=distances, fading=fading)
 
 
 def strongest_received_power(field: EavesdropperField, params: SystemParams) -> float:
@@ -353,9 +362,8 @@ def strongest_received_power(field: EavesdropperField, params: SystemParams) -> 
     transmit power; 0 for an empty field, and inf for a point at the
     transmitter, the limit the simulation uses.
     """
-    distances = np.hypot(field.points[:, 0], field.points[:, 1])
     with np.errstate(over="ignore", divide="ignore"):
-        gains = field.fading * distances**-params.alpha
+        gains = field.fading * field.distances**-params.alpha
     return float(np.max(gains, initial=0.0))
 
 
@@ -464,35 +472,29 @@ def _batch_reductions(
     trials: int,
     streams: tuple[np.random.Generator, ...],
 ) -> tuple[np.ndarray, ...]:
-    """The scene of the next trials of a batch, drawn by continuing its
-    streams: per trial the nearest point distance and h, then for each
-    silence radius in r_gs (ascending, 0 allowed) the strongest path gain
-    over the points at distance >= it, which at 0 is every point. Trial i
-    owns the next counts[i] points."""
-    counts, attrs = _batch_points(params, radius, seed, batch, trials, streams)
+    """The scene of the next slice of a batch, of this many trials, drawn
+    by continuing its streams: per trial the nearest point distance and
+    h, then for each silence radius in r_gs (ascending, 0 allowed) the
+    strongest path gain over the points at distance >= it, which at 0 is
+    every point. A point belongs to the trial its label names."""
+    labels, attrs = _batch_points(params, radius, seed, batch, trials, streams)
     radii, path = _decode(radius, attrs)
-    # the largest array of the slice; nothing reads it once decoded
-    del attrs
     # a point at distance 0, like a gain past the float range, is an
     # infinite gain, which the ratios below handle
     with np.errstate(over="ignore", divide="ignore"):
         path *= radii**-params.alpha
-    index = np.repeat(np.arange(trials), counts)
-    del counts
     outers = []
     # each radius drops the points inside it; ascending radii only add to
     # the points already dropped
     for r_g in r_gs:
         path[radii < r_g] = 0.0
         outer = np.zeros(trials)
-        np.maximum.at(outer, index, path)
+        np.maximum.at(outer, labels, path)
         outers.append(outer)
-    # each point array goes as soon as nothing reads it, and all of them
-    # before the link gains are drawn
-    del path
     nearest = np.full(trials, np.inf)
-    np.minimum.at(nearest, index, radii)
-    del radii, index
+    np.minimum.at(nearest, labels, radii)
+    # the point arrays go before the link gains are drawn
+    del labels, attrs, radii, path
     return (nearest, _link_gains(streams[_S_LINK], trials), *outers)
 
 
@@ -504,13 +506,14 @@ def _scenes(
     batch: int,
     trials: int,
 ) -> Iterator[tuple[range, tuple[np.ndarray, ...]]]:
-    """(positions, scene) of each slice of the first trials of a batch, in
-    order; each slice is drawn only once the one before it is read."""
+    """(positions, scene) of the first trials of a batch, slice by slice
+    in order: each slice is drawn whole, only once the one before it is
+    read, and cut to the positions below trials."""
     streams = _streams(seed, batch)
     for piece in _slices(params, radius, trials):
-        yield piece, _batch_reductions(
-            params, radius, r_gs, seed, batch, len(piece), streams
-        )
+        scene = _batch_reductions(params, radius, r_gs, seed, batch, len(piece), streams)
+        served = min(len(piece), trials - piece.start)
+        yield piece[:served], tuple(column[:served] for column in scene)
 
 
 def _eavesdropper_snr(

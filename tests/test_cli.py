@@ -389,11 +389,11 @@ class TestSweepSharedScene:
 
     def test_each_batch_drawn_once(self, capsys, batch_draws):
         # 29 rows, 58 designs and 150 000 trials on one window: batches of
-        # 65 536, 65 536 and 18 928 trials, in slices of 8 192
+        # 65 536, 65 536 and 18 928 trials, in whole slices of 8 192
         assert cli.main(["sweep-d", "--mc", "150000"]) == 0
         capsys.readouterr()
         assert len({radius for radius, _, _ in batch_draws}) == 1
-        slices = [(0, 8192)] * 8 + [(1, 8192)] * 8 + [(2, 2544)] + [(2, 8192)] * 2
+        slices = [(0, 8192)] * 8 + [(1, 8192)] * 8 + [(2, 8192)] * 3
         assert sorted((batch, trials) for _, batch, trials in batch_draws) == slices
 
     @pytest.mark.parametrize("epsilon", ["0.9", "0.99999"])
@@ -414,10 +414,10 @@ class TestSweepSharedScene:
             ],
         )
         # batch 0 in 8 slices of 8 192 trials and batch 1, partly used, in
-        # one of 4 464, all on one window
+        # one whole slice, all on one window
         (window,) = {radius for radius, _, _ in batch_draws}
         per_batch = sorted((batch, trials) for _, batch, trials in batch_draws)
-        assert per_batch == [(0, 8192)] * 8 + [(1, 4464)]
+        assert per_batch == [(0, 8192)] * 8 + [(1, 8192)]
         params = replace(oracle.REFERENCE, epsilon=float(epsilon))
         (r_g_star,) = {row["r_g_star"] for row in report["rows"]}
         assert window == max(montecarlo.auto_window_radius(params), r_g_star)

@@ -123,39 +123,40 @@ class TestSampleField:
     def test_deterministic(self):
         a = sample_field(BASE, 2.0, trial_index=5, seed=42)
         b = sample_field(BASE, 2.0, trial_index=5, seed=42)
-        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a.distances, b.distances)
         np.testing.assert_array_equal(a.fading, b.fading)
 
     def test_seed_changes_field(self):
         a = sample_field(BASE, 2.0, trial_index=5, seed=42)
         b = sample_field(BASE, 2.0, trial_index=5, seed=43)
-        assert a.points.shape != b.points.shape or not np.array_equal(
-            a.points, b.points
+        assert a.distances.shape != b.distances.shape or not np.array_equal(
+            a.distances, b.distances
         )
 
     def test_points_inside_window(self):
         field = sample_field(BASE, 2.0, trial_index=0, seed=9)
-        distances = np.hypot(field.points[:, 0], field.points[:, 1])
-        assert np.all(distances <= 2.0)
+        assert np.all(field.distances <= 2.0)
         assert np.all(field.fading >= 0.0)
 
     def test_empty_when_field_density_zero(self):
         params = replace(BASE, lambda_e=0.0)
         field = sample_field(params, 2.0, trial_index=0, seed=9)
-        assert field.points.shape == (0, 2)
+        assert field.distances.shape == (0,)
         assert field.fading.shape == (0,)
 
     def test_mean_count_matches_intensity(self):
-        # one internal batch of trials at lambda 0.1 on a radius-5 disk;
-        # the mean count must sit within 3 standard errors of lambda*pi*25
-        counts, _ = mc._batch_points(BASE, 5.0, 1234, 0, 1 << 16, mc._streams(1234, 0))
+        # one slice of a batch's 2^16 trials at lambda 0.1 on a radius-5
+        # disk; the mean count must sit within 3 standard errors of
+        # lambda*pi*25
+        labels, _ = mc._batch_points(BASE, 5.0, 1234, 0, 1 << 16, mc._streams(1234, 0))
+        counts = np.bincount(labels, minlength=1 << 16)
         expected = BASE.lambda_e * math.pi * 25.0
         stderr = math.sqrt(expected / counts.size)
         assert abs(counts.mean() - expected) <= 3.0 * stderr
 
     def test_later_batch_indices_work(self):
         field = sample_field(BASE, 2.0, trial_index=70_000, seed=42)
-        assert field.points.ndim == 2
+        assert field.distances.ndim == 1
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf])
     def test_rejects_bad_radius(self, radius):
@@ -176,29 +177,22 @@ class TestSampleField:
 
 class TestStrongestReceivedPower:
     def test_single_point(self):
-        field = EavesdropperField(
-            points=np.array([[0.0, 2.0]]), fading=np.array([1.0])
-        )
+        field = EavesdropperField(distances=np.array([2.0]), fading=np.array([1.0]))
         assert strongest_received_power(field, BASE) == 0.0625
 
     def test_takes_maximum_over_points(self):
         field = EavesdropperField(
-            points=np.array([[1.0, 0.0], [2.0, 0.0]]),
-            fading=np.array([0.5, 16.0]),
+            distances=np.array([1.0, 2.0]), fading=np.array([0.5, 16.0])
         )
         assert strongest_received_power(field, BASE) == 1.0
 
     def test_empty_field(self):
-        field = EavesdropperField(
-            points=np.empty((0, 2)), fading=np.empty(0)
-        )
+        field = EavesdropperField(distances=np.empty(0), fading=np.empty(0))
         assert strongest_received_power(field, BASE) == 0.0
 
     def test_origin_point_rejected(self):
         # a point at the transmitter is an infinite gain, as in the kernel
-        field = EavesdropperField(
-            points=np.array([[0.0, 0.0]]), fading=np.array([1.0])
-        )
+        field = EavesdropperField(distances=np.array([0.0]), fading=np.array([1.0]))
         assert strongest_received_power(field, BASE) == math.inf
 
 
@@ -375,8 +369,8 @@ class TestSharedScene:
     def test_every_design_equals_its_own_run(self, batch_draws):
         # designs at several distances and guard radii, out of order;
         # r_g = 1.7 exceeds the auto window (1.59), so the run's one window
-        # widens to 1.7, each slice of two batches is drawn once, and each
-        # estimate is that design's own run on that window
+        # widens to 1.7, each slice of two batches is drawn once and whole,
+        # and each estimate is that design's own run on that window
         cfg = TrialConfig(n_trials=70_000, seed=21)
         designs = [
             (0.6, GuardZoneDesign(r_g=1.0)),
@@ -388,8 +382,9 @@ class TestSharedScene:
             (0.6, NoiseSplitDesign(gamma=1.0)),
         ]
         shared = mc.run_trials(BASE, designs, cfg)
-        # batch 0 in 8 slices of 8 192 trials, batch 1 in one of 4 464
-        assert sorted(batch_draws) == [(1.7, 0, 8192)] * 8 + [(1.7, 1, 4464)]
+        # batch 0 in 8 slices of 8 192 trials, batch 1 in one, of which
+        # 4 464 trials are served
+        assert sorted(batch_draws) == [(1.7, 0, 8192)] * 8 + [(1.7, 1, 8192)]
         on_window = replace(cfg, window_radius=1.7)
         for (d, design), estimates in zip(designs, shared):
             point = replace(BASE, d=d)
@@ -408,18 +403,24 @@ class TestSharedScene:
 
 
 class TestPartialBatch:
-    # a run's last batch, trial_outcomes and sample_field draw only the
-    # trials they read, and every stream gives those trials the values
-    # the full batch gives them
+    # a run's last batch, trial_outcomes and sample_field draw each slice
+    # whole, as the full batch does, and read only the trials they serve,
+    # so those trials get the values the full batch gives them
 
     @pytest.mark.parametrize("lambda_e", [0.1, 3.0])
     def test_scene_of_m_trials_is_the_full_scene_prefix(self, lambda_e):
         params = replace(BASE, lambda_e=lambda_e)
         radius = auto_window_radius(params)
         r_gs = [0.0, 0.5, R_G_STAR]
-        full = mc._batch_reductions(params, radius, r_gs, 11, 2, 1 << 16, mc._streams(11, 2))
+
+        def scene(m):
+            pieces = list(mc._scenes(params, radius, r_gs, 11, 2, m))
+            assert [i for piece, _ in pieces for i in piece] == list(range(m))
+            return [np.concatenate(c) for c in zip(*(columns for _, columns in pieces))]
+
+        full = scene(1 << 16)
         for m in (1, 17, 18_928, (1 << 16) - 1):
-            part = mc._batch_reductions(params, radius, r_gs, 11, 2, m, mc._streams(11, 2))
+            part = scene(m)
             assert len(part) == len(full)
             for column, whole in zip(part, full):
                 assert column.tobytes() == whole[:m].tobytes()
@@ -432,12 +433,68 @@ class TestPartialBatch:
         with pytest.raises(NumericalError, match="too large"):
             mc._batch_points(params, 1.0, 3, 0, 1 << 16, mc._streams(3, 0))
         field = sample_field(params, 1.0, trial_index=0, seed=3)
-        counts, _ = mc._batch_points(params, 1.0, 3, 0, 1, mc._streams(3, 0))
-        assert len(field.fading) == counts[0] > 9_000
+        labels, _ = mc._batch_points(params, 1.0, 3, 0, 1, mc._streams(3, 0))
+        assert len(field.fading) == len(labels) > 9_000
+
+
+class TestPointLaw:
+    # a slice of T trials draws one Poisson(m T) total and a uniform trial
+    # label per point, which by the colouring theorem gives each trial an
+    # independent Poisson(m) count
+
+    @pytest.mark.parametrize("m", [0.1, 0.8, 3.0])
+    @pytest.mark.parametrize("trials", [1, 2, "whole"])
+    def test_counts_per_trial_are_poisson(self, m, trials):
+        # the empirical cdf of the per-trial counts, bincount(labels), must
+        # lie in the Dvoretzky-Kiefer-Wolfowitz band of the Poisson(m) cdf
+        # with Massart's constant: P(sup |F_n - F| > eps) <= 2 exp(-2 n
+        # eps^2) for any law (Massart, Ann. Probab. 1990). Each case fails
+        # a correct sampler with probability at most 1e-7, the 9 cases at
+        # most 9e-7 per run. One whole slice of the kernel is T = 8 192
+        # trials at m = 0.1 and 0.8, and 2 730 at m = 3; slices of 1 and 2
+        # trials, as the last slice of a batch or a dense field's, are
+        # pooled over 8 192 trials of continued draws
+        params = replace(BASE, lambda_e=m / math.pi)
+        if trials == "whole":
+            (piece,) = mc._slices(params, 1.0, 1)
+            trials, n = len(piece), len(piece)
+        else:
+            n = 8_192
+        streams = mc._streams(8, 0)
+        counts = np.concatenate([
+            np.bincount(mc._batch_points(params, 1.0, 8, 0, trials, streams)[0],
+                        minlength=trials)
+            for _ in range(n // trials)
+        ])
+        ks = np.arange(counts.max() + 1)
+        pmf = np.exp(-m + ks * math.log(m) - np.array([math.lgamma(k + 1) for k in ks]))
+        gap = np.abs(np.cumsum(np.bincount(counts)) / n - np.cumsum(pmf)).max()
+        assert gap <= math.sqrt(math.log(2 / 1e-7) / (2 * n)), gap
+
+    @pytest.mark.parametrize(
+        "lambda_e, window_radius", [(0.1, None), (3.0, None), (2000.0, 0.05)]
+    )
+    def test_field_gives_the_outcome_ratio(self, lambda_e, window_radius):
+        # the strongest power of sample_field's distances and gains is the
+        # one the kernel reduced, so it gives trial_outcomes' snr_s, on
+        # both sides of the first slice seam and of the batch seam
+        params = replace(BASE, lambda_e=lambda_e)
+        cfg = TrialConfig(n_trials=1, seed=13, window_radius=window_radius)
+        radius = mc._window(params, [(params.d, 0.0, 1.0)], cfg)
+        step = len(next(mc._slices(params, radius, 1)))
+        batch = 1 << 16
+        seams = [0, step - 1, step, batch - 1, batch, batch + step - 1, batch + step]
+        outcomes = trial_outcomes(params, GuardZoneDesign(r_g=0.0), cfg, seams)
+        assert step < batch
+        for i, outcome in zip(seams, outcomes):
+            field = sample_field(params, radius, i, cfg.seed)
+            strongest = np.float64(strongest_received_power(field, params))
+            with np.errstate(over="ignore", divide="ignore"):
+                assert outcome.snr_s == mc._eavesdropper_snr(params, 1.0, strongest), i
 
 
 class TestTwoBatchesInFlight:
-    # every batch draws from Philox streams keyed on its own index, and the
+    # every batch draws from SFC64 streams keyed on its own index, and the
     # per-batch counts are integers summed in batch order, so the number of
     # threads that run the batches cannot move an estimate
 
@@ -621,24 +678,27 @@ class TestTrialOutcomes:
         # a radius uniform of exactly 0 puts a point at distance 0; its gain
         # is inf, like an overflowed one, and the run raises no warning
         real = mc._batch_points
-
-        def with_origin_point(params, radius, seed, batch, trials, streams):
-            counts, attrs = real(params, radius, seed, batch, trials, streams)
-            if batch == 0:
-                attrs[0, 0] = 0.0
-            return counts, attrs
-
-        monkeypatch.setattr(mc, "_batch_points", with_origin_point)
         n = 150
         cfg = TrialConfig(n_trials=n, seed=5)
-        streams = mc._streams(cfg.seed, 0)
-        counts, _ = real(BASE, auto_window_radius(BASE), cfg.seed, 0, n, streams)
+        radius = auto_window_radius(BASE)
+        (piece,) = mc._slices(BASE, radius, n)
+        labels, _ = real(BASE, radius, cfg.seed, 0, len(piece), mc._streams(cfg.seed, 0))
+        # the first point of the trials the run serves
+        first = np.flatnonzero(labels < n)[0]
+
+        def with_origin_point(params, radius, seed, batch, trials, streams):
+            labels, attrs = real(params, radius, seed, batch, trials, streams)
+            if batch == 0:
+                attrs[0, first] = 0.0
+            return labels, attrs
+
+        monkeypatch.setattr(mc, "_batch_points", with_origin_point)
         r_g, gamma = mc._settings(design)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             outcomes = trial_outcomes(BASE, design, cfg, range(n))
             (result,) = mc.run_trials(BASE, [(BASE.d, design)], cfg)
-        hit = outcomes[np.flatnonzero(counts)[0]]
+        hit = outcomes[labels[first]]
         assert hit.snr_s == (math.inf if gamma == 1.0 else gamma / (1.0 - gamma))
         assert hit.active == (r_g == 0.0)
         if isinstance(design, GuardZoneDesign):
@@ -684,8 +744,7 @@ class TestTrialOutcomes:
             assert outcome.snr_s == pytest.approx(
                 BASE.p_t * strongest / BASE.sigma2_s, rel=1e-9, abs=1e-300
             )
-            distances = np.hypot(field.points[:, 0], field.points[:, 1])
-            nearest = distances.min() if len(distances) else math.inf
+            nearest = field.distances.min(initial=math.inf)
             assert outcome.active == (nearest >= design.r_g - 1e-12)
 
     def test_inactive_trial_still_judges_secrecy(self):
@@ -710,8 +769,8 @@ class TestTrialOutcomes:
         gained = 0
         for i, outcome in enumerate(outcomes):
             field = sample_field(params, 1.6, i, cfg.seed)
-            outer = np.hypot(field.points[:, 0], field.points[:, 1]) >= design.r_g
-            annulus = EavesdropperField(field.points[outer], field.fading[outer])
+            outer = field.distances >= design.r_g
+            annulus = EavesdropperField(field.distances[outer], field.fading[outer])
             secure, secure_all = (
                 params.p_t * strongest_received_power(f, params) / params.sigma2_s
                 <= params.beta_e
