@@ -265,11 +265,10 @@ def _mean_points(params: SystemParams, radius: float) -> float:
 
 
 def _slices(params: SystemParams, radius: float, trials: int) -> Iterator[range]:
-    """The trial positions of each slice a batch is walked in, up to the
-    one holding its first trials, in order: _SLICE trials, or where a
+    """The trial positions of each slice a batch is walked in, in order,
+    up to the one holding its first trials: _SLICE trials, or where a
     trial's expected point count m exceeds 1, _SLICE // m of them, but at
-    least one. Each slice is whole, as a full batch walks it, so the last
-    may reach past the trials asked for."""
+    least one. Each is whole, so the last may reach past those trials."""
     area_mean = _mean_points(params, radius)
     step = max(1, int(_SLICE // area_mean)) if area_mean > 1.0 else _SLICE
     for start in range(0, trials, step):
@@ -324,8 +323,7 @@ def _link_gains(link_rng: np.random.Generator, trials: int) -> np.ndarray:
 
 def _decode(radius: float, attrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances to the transmitter and power gains of the points whose
-    uniforms are attrs (see _batch_points), decoded in place: the two
-    rows of attrs."""
+    uniforms are attrs (see _batch_points), decoded in place."""
     radii, gains = attrs
     np.sqrt(radii, out=radii)
     radii *= radius
@@ -335,12 +333,9 @@ def _decode(radius: float, attrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sample_field(
     params: SystemParams, radius: float, trial_index: int, seed: int
 ) -> EavesdropperField:
-    """The eavesdropper snapshot a given trial sees: its points' distances
-    and gains, in the order drawn.
-
-    Bit-identical to the field used by run_gz_trials / run_an_trials for
-    the same (seed, trial_index) and radius.
-    """
+    """The eavesdropper snapshot a given trial sees, its points' distances
+    and gains in the order drawn: bit-identical to the field run_gz_trials
+    and run_an_trials use for the same (seed, trial_index) and radius."""
     if not (radius > 0.0) or not math.isfinite(radius):
         raise DomainError(f"radius must be positive and finite, got {radius}")
     if trial_index < 0:
@@ -559,10 +554,10 @@ def _usable_cores() -> int:
 
 # batches in flight at once: the calling thread plus, on a machine with a
 # second usable core, one helper thread. The draws release the interpreter
-# lock: on a 2-core host, 8 192-count Poisson draws ran 1.9x faster on two
-# threads. The rest of a slice (decode, np.repeat, the .at reductions, the
-# tallies) is many numpy calls on small arrays and did not speed up at all,
-# so it caps the gain: 2e6 reference-density trials ran 1.6x faster.
+# lock, but with one Poisson total per slice they are a small part of it;
+# the rest (decode, the .at reductions, the tallies) is many numpy calls on
+# small arrays that do not scale. On a 2-core host a 2e6-trial mc-validate
+# took 0.85-1.08 times its one-worker wall (BENCH_streams.json).
 _WORKERS = min(2, _usable_cores())
 
 

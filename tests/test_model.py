@@ -31,8 +31,8 @@ import oracle
 
 
 @st.composite
-def system_params(draw, min_lambda=0.0):
-    return SystemParams(
+def system_params(draw, min_lambda=0.0, dense=False):
+    params = SystemParams(
         alpha=draw(st.floats(2.1, 6.0)),
         p_t=draw(st.floats(0.05, 20.0)),
         beta_t=draw(st.floats(0.05, 20.0)),
@@ -43,6 +43,13 @@ def system_params(draw, min_lambda=0.0):
         lambda_e=draw(st.floats(min_lambda, 2.0)),
         d=draw(st.floats(0.05, 3.0)),
     )
+    if dense and draw(st.booleans()):
+        # a dense field, lambda* times 1e3 to 10^(40/alpha), where the
+        # secrecy exponent magnifies any relative error in its factors
+        log_margin = draw(st.floats(3.0, 40.0 / params.alpha))
+        lambda_star = float(oracle.lambda_threshold(params))
+        params = replace(params, lambda_e=lambda_star * 10.0**log_margin)
+    return params
 
 
 def test_frozen_reference_values():
@@ -61,7 +68,7 @@ def test_frozen_reference_values():
 
 # The probabilities' stated tolerance: 1e-10 relative, or 1e-12 absolute
 # where that is larger (pytest.approx's default absolute tolerance)
-@given(params=system_params(), r_g=st.floats(0.0, 4.0))
+@given(params=system_params(dense=True), r_g=st.floats(0.0, 4.0))
 def test_p_sec_gz_matches_mpmath_route(params, r_g):
     design = GuardZoneDesign(r_g)
     with mp.workdps(20):
@@ -70,7 +77,7 @@ def test_p_sec_gz_matches_mpmath_route(params, r_g):
             assert form(params, design) == pytest.approx(float(route(params, r_g)), rel=1e-10)
 
 
-@given(params=system_params(), gamma=st.floats(0.01, 1.0))
+@given(params=system_params(dense=True), gamma=st.floats(0.01, 1.0))
 # a dense field one float above the cap beta_e/(1 + beta_e), where
 # gamma - (1 - gamma) beta_e cancels to its last digits: p_sec is 0.906
 @example(params=replace(oracle.REFERENCE, alpha=3.0, beta_e=0.1809275167692512,

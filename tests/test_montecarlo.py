@@ -477,15 +477,16 @@ class TestPointLaw:
     def test_field_gives_the_outcome_ratio(self, lambda_e, window_radius):
         # the strongest power of sample_field's distances and gains is the
         # one the kernel reduced, so it gives trial_outcomes' snr_s, on
-        # both sides of the first slice seam and of the batch seam
+        # both sides of the batch seam and of the first slice seam of
+        # batches 0 and 1
         params = replace(BASE, lambda_e=lambda_e)
         cfg = TrialConfig(n_trials=1, seed=13, window_radius=window_radius)
         radius = mc._window(params, [(params.d, 0.0, 1.0)], cfg)
         step = len(next(mc._slices(params, radius, 1)))
         batch = 1 << 16
+        assert step < batch
         seams = [0, step - 1, step, batch - 1, batch, batch + step - 1, batch + step]
         outcomes = trial_outcomes(params, GuardZoneDesign(r_g=0.0), cfg, seams)
-        assert step < batch
         for i, outcome in zip(seams, outcomes):
             field = sample_field(params, radius, i, cfg.seed)
             strongest = np.float64(strongest_received_power(field, params))
