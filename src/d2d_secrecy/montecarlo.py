@@ -557,7 +557,7 @@ def _usable_cores() -> int:
 # lock, but with one Poisson total per slice they are a small part of it;
 # the rest (decode, the .at reductions, the tallies) is many numpy calls on
 # small arrays that do not scale. On a 2-core host a 2e6-trial mc-validate
-# took 0.85-1.08 times its one-worker wall (BENCH_streams.json).
+# took 0.85-1.13 times its one-worker wall (BENCH_streams.json).
 _WORKERS = min(2, _usable_cores())
 
 
