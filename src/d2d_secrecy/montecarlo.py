@@ -19,9 +19,12 @@ run_trials evaluates every (d, design) pair of a run on one scene per
 batch, drawn on one window; run_gz_trials and run_an_trials are its
 one-design case. Of the indicators only coverage depends on d: activity
 and secrecy are computed once per distinct (r_g, gamma) and shared by
-every d of that family, and coverage once per design. trial_outcomes
-reads single trials off the same arrays and expressions, so per-trial
-outcomes sum exactly to the batch tallies.
+every d of that family, and coverage once per design. Each indicator is
+monotone in its scene value, under round-to-nearest as well, so a run
+tallies it as one comparison against a threshold solved once per run
+from the indicator's own expression (see _thresholds). trial_outcomes
+evaluates those expressions on the same arrays, so per-trial outcomes
+sum exactly to the batch tallies.
 
 A batch is walked in slices of at most 2^13 trials, and fewer where a
 trial's expected point count exceeds 1, so that a slice expects at most
@@ -31,10 +34,7 @@ tallied before the next is drawn, by continuing the batch's generators,
 so no array outlives its slice: one run's arrays peak below 1 MiB
 (tracemalloc) at up to 25 000 points per trial. A call reads only the
 trials it serves off a slice, so a trial's values do not depend on how
-many trials the call serves. Where two cores are usable, two batches are
-in flight: the calling thread and one helper thread each take the next
-batch index, and the per-batch counts are summed in batch order, so the
-number of threads cannot move a tally.
+many trials the call serves. Batches run in order on the calling thread.
 
 A slice of T trials draws one Poisson(m T) total, m a trial's expected
 point count, then per point a uniform trial label in [0, T) and two
@@ -84,8 +84,6 @@ loads numpy (about 70 ms and 11 MB resident).
 from __future__ import annotations
 
 import math
-import os
-import threading
 from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -521,81 +519,73 @@ def _eavesdropper_snr(
     return gamma / ((1.0 - gamma) + params.sigma2_s / (params.p_t * strongest))
 
 
-def _secrecy_indicators(
-    params: SystemParams,
-    r_g: float,
-    gamma: float,
-    outer: np.ndarray,
-    nearest: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(active, secure) per trial for silence radius r_g and signal
-    fraction gamma, secure over the points at distance >= r_g. Neither
-    depends on the link distance."""
-    active = nearest >= r_g
-    return active, _eavesdropper_snr(params, gamma, outer) <= params.beta_e
-
-
 def _received(params: SystemParams, gamma: float, h: np.ndarray) -> np.ndarray:
     """Signal power per trial at signal fraction gamma, before path loss."""
     return gamma * params.p_t * h
 
 
-def _link_snr(params: SystemParams, d: float, received: np.ndarray) -> np.ndarray:
-    """The receiver's ratio snr_p at link distance d of the powers given."""
-    return received * _power(d, -params.alpha) / params.sigma2_p
+def _link_snr(params: SystemParams, gain: float, received: np.ndarray) -> np.ndarray:
+    """The receiver's ratio snr_p of the powers given, at the path gain
+    _power(d, -alpha) of link distance d."""
+    return received * gain / params.sigma2_p
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+# bit pattern of +inf: the nonnegative doubles, in order, have the
+# patterns 0 .. _INF_BITS
+_INF_BITS = 0x7FF0000000000000
 
 
-# batches in flight at once: the calling thread plus, on a machine with a
-# second usable core, one helper thread. The draws release the interpreter
-# lock, but with one Poisson total per slice they are a small part of it;
-# the rest (decode, the .at reductions, the tallies) is many numpy calls on
-# small arrays that do not scale. On a 2-core host a 2e6-trial mc-validate
-# took 0.85-1.13 times its one-worker wall (BENCH_streams.json).
-_WORKERS = min(2, _usable_cores())
+def _least(holds: Callable[[np.ndarray], np.ndarray], size: int) -> np.ndarray:
+    """Per element, the bit pattern of the least double x in [0, inf] at
+    which holds(x) is true, or _INF_BITS + 1 where it holds nowhere.
 
-
-def _in_batches(n_batches: int, run: Callable[[int], list[list[int]]]) -> list:
-    """run(batch) for each batch index below n_batches, in batch order.
-
-    The calling thread and, where _WORKERS allows and there are at least
-    two batches, one helper thread each take the next batch index not yet
-    taken. Once a batch raises, no further batch is taken; after the
-    helper has stopped, the exception of the lowest failed batch is raised
-    in the caller, the one a single thread would have raised.
+    holds maps an array of size doubles to as many booleans, and must be
+    false then true, elementwise, as x rises. A bisection over the
+    ordered bit patterns, so it is exact in at most 63 steps.
     """
-    results: list = [None] * n_batches
-    failures: dict[int, BaseException] = {}
-    pending = iter(range(n_batches))
-    lock = threading.Lock()
+    # holds is false at lo, or lo is -1; it is true at hi, or hi is past inf
+    lo = np.full(size, -1, dtype=np.int64)
+    hi = np.full(size, _INF_BITS + 1, dtype=np.int64)
+    while (step := (hi - lo) >> 1).any():
+        mid = lo + step
+        # an element already found (step 0) reads a pattern it ignores
+        with np.errstate(all="ignore"):
+            ok = holds(mid.view(np.float64)) & (step > 0)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return hi
 
-    def work() -> None:
-        while not failures:
-            with lock:
-                batch = next(pending, None)
-            if batch is None:
-                return
-            try:
-                results[batch] = run(batch)
-            except BaseException as exc:  # raised again by the caller below
-                failures[batch] = exc
 
-    helper = None
-    if min(_WORKERS, n_batches) > 1:
-        helper = threading.Thread(target=work, name="montecarlo-batches", daemon=True)
-        helper.start()
-    work()
-    if helper is not None:
-        helper.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
+def _thresholds(
+    params: SystemParams,
+    designs: Sequence[tuple[float, float, float]],
+    gammas: Sequence[float],
+) -> tuple[list[float], list[float]]:
+    """(o*, h*): for each signal fraction in gammas the largest strongest
+    path gain o* that is secure, and for each (d, r_g, gamma) design the
+    least link gain h* that is covered.
+
+    Each indicator takes products, quotients and sums of its scene value
+    with positive constants, and each such step is monotone under
+    round-to-nearest, so secure is exactly outer <= o* and covered exactly
+    h >= h*, a nan scene value included. Each threshold is found by
+    evaluating the kernel's own expressions (see _least). Where no value
+    is secure o* is nan, and where none is covered h* is nan, so that no
+    comparison with it holds.
+    """
+    fractions = np.array(gammas)
+    insecure = _least(
+        lambda x: ~(_eavesdropper_snr(params, fractions, x) <= params.beta_e),
+        len(fractions),
+    )
+    signal = np.array([gamma for _, _, gamma in designs])
+    gains = np.array([_power(d, -params.alpha) for d, _, _ in designs])
+    covered = _least(
+        lambda x: _link_snr(params, gains, _received(params, signal, x)) >= params.beta_t,
+        len(designs),
+    )
+    # the largest secure value is the pattern just below the least insecure
+    return (insecure - 1).view(np.float64).tolist(), covered.view(np.float64).tolist()
 
 
 def _tallies(
@@ -608,41 +598,34 @@ def _tallies(
     gamma) design, all on one scene stream drawn on a disk of this radius.
 
     Each slice of a batch is drawn, reduced and tallied before the next
-    one is drawn, so no array outlives its slice. Activity and secrecy
-    are computed once per (r_g, gamma) family and slice, and so is the
-    received power of the active trials; each design then costs one
-    ratio and one comparison per active trial. Batches run as _in_batches
-    schedules them, and their counts are summed in batch order.
+    one is drawn, so no array outlives its slice. The indicators are read
+    as comparisons against thresholds solved once per run (see
+    _thresholds). Per (r_g, gamma) family and slice, activity and secrecy
+    are one comparison each, and the link gains of the active trials are
+    taken once; each design then costs one comparison. Batches run in
+    order on the calling thread.
     """
     r_gs = sorted({r_g for _, r_g, _ in designs})
     families: dict[tuple[float, float], list[int]] = {}
     for i, (_, r_g, gamma) in enumerate(designs):
         families.setdefault((r_g, gamma), []).append(i)
+    o_stars, h_stars = _thresholds(params, designs, [gamma for _, gamma in families])
     n = cfg.n_trials
-    n_batches = (n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH
-
-    def run(batch: int) -> list[list[int]]:
+    counts = [[0, 0, 0] for _ in designs]
+    for batch in range((n + _TRIALS_PER_BATCH - 1) // _TRIALS_PER_BATCH):
         m = min(n - batch * _TRIALS_PER_BATCH, _TRIALS_PER_BATCH)
-        counts = [[0, 0, 0] for _ in designs]
         for _, (nearest, h, *outers) in _scenes(params, radius, r_gs, cfg.seed, batch, m):
-            # an overflowed power or ratio is a value, like an origin point's
-            with np.errstate(over="ignore", divide="ignore"):
-                for (r_g, gamma), members in families.items():
-                    outer = outers[r_gs.index(r_g)]
-                    active, secure = _secrecy_indicators(params, r_g, gamma, outer, nearest)
-                    k_active, k_secure = (int(np.count_nonzero(x)) for x in (active, secure))
-                    received = _received(params, gamma, h[active])
-                    for i in members:
-                        snr_p = _link_snr(params, designs[i][0], received)
-                        total = counts[i]
-                        total[0] += k_active
-                        total[1] += int(np.count_nonzero(snr_p >= params.beta_t))
-                        total[2] += k_secure
-        return counts
-
-    # each design's counts of every batch, summed in batch order
-    per_design = zip(*_in_batches(n_batches, run))
-    return [[sum(k) for k in zip(*counts)] for counts in per_design]
+            for ((r_g, _), members), o_star in zip(families.items(), o_stars):
+                active = nearest >= r_g
+                k_active = int(np.count_nonzero(active))
+                k_secure = int(np.count_nonzero(outers[r_gs.index(r_g)] <= o_star))
+                h_active = h[active]
+                for i in members:
+                    total = counts[i]
+                    total[0] += k_active
+                    total[1] += int(np.count_nonzero(h_active >= h_stars[i]))
+                    total[2] += k_secure
+    return counts
 
 
 def run_trials(
@@ -692,13 +675,15 @@ def trial_outcomes(
     """Indicator views of the trials at indices, in that order.
 
     Each slice the indices reach is built once, and each trial is read
-    off the same scene and indicator expressions run_gz_trials /
-    run_an_trials tally, so the outcomes sum exactly to their tallies.
+    off the same scene by the indicator expressions whose exact
+    thresholds run_gz_trials / run_an_trials tally against (see
+    _thresholds), so the outcomes sum exactly to their tallies.
     """
     if any(i < 0 for i in indices):
         raise DomainError(f"trial indices must be nonnegative, got {min(indices)}")
     d, r_g, gamma = setting = (params.d, *_settings(design))
     radius = _window(params, [setting], cfg)
+    gain = _power(d, -params.alpha)
     r_gs = sorted({0.0, r_g})
     found = {}
     batches = groupby(sorted(set(indices)), key=lambda i: i // _TRIALS_PER_BATCH)
@@ -711,11 +696,13 @@ def trial_outcomes(
             read = positions[first : bisect_left(positions, piece.stop)]
             if not read:
                 continue
+            active = nearest >= r_g
             with np.errstate(over="ignore", divide="ignore"):
-                active, secure = _secrecy_indicators(params, r_g, gamma, outers[-1], nearest)
-                # snr_s is over every point, the maximum at radius 0
+                # secure is over the points at distance >= r_g, and snr_s
+                # over every point, the maximum at radius 0
+                secure = _eavesdropper_snr(params, gamma, outers[-1]) <= params.beta_e
                 snr_s = _eavesdropper_snr(params, gamma, outers[0])
-                snr_p = _link_snr(params, d, _received(params, gamma, h))
+                snr_p = _link_snr(params, gain, _received(params, gamma, h))
             covered = active & (snr_p >= params.beta_t)
             columns = (active, snr_p, snr_s, covered, secure)
             for pos in read:

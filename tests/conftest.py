@@ -10,15 +10,9 @@ target) for the last secrecy parameter set; every test starts with that
 memo empty, so no result or solve count depends on which test ran before
 it.
 
-The Monte-Carlo engine runs batches on a helper thread; a test that ends
-with a thread still alive that it started fails, since such a thread
-would keep running after the call that owns it has returned.
-
 A test that takes batch_draws sees every slice the engine draws, as
 (window radius, batch index, trial count), in the order drawn.
 """
-
-import threading
 
 import pytest
 
@@ -28,15 +22,6 @@ from d2d_secrecy import optimizer
 @pytest.fixture(autouse=True)
 def _cold_secrecy_memo():
     optimizer._secrecy_solution.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def _no_thread_left_running():
-    before = set(threading.enumerate())
-    yield
-    left = [thread.name for thread in threading.enumerate() if thread not in before]
-    if left:
-        pytest.fail(f"threads still running after the test: {left}")
 
 
 @pytest.fixture

@@ -249,7 +249,8 @@ class TestMcValidate:
         )
         assert code == 0
         assert report["all_pass"] is True
-        assert report["checks"]["p_active"]["mc"] == 0.0
+        active = report["checks"]["p_active"]
+        assert active["mc"] <= 3 * active["half_width"]
         assert report["checks"]["p_sec"]["n_effective"] == 65536
 
     def test_csv_has_one_row_per_check(self, capsys):

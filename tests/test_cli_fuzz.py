@@ -184,6 +184,11 @@ def _strict(constant):
 @example(argv=["mc-validate", "--d", "0.6", "--r-g", "0.5", "--pt", "1.7e308",
                "--lambda-e", "0.3", "--alpha", "3", "--window-radius", "2",
                "--trials", "100"])
+# a received power past the float range at a link path gain that
+# underflows to 0 is covered nowhere, and raises no warning
+@example(argv=["mc-validate", "--d", "1e200", "--gamma", "0.9", "--pt", "1.7e308",
+               "--lambda-e", "0.3", "--alpha", "3", "--window-radius", "2",
+               "--trials", "100"])
 # each checked form at a value far from 0 and 1, so that a relative error
 # of 1e-9 exceeds the tolerance whatever the drawn examples
 @example(argv=["analytic", "--d", "1", "--r-g", "0.5"])

@@ -164,32 +164,6 @@ def test_only_a_simulation_loads_numpy(simulation):
     assert "numpy" in seen[-1][1]
 
 
-_FIRST_USE_PROBE = f"REFERENCE = {asdict(replace(REFERENCE, d=0.6))!r}\n" + """
-import sys
-from d2d_secrecy import GuardZoneDesign, SystemParams, TrialConfig, montecarlo
-
-# switch threads often, so both threads are likely to reach np at once
-sys.setswitchinterval(1e-6)
-params = SystemParams(**REFERENCE)
-designs = [(params.d, GuardZoneDesign(r_g=0.79))]
-cfg = TrialConfig(n_trials=(1 << 16) + 5000, seed=3)
-montecarlo._WORKERS = 2
-first = montecarlo.run_trials(params, designs, cfg)
-bound = montecarlo.np is sys.modules["numpy"]
-sys.setswitchinterval(0.005)
-montecarlo._WORKERS = 1
-print(repr((bound, first == montecarlo.run_trials(params, designs, cfg))))
-"""
-
-
-def test_first_simulation_on_two_threads_binds_numpy_once():
-    # the caller and the helper thread of _in_batches may both read the
-    # stand-in np before numpy is imported; the import system hands both
-    # the one module, and the tallies equal a one-thread run
-    out = _fresh(["-c", _FIRST_USE_PROBE]).stdout
-    assert ast.literal_eval(out.strip()) == (True, True)
-
-
 def _imported_modules(tree, into_functions):
     # absolute name of each module an import statement names, relative
     # ones resolved against the package

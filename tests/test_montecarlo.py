@@ -5,8 +5,6 @@ checks use fixed seeds, so every assertion is deterministic.
 """
 
 import math
-import sys
-import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -495,78 +493,11 @@ class TestPointLaw:
 
 
 class TestTwoBatchesInFlight:
-    # every batch draws from SFC64 streams keyed on its own index, and the
-    # per-batch counts are integers summed in batch order, so the number of
-    # threads that run the batches cannot move an estimate
-
-    @staticmethod
-    def _meet_in_the_first_two_threads(monkeypatch, raise_in_helper=False):
-        # the first batch of the first two threads waits for the other
-        # one, so a run on two workers really has both taking batches; a
-        # later window's helper is a thread of its own and does not wait
-        barrier = threading.Barrier(2, timeout=30)
-        seen = set()
-        reductions = mc._batch_reductions
-
-        def met(params, radius, r_gs, seed, batch, trials, streams):
-            thread = threading.current_thread()
-            if len(seen) < 2 and thread not in seen:
-                seen.add(thread)
-                barrier.wait()
-                if raise_in_helper and thread is not threading.main_thread():
-                    raise NumericalError("the helper's batch failed", batch=batch)
-            return reductions(params, radius, r_gs, seed, batch, trials, streams)
-
-        monkeypatch.setattr(mc, "_batch_reductions", met)
-        return seen
-
-    @pytest.mark.parametrize(
-        "designs, n_trials",
-        [
-            # a widened window (r_g = 1.7 exceeds the auto radius 1.59),
-            # three guard radii, two distances and both techniques
-            (
-                [
-                    (0.6, GuardZoneDesign(r_g=1.0)),
-                    (0.9, NoiseSplitDesign(gamma=GAMMA_STAR)),
-                    (0.4, GuardZoneDesign(r_g=0.5)),
-                    (0.6, GuardZoneDesign(r_g=1.7)),
-                    (1.2, GuardZoneDesign(r_g=1.0)),
-                    (0.6, NoiseSplitDesign(gamma=1.0)),
-                ],
-                3 << 16,
-            ),
-            # a partial last batch
-            ([(0.6, GuardZoneDesign(r_g=1.0))], (2 << 16) + 1000),
-            # one batch, which never starts a helper
-            ([(0.6, NoiseSplitDesign(gamma=GAMMA_STAR))], 1 << 16),
-        ],
-        ids=["widened-window", "partial-last-batch", "one-batch"],
-    )
-    def test_tallies_do_not_depend_on_the_worker_count(
-        self, monkeypatch, designs, n_trials
-    ):
-        cfg = TrialConfig(n_trials=n_trials, seed=17)
-        monkeypatch.setattr(mc, "_WORKERS", 1)
-        single = mc.run_trials(BASE, designs, cfg)
-        monkeypatch.setattr(mc, "_WORKERS", 2)
-        if n_trials > 1 << 16:
-            threads = self._meet_in_the_first_two_threads(monkeypatch)
-        # switch threads as often as the interpreter allows, so that they
-        # interleave around the shared batch iterator and result list
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            two = mc.run_trials(BASE, designs, cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert two == single
-        if n_trials > 1 << 16:
-            assert len(threads) == 2
-            assert threading.main_thread() in threads
+    # batches run in order on the calling thread; a failed batch ends the
+    # run, and its error reaches the caller and the CLI unchanged
 
     def test_batch_failure_reaches_the_caller(self, monkeypatch, capsys):
-        # batch 3 of 6 fails, in whichever thread takes it
+        # batch 3 of 6 fails
         reductions = mc._batch_reductions
 
         def failing(params, radius, r_gs, seed, batch, trials, streams):
@@ -575,28 +506,14 @@ class TestTwoBatchesInFlight:
             return reductions(params, radius, r_gs, seed, batch, trials, streams)
 
         monkeypatch.setattr(mc, "_batch_reductions", failing)
-        monkeypatch.setattr(mc, "_WORKERS", 2)
-        threads = threading.active_count()
         design = [(0.6, GuardZoneDesign(r_g=1.0))]
         with pytest.raises(NumericalError, match="batch 3 failed"):
             mc.run_trials(BASE, design, TrialConfig(n_trials=6 << 16, seed=3))
-        assert threading.active_count() == threads
         argv = ["mc-validate", "--d", "0.6", "--r-g", "0.79", "--trials", str(6 << 16)]
         assert cli.main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: batch 3 failed\n"
-        assert threading.active_count() == threads
-
-    def test_helper_failure_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(mc, "_WORKERS", 2)
-        self._meet_in_the_first_two_threads(monkeypatch, raise_in_helper=True)
-        threads = threading.active_count()
-        with pytest.raises(NumericalError, match="the helper's batch failed"):
-            mc.run_trials(
-                BASE, [(0.6, GuardZoneDesign(r_g=1.0))], TrialConfig(n_trials=6 << 16, seed=3)
-            )
-        assert threading.active_count() == threads
 
 
 class TestBatchMemory:
@@ -623,8 +540,7 @@ class TestBatchMemory:
         ],
         ids=["gz", "an", "sweep-d", "gz-lambda-3", "gz-lambda-2000"],
     )
-    def test_one_run_peaks_below_2_mib(self, monkeypatch, lambda_e, n_trials, designs):
-        monkeypatch.setattr(mc, "_WORKERS", 1)
+    def test_one_run_peaks_below_2_mib(self, lambda_e, n_trials, designs):
         params = replace(BASE, lambda_e=lambda_e)
         cfg = TrialConfig(n_trials=n_trials, seed=1)
         # a first run imports the modules numpy's seeding needs, about
@@ -640,34 +556,96 @@ class TestBatchMemory:
 
 
 class TestTrialOutcomes:
+    # BASE, then the edges of the thresholds a run tallies against (see
+    # montecarlo._thresholds): a power at the float limit, a link path
+    # gain that overflows to inf and one that underflows to 0, and an
+    # empty field
+    EDGES = [
+        BASE,
+        replace(BASE, p_t=1.7e308),
+        replace(BASE, d=1e-200),
+        replace(BASE, d=1e200),
+        replace(BASE, lambda_e=0.0),
+    ]
+    # full power, and just above the cap beta_e/(1 + beta_e) = 0.5 of BASE,
+    # where only an eavesdropper very close by breaks secrecy
+    EDGE_GAMMAS = [0.8, 1.0, math.nextafter(0.5, 1.0)]
+
+    @staticmethod
+    def windows(params):
+        # the auto window and an explicit one; a power at the float limit
+        # has no finite auto window
+        if math.isfinite(auto_window_radius(params)):
+            return (None, 2.5)
+        return (2.5,)
+
     def test_gz_outcomes_aggregate_to_run_estimates(self):
         # per-trial indicators summed by hand must hit the batched run's
         # tallies exactly; this pins the per-trial purity of the engine,
         # with the auto window and with an explicit one
         n = 150
         design = GuardZoneDesign(r_g=1.0)
-        for window_radius in (None, 2.5):
-            cfg = TrialConfig(n_trials=n, seed=5, window_radius=window_radius)
-            outcomes = trial_outcomes(BASE, design, cfg, range(n))
-            result, unguarded = mc.run_trials(
-                BASE, [(BASE.d, design), (BASE.d, GuardZoneDesign(r_g=0.0))], cfg
-            )
-            assert not all(o.active for o in outcomes)
-            k_sec_all = sum(o.snr_s <= BASE.beta_e for o in outcomes)
-            assert result.p_active.mean == sum(o.active for o in outcomes) / n
-            assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
-            assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
-            assert unguarded.p_sec.mean == k_sec_all / n
+        for params in self.EDGES:
+            for window_radius in self.windows(params):
+                cfg = TrialConfig(n_trials=n, seed=5, window_radius=window_radius)
+                outcomes = trial_outcomes(params, design, cfg, range(n))
+                result, unguarded = mc.run_trials(
+                    params, [(params.d, design), (params.d, GuardZoneDesign(r_g=0.0))], cfg
+                )
+                if params.lambda_e > 0.0:
+                    assert not all(o.active for o in outcomes)
+                k_sec_all = sum(o.snr_s <= params.beta_e for o in outcomes)
+                assert result.p_active.mean == sum(o.active for o in outcomes) / n
+                assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
+                assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
+                assert unguarded.p_sec.mean == k_sec_all / n
 
     def test_an_outcomes_aggregate_to_run_estimates(self):
         n = 150
-        design = NoiseSplitDesign(gamma=0.8)
-        for window_radius in (None, 2.5):
-            cfg = TrialConfig(n_trials=n, seed=5, window_radius=window_radius)
-            outcomes = trial_outcomes(BASE, design, cfg, range(n))
-            result = run_an_trials(BASE, design, cfg)
-            assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
-            assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
+        for params in self.EDGES:
+            for gamma in self.EDGE_GAMMAS:
+                design = NoiseSplitDesign(gamma=gamma)
+                for window_radius in self.windows(params):
+                    cfg = TrialConfig(n_trials=n, seed=5, window_radius=window_radius)
+                    outcomes = trial_outcomes(params, design, cfg, range(n))
+                    result = run_an_trials(params, design, cfg)
+                    assert result.p_cov.mean == sum(o.covered for o in outcomes) / n
+                    assert result.p_sec.mean == sum(o.secure for o in outcomes) / n
+
+    @pytest.mark.parametrize(
+        "params",
+        EDGES + [replace(BASE, alpha=102.0)],
+        ids=["base", "pt-1.7e308", "d-1e-200", "d-1e200", "lambda-0", "alpha-102"],
+    )
+    def test_thresholds_are_the_last_values_each_indicator_holds_at(self, params):
+        # secure holds at o* and not one ulp above it; covered holds at h*
+        # and not one ulp below it; both read by the kernel's expressions
+        gammas = self.EDGE_GAMMAS + [GAMMA_STAR]
+        designs = [(d, 0.0, gamma) for d in (0.6, params.d) for gamma in gammas]
+        o_stars, h_stars = mc._thresholds(params, designs, gammas)
+
+        def secure(gamma, x):
+            ratio = mc._eavesdropper_snr(params, gamma, np.array([x]))
+            return bool(ratio[0] <= params.beta_e)
+
+        def covered(d, gamma, x):
+            received = mc._received(params, gamma, np.array([x]))
+            ratio = mc._link_snr(params, mc._power(d, -params.alpha), received)
+            return bool(ratio[0] >= params.beta_t)
+
+        with np.errstate(all="ignore"):
+            for gamma, o_star in zip(gammas, o_stars):
+                assert secure(gamma, o_star), (gamma, o_star)
+                if o_star < math.inf:
+                    assert not secure(gamma, math.nextafter(o_star, math.inf)), gamma
+            for (d, _, gamma), h_star in zip(designs, h_stars):
+                if math.isnan(h_star):
+                    # covered nowhere, as for a path gain that underflows
+                    assert not covered(d, gamma, math.inf), (d, gamma)
+                    continue
+                assert covered(d, gamma, h_star), (d, gamma, h_star)
+                if h_star > 0.0:
+                    assert not covered(d, gamma, math.nextafter(h_star, 0.0)), (d, gamma)
 
     @pytest.mark.parametrize(
         "design",

@@ -16,16 +16,6 @@ from oracle import R_G_STAR
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# the Monte-Carlo metrics that count work rather than time it
-COUNTS = (
-    "montecarlo.batches",
-    "montecarlo.builds_per_scene",
-    "montecarlo.points_per_trial",
-    "montecarlo.bytes_computed",
-    "montecarlo.trial_use_frac",
-    "montecarlo.active_frac",
-)
-
 
 @pytest.fixture
 def tracer(monkeypatch):
@@ -65,13 +55,3 @@ def _traced_metrics(tracer, capsys, trials):
 
 def test_every_seam_is_wrapped_and_measured(tracer, capsys):
     _traced_metrics(tracer, capsys, 100)
-
-
-def test_two_batches_in_flight_count_what_one_counts(tracer, capsys, monkeypatch):
-    # 262 144 trials are 4 batches, so on two workers both threads pass
-    # through the wrapped seams
-    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
-    two = _traced_metrics(tracer, capsys, 262144)
-    monkeypatch.setattr(montecarlo, "_WORKERS", 1)
-    one = _traced_metrics(tracer, capsys, 262144)
-    assert {name: two[name] for name in COUNTS} == {name: one[name] for name in COUNTS}
