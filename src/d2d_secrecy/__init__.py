@@ -7,6 +7,11 @@ enhancement techniques (guard zone, artificial noise), decides which
 technique is preferable at a given link distance, and validates the
 closed forms by Monte-Carlo simulation.
 
+The public API is declared once, in the `__all__` of each library
+module (errors, model, optimizer, specfun, montecarlo). The package
+republishes it, so a name added there is exported here with no other
+edit.
+
 The closed forms, the optimizer and the selection rule need only the
 standard library. numpy is imported only when something is first
 simulated. The Monte-Carlo names are resolved on first access, so that
@@ -15,38 +20,11 @@ simulated. The Monte-Carlo names are resolved on first access, so that
 
 import importlib
 
-from .errors import (
-    DegenerateDesignError,
-    DomainError,
-    NumericalError,
-)
-from .model import (
-    GuardZoneDesign,
-    NoiseSplitDesign,
-    SystemParams,
-    TechniqueMetrics,
-    p_active,
-    p_cov_an,
-    p_cov_gz,
-    p_sec_an,
-    p_sec_gz,
-)
-from .optimizer import (
-    CriticalDistance,
-    OptimalDesign,
-    SelectionVerdict,
-    Technique,
-    critical_distance,
-    lambda_threshold,
-    optimal_guard_radius,
-    optimal_power_split,
-    selection_function,
-)
-from .specfun import (
-    complete_gamma,
-    inverse_upper_incomplete_gamma,
-    upper_incomplete_gamma,
-)
+from . import errors, model, optimizer, specfun
+from .errors import *
+from .model import *
+from .optimizer import *
+from .specfun import *
 
 __version__ = "0.1.0"
 
@@ -67,34 +45,8 @@ _MONTECARLO_NAMES = (
     "trial_outcomes",
 )
 
-__all__ = [
-    "__version__",
-    "DomainError",
-    "DegenerateDesignError",
-    "NumericalError",
-    "SystemParams",
-    "GuardZoneDesign",
-    "NoiseSplitDesign",
-    "TechniqueMetrics",
-    "p_active",
-    "p_cov_gz",
-    "p_sec_gz",
-    "p_cov_an",
-    "p_sec_an",
-    "Technique",
-    "OptimalDesign",
-    "SelectionVerdict",
-    "CriticalDistance",
-    "lambda_threshold",
-    "optimal_guard_radius",
-    "optimal_power_split",
-    "selection_function",
-    "critical_distance",
-    "complete_gamma",
-    "upper_incomplete_gamma",
-    "inverse_upper_incomplete_gamma",
-]
-__all__ += _MONTECARLO_NAMES
+__all__ = ["__version__", *errors.__all__, *model.__all__, *optimizer.__all__,
+           *specfun.__all__, *_MONTECARLO_NAMES]
 
 
 def __getattr__(name):

@@ -6,6 +6,8 @@ of iterative numerics derive from RuntimeError. The CLI maps these onto
 distinct exit codes; a density below the threshold is not an error.
 """
 
+__all__ = ["DomainError", "DegenerateDesignError", "NumericalError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""

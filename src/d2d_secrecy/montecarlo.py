@@ -177,14 +177,24 @@ class TrialConfig:
             raise DomainError(f"tail_prob must lie in (0, 1), got {self.tail_prob}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EavesdropperField:
     """One realized snapshot: each eavesdropper's distance to the
     transmitter and its power gain. The field is isotropic, so no
-    bearing is kept."""
+    bearing is kept. Two fields are equal where both arrays are; a
+    field is not hashable."""
 
     distances: np.ndarray  # shape (n,)
     fading: np.ndarray  # shape (n,)
+
+    def __eq__(self, other):
+        # the generated __eq__ compares the arrays as a tuple, which
+        # raises on any field of two or more points
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.distances, other.distances) and np.array_equal(
+            self.fading, other.fading
+        )
 
 
 @dataclass(frozen=True)
@@ -697,9 +707,11 @@ def trial_outcomes(
             if not read:
                 continue
             active = nearest >= r_g
-            with np.errstate(over="ignore", divide="ignore"):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 # secure is over the points at distance >= r_g, and snr_s
-                # over every point, the maximum at radius 0
+                # over every point, the maximum at radius 0; a received
+                # power of inf at a path gain of 0 gives a nan snr_p, which
+                # is not covered
                 secure = _eavesdropper_snr(params, gamma, outers[-1]) <= params.beta_e
                 snr_s = _eavesdropper_snr(params, gamma, outers[0])
                 snr_p = _link_snr(params, gain, _received(params, gamma, h))

@@ -3,6 +3,7 @@ on fresh interpreters, and on what running the CLI costs the process."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -39,6 +40,21 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_package_republishes_each_library_module():
+    # each library module's __all__ is its public API; the package exports
+    # all of it, as the very objects the module defines, and nothing else
+    modules = [
+        importlib.import_module(f"d2d_secrecy.{name}")
+        for name in ("errors", "model", "optimizer", "specfun", "montecarlo")
+    ]
+    names = [name for module in modules for name in module.__all__]
+    assert sorted(d2d_secrecy.__all__) == sorted(["__version__", *names])
+    assert [
+        name for module in modules for name in module.__all__
+        if getattr(d2d_secrecy, name) is not getattr(module, name)
+    ] == []
 
 
 def test_package_import_loads_no_scipy():
@@ -236,7 +252,10 @@ def _unused_names(path):
     # names a module imports but neither uses nor re-exports in __all__, and
     # that a function binds but never reads ("_" drops a value on purpose);
     # with them the module's private top-level definitions and every name
-    # it reads, as a name, an attribute or an import
+    # it reads, as a name, an attribute or an import. A star import binds
+    # its module's __all__, and an __all__ built from other modules' is
+    # read off the module itself
+    package = "d2d_secrecy" if path.parent.name == "d2d_secrecy" else None
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
     exported = set()
@@ -248,9 +267,12 @@ def _unused_names(path):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-                read_anywhere.add(alias.name)
+                star = alias.name == "*"
+                for name in importlib.import_module(source).__all__ if star else [alias.name]:
+                    imported[alias.asname or name] = node.lineno
+                    read_anywhere.add(name)
         elif isinstance(node, ast.Name):
             used.add(node.id)
             if isinstance(node.ctx, ast.Load):
@@ -261,7 +283,11 @@ def _unused_names(path):
             isinstance(target, ast.Name) and target.id == "__all__"
             for target in node.targets
         ):
-            exported.update(ast.literal_eval(node.value))
+            try:
+                exported.update(ast.literal_eval(node.value))
+            except ValueError:
+                module = package if path.stem == "__init__" else f"{package}.{path.stem}"
+                exported.update(importlib.import_module(module).__all__)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names = [name for name in ast.walk(node) if isinstance(name, ast.Name)]
             read = {name.id for name in names if isinstance(name.ctx, ast.Load)}
@@ -327,6 +353,16 @@ def _declared_requirements():
         block = re.search(rf"^{key} = \[(.*?)\]", text, re.M | re.S).group(1)
         names.update(re.findall(r'"([A-Za-z0-9_.-]+)', block))
     return {name.lower().replace("-", "_") for name in names}
+
+
+def test_version_is_declared_once():
+    # setuptools reads the version off d2d_secrecy.__version__, so
+    # [project] must not write one of its own
+    text = (SRC.parent / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)^\[", text, re.M | re.S).group(1)
+    assert re.search(r"^version\s*=", project, re.M) is None
+    assert re.search(r'^dynamic = \[.*"version"', project, re.M)
+    assert re.search(r'^version = \{attr = "d2d_secrecy.__version__"\}', text, re.M)
 
 
 def test_test_imports_are_declared():

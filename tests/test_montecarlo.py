@@ -123,6 +123,13 @@ class TestSampleField:
         b = sample_field(BASE, 2.0, trial_index=5, seed=42)
         np.testing.assert_array_equal(a.distances, b.distances)
         np.testing.assert_array_equal(a.fading, b.fading)
+        # equality compares the arrays: a field of 41 points, not a tuple
+        # of arrays whose truth value is ambiguous
+        dense = replace(BASE, lambda_e=3.0)
+        c = sample_field(dense, 2.0, trial_index=0, seed=1)
+        assert c.distances.size >= 2
+        assert c == sample_field(dense, 2.0, trial_index=0, seed=1)
+        assert c != sample_field(dense, 2.0, trial_index=0, seed=2)
 
     def test_seed_changes_field(self):
         a = sample_field(BASE, 2.0, trial_index=5, seed=42)
@@ -558,14 +565,15 @@ class TestBatchMemory:
 class TestTrialOutcomes:
     # BASE, then the edges of the thresholds a run tallies against (see
     # montecarlo._thresholds): a power at the float limit, a link path
-    # gain that overflows to inf and one that underflows to 0, and an
-    # empty field
+    # gain that overflows to inf and one that underflows to 0, an empty
+    # field, and a received power that overflows at a gain of 0
     EDGES = [
         BASE,
         replace(BASE, p_t=1.7e308),
         replace(BASE, d=1e-200),
         replace(BASE, d=1e200),
         replace(BASE, lambda_e=0.0),
+        replace(BASE, p_t=1.7e308, d=1e200),
     ]
     # full power, and just above the cap beta_e/(1 + beta_e) = 0.5 of BASE,
     # where only an eavesdropper very close by breaks secrecy
@@ -615,7 +623,8 @@ class TestTrialOutcomes:
     @pytest.mark.parametrize(
         "params",
         EDGES + [replace(BASE, alpha=102.0)],
-        ids=["base", "pt-1.7e308", "d-1e-200", "d-1e200", "lambda-0", "alpha-102"],
+        ids=["base", "pt-1.7e308", "d-1e-200", "d-1e200", "lambda-0", "pt-1.7e308-d-1e200",
+             "alpha-102"],
     )
     def test_thresholds_are_the_last_values_each_indicator_holds_at(self, params):
         # secure holds at o* and not one ulp above it; covered holds at h*
