@@ -165,10 +165,15 @@ def _snr_ratio(params: SystemParams, power: float) -> float:
 def secrecy_scale(params: SystemParams, power: float | None = None) -> float:
     """Factor multiplying the gamma function in a secrecy exponent, for the
     power on the information signal: p_t (the default) under a guard zone,
-    p_t times the unjammed part of gamma under artificial noise."""
+    p_t times the unjammed part of gamma under artificial noise.
+
+    An empty field (lambda_e = 0) gives 0, certain secrecy, without
+    forming the power ratio, which may overflow."""
+    if params.lambda_e == 0.0:
+        return 0.0
     ratio = _snr_ratio(params, params.p_t if power is None else power)
     scale = density_factor(params) * ratio ** order(params)
-    # 0 (an empty field, or an underflow) means certain secrecy; inf does not
+    # 0 (an underflow) means certain secrecy, as for an empty field; inf does not
     if scale == math.inf:
         raise NumericalError(f"secrecy scale = {scale} is not a finite float")
     return scale
@@ -206,11 +211,9 @@ def p_sec_gz(params: SystemParams, design: GuardZoneDesign) -> float:
 
     The nearest possible eavesdropper is pushed out to r_g, which turns
     the field integral into an upper incomplete gamma evaluated at the
-    radius-dependent argument. Within 1e-10 relative or 1e-12 absolute
-    of mpmath.
+    radius-dependent argument. An empty field gives 1 through a zero
+    secrecy_scale. Within 1e-10 relative or 1e-12 absolute of mpmath.
     """
-    if params.lambda_e == 0.0:
-        return 1.0
     a = order(params)
     scale = secrecy_scale(params)
     return math.exp(-scale * upper_incomplete_gamma(a, guard_argument(params, design.r_g)))
@@ -263,10 +266,9 @@ def p_sec_an(params: SystemParams, design: NoiseSplitDesign) -> float:
     absolute of mpmath: the unjammed part gamma - (1 - gamma) beta_e is
     the correctly rounded value of the floats' exact ratios, since near
     the cap it cancels while a dense field's exponent reads its last digits.
+    An empty field gives 1 through a zero secrecy_scale.
     """
     if design.gamma <= params.beta_e / (1.0 + params.beta_e):
-        return 1.0
-    if params.lambda_e == 0.0:
         return 1.0
     g_num, g_den = design.gamma.as_integer_ratio()
     b_num, b_den = params.beta_e.as_integer_ratio()

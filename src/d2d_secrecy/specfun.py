@@ -20,9 +20,10 @@ iteration in log space on the smaller tail: ln gamma(a, x) = ln(Gamma(a)
 - target) from the lower series when target > Gamma(a)/2, else
 ln Gamma(a, x) = ln target. Either way the residual is relative to a tail
 that does not cancel. The derivative is the exact x^(a-1) e^-x over the
-tail, every step stays inside a bracket that holds the root, and the
-starting values follow DiDonato & Morris, so a solve takes a few forward
-evaluations.
+tail, and every step stays inside a bracket that holds the root. The
+start is the large-x asymptote of Gamma(a, x) where -ln target > 1 and
+the small-x root of gamma(a, x) otherwise, so a solve takes a few
+forward evaluations.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ _MAX_ITER = 500
 # Values of Gamma(a, x) below roughly exp(a*log(x) - x) ~ 1e-290 underflow
 # through the prefactor; callers treat an exact 0.0 as "negligibly small".
 _TINY = 1e-300
-
-_EULER = 0.5772156649015329
 
 
 def _check_order(a: float) -> None:
@@ -200,6 +199,7 @@ def inverse_upper_incomplete_gamma(a: float, target: float) -> float:
     if lo == 0.0:
         return 0.0
 
+    y = -math.log(target)
     if target > 0.5 * gamma_a:
         # the root lies below the median, which is at most ln 2
         log_lower = math.log(gamma_a - target)
@@ -209,34 +209,25 @@ def inverse_upper_incomplete_gamma(a: float, target: float) -> float:
             slope = 1.0 / total
             return a * math.log(x) - x + math.log(total) - log_lower, slope, a - x - slope
 
-        return _halley(residual, near_zero, lo, 1.0)
-
-    log_target = math.log(target)
-
-    def residual(x: float) -> tuple[float, float, float]:
-        log_x = math.log(x)
-        if x < a + 1.0:
-            log_tail = math.log(_upper_series(a, x))
-        else:
-            log_tail = a * log_x - x + math.log(_upper_continued_fraction(a, x))
-        slope = math.exp(a * log_x - x - log_tail)
-        return log_target - log_tail, slope, a - x + slope
-
-    # Gamma(a, x) <= x^(a-1) e^-x <= e^-x once x >= 1
-    hi = max(1.0, -log_target)
-    # DiDonato & Morris's starting values for a < 1, by the size of target
-    if target > 0.6 or (target >= 0.45 and a >= 0.3):
-        start = near_zero
-    elif a < 0.3 and target >= 0.35:
-        # Gamma(0, x) = E1(x) ~ -Euler - ln x + x, iterated twice from x = 0
-        t = math.exp(-_EULER - target)
-        start = t * math.exp(t * math.exp(t))
     else:
+
+        def residual(x: float) -> tuple[float, float, float]:
+            log_x = math.log(x)
+            if x < a + 1.0:
+                log_tail = math.log(_upper_series(a, x))
+            else:
+                log_tail = a * log_x - x + math.log(_upper_continued_fraction(a, x))
+            slope = math.exp(a * log_x - x - log_tail)
+            return -y - log_tail, slope, a - x + slope
+
+    if y > 1.0:
         # Gamma(a, x) ~ x^(a-1) e^-x (1 - (1 - a)/x) for large x
-        y = -log_target
         v = y - (1.0 - a) * math.log(y)
         start = y - (1.0 - a) * math.log(v) - math.log1p((1.0 - a) / (1.0 + v))
-    return _halley(residual, start, lo, hi)
+    else:
+        start = near_zero
+    # the root is below ln 2 < 1 or, as Gamma(a, x) <= e^-x for x >= 1, at most y
+    return _halley(residual, start, lo, max(1.0, y))
 
 
 def _halley(

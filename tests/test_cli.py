@@ -221,15 +221,19 @@ class TestMcValidate:
             assert entry["n_effective"] == 20
 
     def test_vanishing_secrecy_scale_is_certain_secrecy(self, capsys):
-        # the secrecy scale underflows to 0, which the window rule divided by
-        code, report, _ = run_json(
-            capsys,
-            ["mc-validate", "--d", "0.6", "--r-g", "0", "--lambda-e", "1e-300",
-             "--pt", "1e-300", "--trials", "10"],
-        )
-        assert code == 0
-        assert report["checks"]["p_sec"]["analytic"] == 1.0
-        assert report["all_pass"] is True
+        # the secrecy scale underflows to 0, which the window rule divided
+        # by; an empty field's scale is 0 even where its power ratio
+        # overflows, under either design
+        empty = ["--lambda-e", "0", "--pt", "1e300", "--sigma2-s", "1e-300", "--trials", "100"]
+        for argv in (
+            ["--r-g", "0", "--lambda-e", "1e-300", "--pt", "1e-300", "--trials", "10"],
+            ["--r-g", "0", *empty],
+            ["--gamma", "0.9", *empty],
+        ):
+            code, report, _ = run_json(capsys, ["mc-validate", "--d", "0.6", *argv])
+            assert code == 0
+            assert report["checks"]["p_sec"]["analytic"] == 1.0
+            assert report["all_pass"] is True
 
     def test_guard_zone_validates_where_it_rarely_transmits(self, capsys):
         # at lambda_e = 3 the optimal guard zone is active in about 6e-8 of

@@ -173,6 +173,11 @@ def test_no_eavesdroppers_means_certain_secrecy():
     assert p_sec_gz(params, GuardZoneDesign(0.0)) == 1.0
     assert p_sec_an(params, NoiseSplitDesign(1.0)) == 1.0
     assert p_active(params, GuardZoneDesign(5.0)) == 1.0
+    # whatever the power ratio, here p_t / sigma2_s = inf
+    overflowing = replace(params, p_t=1e300, sigma2_s=1e-300)
+    assert secrecy_scale(overflowing) == 0.0
+    assert p_sec_gz(overflowing, GuardZoneDesign(0.0)) == 1.0
+    assert p_sec_an(overflowing, NoiseSplitDesign(0.9)) == 1.0
 
 
 def test_extreme_designs_stay_finite():

@@ -7,8 +7,9 @@ the inverse's residual is checked at the same orders. tests/oracle.py's
 routes are compared with the density threshold, the optimal power split
 and the selection function at drawn parameters, with the optimal guard
 radius and the critical distance from 1e-15 to 10 above the threshold,
-and with the oracle's frozen values. A budget test counts the forward
-evaluations each inverse solve makes on the benchmark's design-grid rows.
+and with the oracle's frozen values. Budget tests count the forward
+evaluations each inverse solve makes over three bands of orders and on
+the benchmark's design-grid rows.
 """
 
 import math
@@ -244,15 +245,9 @@ def test_frozen_values_match_their_routes():
                 if abs(frozen - want) > 1e-12 * want] == []
 
 
-def test_inverse_forward_evaluations_on_design_grid(monkeypatch):
-    # every series or continued-fraction evaluation an inverse makes, over
-    # the rows of four design-grid seeds, counted at the private kernels
-    monkeypatch.syspath_prepend(str(BENCH))
-    # the benchmark's reference module sets mpmath's global precision
-    monkeypatch.setattr(mp.mp, "dps", mp.mp.dps)
-    from reference import DEFAULT_PARAMS
-    from workloads import DESIGN_GRID_D, grid_rows
-
+def _count_forward_evaluations(monkeypatch) -> list[int]:
+    # every series or continued-fraction evaluation from here on, counted
+    # at the private kernels into the returned one-element list
     evaluations = [0]
     for name in ("_lower_series", "_upper_series", "_upper_continued_fraction"):
         kernel = getattr(specfun, name)
@@ -262,7 +257,38 @@ def test_inverse_forward_evaluations_on_design_grid(monkeypatch):
             return _kernel(*args)
 
         monkeypatch.setattr(specfun, name, counted_kernel)
+    return evaluations
 
+
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        pytest.param(-6.0, -3.0, id="orders-1e-6-1e-3"),
+        pytest.param(-3.0, -1.0, id="orders-1e-3-1e-1"),
+        pytest.param(-1.0, 0.0, id="orders-1e-1-1"),
+    ],
+)
+def test_inverse_forward_evaluations_over_order_bands(monkeypatch, low, high):
+    # 2 000 seeded solves at orders a = 10^U(low, high) and targets
+    # Gamma(a) 10^U(-14, 0), both tails and every start
+    evaluations = _count_forward_evaluations(monkeypatch)
+    rng = random.Random(1702)
+    for _ in range(2000):
+        a = 10.0 ** rng.uniform(low, high)
+        inverse_upper_incomplete_gamma(a, math.gamma(a) * 10.0 ** rng.uniform(-14.0, 0.0))
+    assert evaluations[0] / 2000 <= 3.0
+
+
+def test_inverse_forward_evaluations_on_design_grid(monkeypatch):
+    # the evaluations each inverse makes over the rows of four design-grid
+    # seeds
+    monkeypatch.syspath_prepend(str(BENCH))
+    # the benchmark's reference module sets mpmath's global precision
+    monkeypatch.setattr(mp.mp, "dps", mp.mp.dps)
+    from reference import DEFAULT_PARAMS
+    from workloads import DESIGN_GRID_D, grid_rows
+
+    evaluations = _count_forward_evaluations(monkeypatch)
     per_solve = []
     inverse = model.inverse_upper_incomplete_gamma
 
@@ -285,4 +311,4 @@ def test_inverse_forward_evaluations_on_design_grid(monkeypatch):
     # r_g* is solved once per row: critical_distance solves it and the
     # sixteen distances read it back
     assert len(per_solve) == 4 * 64
-    assert statistics.fmean(per_solve) <= 8.0
+    assert statistics.fmean(per_solve) <= 3.0
