@@ -30,16 +30,21 @@ carry, is a numerical failure in either format. A sweep grid may hold
 at most ``MAX_GRID_ROWS`` rows. Below the enhancement threshold the
 optimizer gives no verdict and no d*; reports carry them as nulls and
 the token ``no-enhancement-needed``.
+
+No command calls BLAS. So ``main``, run before numpy is loaded, sets
+``OPENBLAS_NUM_THREADS=1`` unless the environment already sets it, and a
+simulating command's numpy starts no idle OpenBLAS worker thread, which
+otherwise costs a fresh process tens of milliseconds of CPU on a
+multi-core host.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
 import io
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, replace
@@ -172,6 +177,8 @@ def _trial_config(cfg: argparse.Namespace, n_trials: int) -> TrialConfig:
 
 
 def _csv_text(columns: tuple[Column, ...], rows: list[dict]) -> str:
+    import csv  # only a CSV report loads it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_header(columns))
@@ -180,6 +187,8 @@ def _csv_text(columns: tuple[Column, ...], rows: list[dict]) -> str:
 
 
 def _load_config(path: str) -> dict[str, object]:
+    import configparser  # only --config loads it
+
     # [DEFAULT] would merge into every section; no header line can spell a
     # name holding a newline, so [DEFAULT] stays an ordinary, unknown section
     parser = configparser.ConfigParser(default_section="\n")
@@ -617,6 +626,10 @@ def _serialise(
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # nothing here calls BLAS, so numpy need not start OpenBLAS worker
+        # threads; a value the caller set wins
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     cfg = _build_parser().parse_args(argv)
     try:
         _make_config(cfg)

@@ -78,7 +78,7 @@ Importing this module does not import numpy. The module global np is a
 stand-in until something first reads an attribute of it, which imports
 numpy and rebinds np to the module, so a process that imports the
 simulation but never draws a field, such as a CLI planning command, never
-loads numpy (about 70 ms and 11 MB resident).
+loads numpy (about 70 ms, and 13 MB resident over a bare interpreter's 14).
 """
 
 from __future__ import annotations

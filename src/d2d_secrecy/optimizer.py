@@ -27,6 +27,16 @@ so a d-sweep, or one density of a lambda-sweep, computes them once; a
 call then computes only p_cov_gz, p_cov_an, h and Gamma(a, h). Each
 technique's part is computed on first use, so where r_g* raises gamma*
 still answers.
+
+A second memo holds, for each technique on its own, the last optimum
+returned and the SystemParams object it was asked about, as one
+(params, optimum) pair. Its key is that object's identity: a frozen
+object always gets the same answer, an identity test is one pointer
+comparison where equality would compare nine fields, and the memo keeps
+the object alive, so its id cannot pass to another. So the selection
+function, which asks both optima for the params it is given, reuses the
+two its caller has just asked for at that point. A call that raises
+stores nothing.
 """
 
 from __future__ import annotations
@@ -206,6 +216,11 @@ def _solution(params: SystemParams) -> _SecrecySolution:
     )
 
 
+# the last optimum of each technique, keyed "r_g" and "gamma", with the
+# params object it answers, as one (params, optimum) pair
+_last_optimum: dict[str, tuple[SystemParams, OptimalDesign]] = {}
+
+
 def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
     """Largest guard radius is never wanted; this returns the smallest
     radius that still meets the secrecy target, which maximizes coverage.
@@ -215,27 +230,39 @@ def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
     rounding of lambda_e - lambda*, a few ulps of lambda*, limits any
     double-precision r_g* to about 1e-15 / margin. r_g* and p_sec_gz are
     memoised for the last secrecy parameter set, so a call computes only
-    p_cov_gz (see the module docstring).
+    p_cov_gz, and the optimum itself for the last params object, so a
+    repeat call on that very object returns the same optimum (see the
+    module docstring).
     """
+    held, optimum = _last_optimum.get("r_g", (None, None))
+    if held is params:
+        return optimum
     solution = _solution(params)
     design, p_sec = solution.guard_zone
     metrics = TechniqueMetrics(p_cov=p_cov_gz(params, design), p_sec=p_sec)
-    return OptimalDesign(Technique.GUARD_ZONE, design.r_g, metrics, solution.needed)
+    optimum = OptimalDesign(Technique.GUARD_ZONE, design.r_g, metrics, solution.needed)
+    _last_optimum["r_g"] = (params, optimum)
+    return optimum
 
 
 def optimal_power_split(params: SystemParams) -> OptimalDesign:
     """Largest signal fraction that still meets the secrecy target.
 
     gamma* is within 1e-14 * alpha relative of mpmath: the power alpha/2
-    in the closed form scales the rounding of its base. gamma* and
-    p_sec_an are memoised like r_g* (see optimal_guard_radius).
+    in the closed form scales the rounding of its base. gamma*, p_sec_an
+    and the optimum are memoised like r_g* (see optimal_guard_radius).
     """
+    held, optimum = _last_optimum.get("gamma", (None, None))
+    if held is params:
+        return optimum
     solution = _solution(params)
     design, p_sec = solution.power_split
     metrics = TechniqueMetrics(p_cov=p_cov_an(params, design), p_sec=p_sec)
-    return OptimalDesign(
+    optimum = OptimalDesign(
         Technique.ARTIFICIAL_NOISE, design.gamma, metrics, solution.needed
     )
+    _last_optimum["gamma"] = (params, optimum)
+    return optimum
 
 
 def _selection_f(params: SystemParams, g: float, target: float) -> tuple[float, float]:
@@ -272,6 +299,11 @@ def selection_function(params: SystemParams) -> SelectionVerdict:
     Against mpmath, h_value is within 1e-14 * alpha / (1 - g_value)
     relative at the reported g_value (1/g - 1 cancels near g = 1), and
     f_value within 1e-13 * Gamma(2/alpha) absolute at the reported h_value.
+
+    Both optima come from optimal_guard_radius and optimal_power_split,
+    called on params itself: where the caller has just asked for them on
+    this object, the verdict's gz_design and an_design are the very
+    optima it got, not recomputed (see the module docstring).
     """
     gz = optimal_guard_radius(params)
     an = optimal_power_split(params)

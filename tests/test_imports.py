@@ -24,9 +24,15 @@ MODULES = ["d2d_secrecy"] + [
 ]
 
 
-def _fresh(args):
+def _fresh(args, **environ):
+    # environ: variables to set in the child, or to remove with None
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name, value in environ.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True,
         timeout=120, check=True,
@@ -122,7 +128,7 @@ def test_package_import_defers_numpy_to_first_simulation():
 
 
 def test_montecarlo_import_loads_no_numpy_random():
-    # numpy adds about 11 MB resident, numpy.random 6 MB of that; a process
+    # numpy adds about 13 MB resident, and numpy.random 6 MB more; a process
     # that imports the simulation but draws nothing, such as the
     # benchmark's design-grid worker, must load neither, so no module-level
     # code may touch np
@@ -173,11 +179,55 @@ def _cli_probe(simulation):
 @pytest.mark.parametrize("simulation", _SIMULATIONS, ids=["mc-validate", "sweep-d-mc"])
 def test_only_a_simulation_loads_numpy(simulation):
     # the planning commands are closed-form arithmetic: numpy costs each
-    # about 70 ms and 11 MB resident, so none may load it
+    # about 70 ms and 13 MB resident, so none may load it
     seen = _cli_probe(simulation)
     assert [code for code, _ in seen] == [0] * len(seen)
     assert [numpy for _, numpy in seen[:-1]] == [[]] * len(_PLANNING)
     assert "numpy" in seen[-1][1]
+
+
+# runs cli.main on ARGV and prints its exit code, the process's thread
+# count and the OpenBLAS thread setting it leaves
+_THREAD_PROBE = """
+import contextlib, io, os
+from d2d_secrecy import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(ARGV)
+print(repr((code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="needs /proc and two or more CPUs, where numpy starts OpenBLAS workers",
+)
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+def test_cli_starts_no_openblas_pool(preset):
+    # nothing in the package calls BLAS, so a simulation runs on one thread
+    # unless the caller asked OpenBLAS for more
+    argv = _SIMULATIONS[0]
+    probe = f"ARGV = {argv!r}\n" + _THREAD_PROBE
+    code, threads, setting = ast.literal_eval(
+        _fresh(["-c", probe], OPENBLAS_NUM_THREADS=preset).stdout.strip()
+    )
+    assert code == 0
+    if preset is None:
+        assert (threads, setting) == (1, "1")
+    else:
+        assert setting == preset
+
+
+def test_json_report_without_config_loads_neither_configparser_nor_csv():
+    # configparser is read only with --config, and csv only for a CSV report
+    probe = (
+        "import contextlib, io, sys\n"
+        "from d2d_secrecy import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['optimize', '--d', '0.6'])\n"
+        "print(repr((code, sorted({'configparser', 'csv'} & set(sys.modules)))))\n"
+    )
+    assert ast.literal_eval(_fresh(["-c", probe]).stdout.strip()) == (0, [])
 
 
 def _imported_modules(tree, into_functions):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from d2d_secrecy import optimizer
+from d2d_secrecy.errors import NumericalError
 from d2d_secrecy.model import (
     GuardZoneDesign,
     NoiseSplitDesign,
@@ -184,15 +185,64 @@ def _results(sets, distances, before=lambda: None):
 @settings(max_examples=80)
 @given(pair=parameter_pairs(), distances=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=4))
 def test_memo_never_changes_a_result(pair, distances):
-    # results with the d-free memo cold before every call, with the two
-    # sets alternating call by call, and with one set at a time (warm) are
-    # equal
+    # results with the d-free memo and the point memo cold before every
+    # call, with the two sets alternating call by call, and with one set at
+    # a time (warm) are equal
     memo = optimizer._secrecy_solution
-    cold = _results(pair, distances, memo.cache_clear)
+
+    def cold_start():
+        memo.cache_clear()
+        optimizer._last_optimum.clear()
+
+    cold = _results(pair, distances, cold_start)
     alternating = _results(pair, distances)
     warm = [_results([params], distances)[0] for params in pair]
     assert memo.cache_info().hits > 0
     assert cold == alternating == warm
+
+
+def test_point_memo_computes_each_optimum_once(monkeypatch):
+    # both optima, then the verdict, on one params object, as a planner
+    # asks at each point: each coverage term runs once, and the verdict
+    # carries the very optima returned before
+    calls = []
+    for name in ("p_cov_gz", "p_cov_an"):
+        closed_form = getattr(optimizer, name)
+
+        def counted(params, design, name=name, closed_form=closed_form):
+            calls.append(name)
+            return closed_form(params, design)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    point = replace(REFERENCE, d=0.7)
+    gz = optimal_guard_radius(point)
+    an = optimal_power_split(point)
+    verdict = selection_function(point)
+    assert sorted(calls) == ["p_cov_an", "p_cov_gz"]
+    assert verdict.gz_design is gz
+    assert verdict.an_design is an
+    # an equal but distinct object computes again, to equal optima
+    again = replace(point)
+    assert optimal_guard_radius(again) == gz
+    assert optimal_power_split(again) == an
+    assert len(calls) == 4
+
+
+def test_point_memo_keeps_no_raise():
+    # at alpha = 1000 just above the threshold the guard-zone root
+    # underflows: r_g* raises on every call and stores nothing, while
+    # gamma* still answers, once for the object
+    base = replace(REFERENCE, alpha=1000.0)
+    point = replace(base, lambda_e=1.01 * lambda_threshold(base))
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="underflows"):
+            optimal_guard_radius(point)
+        assert "r_g" not in optimizer._last_optimum
+    an = optimal_power_split(point)
+    assert an.constraint_active and 0.0 < an.parameter < 1.0
+    assert optimal_power_split(point) is an
+    with pytest.raises(NumericalError, match="underflows"):
+        selection_function(point)
 
 
 def test_below_threshold_metrics_coincide():
