@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 # resolved on first access: importing montecarlo, even without numpy, would
 # add about 12 ms to the package's import
 _MONTECARLO_NAMES = (
-    "EavesdropperField",
     "McEstimate",
     "TrialConfig",
     "TrialEstimates",
@@ -40,8 +39,6 @@ _MONTECARLO_NAMES = (
     "run_an_trials",
     "run_gz_trials",
     "run_trials",
-    "sample_field",
-    "strongest_received_power",
     "trial_outcomes",
 )
 

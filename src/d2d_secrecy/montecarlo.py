@@ -65,9 +65,9 @@ Results never depend on execution order: every batch of trials owns
 SFC64 generators seeded from (seed, stream, batch_index), with three
 streams: point totals and labels, point attributes and the legitimate
 channel; numpy documents that distinct SFC64 seeds do not meet for at
-least 2^64 draws. On a given window a trial's draws are a pure function
-of (seed, trial_index), which is what makes sample_field reproduce
-exactly the field any run_*_trials call used, and makes runs of
+least 2^64 draws. On a given window a trial is a pure function of
+(seed, trial_index), which is what makes trial_outcomes reproduce
+exactly the trial any run_*_trials call tallied, and makes runs of
 different lengths agree on their common prefix of trials.
 
 The infinite plane is truncated to a disk: auto_window_radius picks the
@@ -100,13 +100,10 @@ from .model import (
 
 __all__ = [
     "TrialConfig",
-    "EavesdropperField",
     "TrialOutcome",
     "McEstimate",
     "TrialEstimates",
     "auto_window_radius",
-    "sample_field",
-    "strongest_received_power",
     "run_gz_trials",
     "run_an_trials",
     "run_trials",
@@ -145,11 +142,6 @@ _EXACT_BELOW = 10
 _CP_TAIL = 0.025
 
 
-def _check_seed(seed: int) -> None:
-    if not (0 <= seed < 2**64):
-        raise DomainError(f"seed must be an unsigned 64-bit value, got {seed}")
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """How many trials to run and how to randomize/truncate them.
@@ -166,7 +158,8 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.n_trials < 1:
             raise DomainError(f"n_trials must be at least 1, got {self.n_trials}")
-        _check_seed(self.seed)
+        if not (0 <= self.seed < 2**64):
+            raise DomainError(f"seed must be an unsigned 64-bit value, got {self.seed}")
         if self.window_radius is not None and not (
             self.window_radius > 0.0 and math.isfinite(self.window_radius)
         ):
@@ -175,26 +168,6 @@ class TrialConfig:
             )
         if not (0.0 < self.tail_prob < 1.0):
             raise DomainError(f"tail_prob must lie in (0, 1), got {self.tail_prob}")
-
-
-@dataclass(frozen=True, eq=False)
-class EavesdropperField:
-    """One realized snapshot: each eavesdropper's distance to the
-    transmitter and its power gain. The field is isotropic, so no
-    bearing is kept. Two fields are equal where both arrays are; a
-    field is not hashable."""
-
-    distances: np.ndarray  # shape (n,)
-    fading: np.ndarray  # shape (n,)
-
-    def __eq__(self, other):
-        # the generated __eq__ compares the arrays as a tuple, which
-        # raises on any field of two or more points
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return np.array_equal(self.distances, other.distances) and np.array_equal(
-            self.fading, other.fading
-        )
 
 
 @dataclass(frozen=True)
@@ -336,38 +309,6 @@ def _decode(radius: float, attrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.sqrt(radii, out=radii)
     radii *= radius
     return radii, _exponential(gains)
-
-
-def sample_field(
-    params: SystemParams, radius: float, trial_index: int, seed: int
-) -> EavesdropperField:
-    """The eavesdropper snapshot a given trial sees, its points' distances
-    and gains in the order drawn: bit-identical to the field run_gz_trials
-    and run_an_trials use for the same (seed, trial_index) and radius."""
-    if not (radius > 0.0) or not math.isfinite(radius):
-        raise DomainError(f"radius must be positive and finite, got {radius}")
-    if trial_index < 0:
-        raise DomainError(f"trial_index must be nonnegative, got {trial_index}")
-    _check_seed(seed)
-    batch, pos = divmod(trial_index, _TRIALS_PER_BATCH)
-    streams = _streams(seed, batch)
-    for piece in _slices(params, radius, pos + 1):
-        labels, attrs = _batch_points(params, radius, seed, batch, len(piece), streams)
-    # the trial is in the last slice, at its position there
-    distances, fading = _decode(radius, attrs[:, labels == pos - piece.start])
-    return EavesdropperField(distances=distances, fading=fading)
-
-
-def strongest_received_power(field: EavesdropperField, params: SystemParams) -> float:
-    """Largest fading-weighted path gain over the field, max g * r^-alpha.
-
-    This is the quantity the strongest eavesdropper receives per unit
-    transmit power; 0 for an empty field, and inf for a point at the
-    transmitter, the limit the simulation uses.
-    """
-    with np.errstate(over="ignore", divide="ignore"):
-        gains = field.fading * field.distances**-params.alpha
-    return float(np.max(gains, initial=0.0))
 
 
 def _binomial_cdf(k: int, n: int, p: float) -> float:
