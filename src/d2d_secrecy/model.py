@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateDesignError, DomainError, NumericalError
 from .specfun import (
@@ -129,8 +130,7 @@ class NoiseSplitDesign:
             raise DomainError(f"gamma must lie in [0, 1], got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class TechniqueMetrics:
+class TechniqueMetrics(NamedTuple):
     """Joint performance of one configured technique."""
 
     p_cov: float

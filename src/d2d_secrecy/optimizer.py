@@ -28,23 +28,28 @@ call then computes only p_cov_gz, p_cov_an, h and Gamma(a, h). Each
 technique's part is computed on first use, so where r_g* raises gamma*
 still answers.
 
-A second memo holds, for each technique on its own, the last optimum
-returned and the SystemParams object it was asked about, as one
-(params, optimum) pair. Its key is that object's identity: a frozen
-object always gets the same answer, an identity test is one pointer
-comparison where equality would compare nine fields, and the memo keeps
-the object alive, so its id cannot pass to another. So the selection
-function, which asks both optima for the params it is given, reuses the
-two its caller has just asked for at that point. A call that raises
-stores nothing.
+One point entry holds what has been answered for the last SystemParams
+object asked about: that object, its entry of the six-value memo, looked
+up once, and each optimum returned for it so far. Its key is the
+object's identity: a frozen object always gets the same answer, an
+identity test is one pointer comparison where equality would compare
+nine fields, and the entry keeps the object alive, so its id cannot pass
+to another. So the selection function, which asks both optima for the
+params it is given, reuses the two its caller has just asked for at that
+point, and a point costs one lookup of the six-value memo. A call that
+raises stores nothing, and a call works on the entry of its own object
+throughout, so it never reads an optimum of another.
+
+The result records are NamedTuples: immutable, hashable and cheap to
+build, which matters at a few microseconds a point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import (
     GuardZoneDesign,
@@ -86,8 +91,7 @@ class Technique(Enum):
     ARTIFICIAL_NOISE = "artificial-noise"
 
 
-@dataclass(frozen=True)
-class OptimalDesign:
+class OptimalDesign(NamedTuple):
     """One technique tuned to its secrecy-constrained optimum."""
 
     technique: Technique
@@ -96,8 +100,7 @@ class OptimalDesign:
     constraint_active: bool
 
 
-@dataclass(frozen=True)
-class SelectionVerdict:
+class SelectionVerdict(NamedTuple):
     """Outcome of comparing both optimized techniques at one distance;
     below the threshold every field but the two null optima is None."""
 
@@ -109,8 +112,7 @@ class SelectionVerdict:
     an_design: OptimalDesign
 
 
-@dataclass(frozen=True)
-class CriticalDistance:
+class CriticalDistance(NamedTuple):
     """Root of the selection function; None below the density threshold,
     where no technique is needed and the function has no root."""
 
@@ -205,20 +207,37 @@ def _secrecy_solution(
     )
 
 
-def _solution(params: SystemParams) -> _SecrecySolution:
-    return _secrecy_solution(
-        params.alpha,
-        params.p_t,
-        params.beta_e,
-        params.sigma2_s,
-        params.epsilon,
-        params.lambda_e,
-    )
+class _Point:
+    """What the optimizer has answered for one SystemParams object: the
+    object, its d-free solution, and each optimum once computed (None
+    until then)."""
+
+    __slots__ = ("params", "solution", "guard_zone", "power_split")
+
+    def __init__(self, params: SystemParams):
+        self.params = params
+        self.solution = _secrecy_solution(
+            params.alpha,
+            params.p_t,
+            params.beta_e,
+            params.sigma2_s,
+            params.epsilon,
+            params.lambda_e,
+        )
+        self.guard_zone: OptimalDesign | None = None
+        self.power_split: OptimalDesign | None = None
 
 
-# the last optimum of each technique, keyed "r_g" and "gamma", with the
-# params object it answers, as one (params, optimum) pair
-_last_optimum: dict[str, tuple[SystemParams, OptimalDesign]] = {}
+# the entry of the last SystemParams object asked about
+_last_point: _Point | None = None
+
+
+def _point(params: SystemParams) -> _Point:
+    global _last_point
+    point = _last_point
+    if point is None or point.params is not params:
+        point = _last_point = _Point(params)
+    return point
 
 
 def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
@@ -230,18 +249,18 @@ def optimal_guard_radius(params: SystemParams) -> OptimalDesign:
     rounding of lambda_e - lambda*, a few ulps of lambda*, limits any
     double-precision r_g* to about 1e-15 / margin. r_g* and p_sec_gz are
     memoised for the last secrecy parameter set, so a call computes only
-    p_cov_gz, and the optimum itself for the last params object, so a
-    repeat call on that very object returns the same optimum (see the
-    module docstring).
+    p_cov_gz. The optimum is kept in the point entry of the last params
+    object, so a repeat call on that very object returns the same optimum
+    (see the module docstring).
     """
-    held, optimum = _last_optimum.get("r_g", (None, None))
-    if held is params:
-        return optimum
-    solution = _solution(params)
-    design, p_sec = solution.guard_zone
-    metrics = TechniqueMetrics(p_cov=p_cov_gz(params, design), p_sec=p_sec)
-    optimum = OptimalDesign(Technique.GUARD_ZONE, design.r_g, metrics, solution.needed)
-    _last_optimum["r_g"] = (params, optimum)
+    point = _point(params)
+    optimum = point.guard_zone
+    if optimum is None:
+        solution = point.solution
+        design, p_sec = solution.guard_zone
+        metrics = TechniqueMetrics(p_cov_gz(params, design), p_sec)
+        optimum = OptimalDesign(Technique.GUARD_ZONE, design.r_g, metrics, solution.needed)
+        point.guard_zone = optimum
     return optimum
 
 
@@ -249,19 +268,20 @@ def optimal_power_split(params: SystemParams) -> OptimalDesign:
     """Largest signal fraction that still meets the secrecy target.
 
     gamma* is within 1e-14 * alpha relative of mpmath: the power alpha/2
-    in the closed form scales the rounding of its base. gamma*, p_sec_an
-    and the optimum are memoised like r_g* (see optimal_guard_radius).
+    in the closed form scales the rounding of its base. gamma* and
+    p_sec_an are memoised like r_g*, and the optimum sits in the same
+    point entry as the guard-zone one (see optimal_guard_radius).
     """
-    held, optimum = _last_optimum.get("gamma", (None, None))
-    if held is params:
-        return optimum
-    solution = _solution(params)
-    design, p_sec = solution.power_split
-    metrics = TechniqueMetrics(p_cov=p_cov_an(params, design), p_sec=p_sec)
-    optimum = OptimalDesign(
-        Technique.ARTIFICIAL_NOISE, design.gamma, metrics, solution.needed
-    )
-    _last_optimum["gamma"] = (params, optimum)
+    point = _point(params)
+    optimum = point.power_split
+    if optimum is None:
+        solution = point.solution
+        design, p_sec = solution.power_split
+        metrics = TechniqueMetrics(p_cov_an(params, design), p_sec)
+        optimum = OptimalDesign(
+            Technique.ARTIFICIAL_NOISE, design.gamma, metrics, solution.needed
+        )
+        point.power_split = optimum
     return optimum
 
 
@@ -303,22 +323,16 @@ def selection_function(params: SystemParams) -> SelectionVerdict:
     Both optima come from optimal_guard_radius and optimal_power_split,
     called on params itself: where the caller has just asked for them on
     this object, the verdict's gz_design and an_design are the very
-    optima it got, not recomputed (see the module docstring).
+    optima it got, read from its point entry, not recomputed; the target
+    comes from the same entry (see the module docstring).
     """
     gz = optimal_guard_radius(params)
     an = optimal_power_split(params)
     if not gz.constraint_active:
         return SelectionVerdict(None, None, None, None, gz, an)
-    f_value, h_value = _selection_f(params, an.parameter, _solution(params).target)
+    f_value, h_value = _selection_f(params, an.parameter, _point(params).solution.target)
     better = Technique.GUARD_ZONE if f_value > 0.0 else Technique.ARTIFICIAL_NOISE
-    return SelectionVerdict(
-        f_value=f_value,
-        h_value=h_value,
-        g_value=an.parameter,
-        better=better,
-        gz_design=gz,
-        an_design=an,
-    )
+    return SelectionVerdict(f_value, h_value, an.parameter, better, gz, an)
 
 
 def critical_distance(params: SystemParams) -> CriticalDistance:
@@ -339,10 +353,10 @@ def critical_distance(params: SystemParams) -> CriticalDistance:
     one being null selects the limit; below the threshold d_star is None.
     d* has the tolerance of r_g* (optimal_guard_radius) against mpmath.
     """
-    solution = _solution(params)
+    solution = _point(params).solution
     r_star = solution.guard_zone[0].r_g
     if not solution.needed:
-        return CriticalDistance(d_star=None)
+        return CriticalDistance(None)
     g = solution.power_split[0].gamma
     if r_star == 0.0 or g == 1.0:
         # at the threshold gamma* -> 1 and
@@ -355,7 +369,7 @@ def critical_distance(params: SystemParams) -> CriticalDistance:
         exponent_ratio = params.lambda_e * math.pi * (r_star * r_star) / (1.0 - g)
     d_alpha = exponent_ratio * params.p_t * g / (params.beta_t * params.sigma2_p)
     if 0.0 < d_alpha < math.inf:
-        return CriticalDistance(d_star=d_alpha ** (1.0 / params.alpha))
+        return CriticalDistance(d_alpha ** (1.0 / params.alpha))
     # d*^alpha leaves the float range where d* need not: ln d* is the sum
     # of the factors' logs, less the divisors', over alpha
     if g == 1.0:
@@ -364,4 +378,4 @@ def critical_distance(params: SystemParams) -> CriticalDistance:
         up, down = (params.lambda_e, math.pi, r_star, r_star), (1.0 - g,)
     logs = [math.log(x) for x in (*up, params.p_t, g)]
     logs += [-math.log(x) for x in (*down, params.beta_t, params.sigma2_p)]
-    return CriticalDistance(d_star=math.exp(math.fsum(logs) / params.alpha))
+    return CriticalDistance(math.exp(math.fsum(logs) / params.alpha))

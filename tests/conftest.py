@@ -6,10 +6,10 @@ pass/fail ledger is visible even though pytest captures test output.
 
 The optimizer memoises everything it computes that does not read d
 (the regime, r_g*, gamma*, their secrecy probabilities and the selection
-target) for the last secrecy parameter set, and each technique's last
-optimum for the last SystemParams object asked about; every test starts
-with both memos empty, so no result or solve count depends on which test
-ran before it.
+target) for the last secrecy parameter set, and holds one point entry
+with the optima returned for the last SystemParams object asked about;
+every test starts with the memo empty and no point entry, so no result
+or solve count depends on which test ran before it.
 
 A test that takes batch_draws sees every slice the engine draws, as
 (window radius, batch index, trial count), in the order drawn.
@@ -23,7 +23,7 @@ from d2d_secrecy import optimizer
 @pytest.fixture(autouse=True)
 def _cold_secrecy_memo():
     optimizer._secrecy_solution.cache_clear()
-    optimizer._last_optimum.clear()
+    optimizer._last_point = None
 
 
 @pytest.fixture

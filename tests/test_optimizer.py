@@ -11,7 +11,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from d2d_secrecy import optimizer
 from d2d_secrecy.errors import NumericalError
@@ -19,8 +19,11 @@ from d2d_secrecy.model import (
     GuardZoneDesign,
     NoiseSplitDesign,
     SystemParams,
+    p_active,
     p_cov_an,
     p_cov_gz,
+    p_sec_an,
+    p_sec_gz,
 )
 from d2d_secrecy.optimizer import (
     CriticalDistance,
@@ -31,6 +34,7 @@ from d2d_secrecy.optimizer import (
     optimal_power_split,
     selection_function,
 )
+from d2d_secrecy.specfun import complete_gamma
 import oracle
 from oracle import REFERENCE
 
@@ -192,7 +196,7 @@ def test_memo_never_changes_a_result(pair, distances):
 
     def cold_start():
         memo.cache_clear()
-        optimizer._last_optimum.clear()
+        optimizer._last_point = None
 
     cold = _results(pair, distances, cold_start)
     alternating = _results(pair, distances)
@@ -201,10 +205,16 @@ def test_memo_never_changes_a_result(pair, distances):
     assert cold == alternating == warm
 
 
+def _memo_lookups():
+    info = optimizer._secrecy_solution.cache_info()
+    return info.hits + info.misses
+
+
 def test_point_memo_computes_each_optimum_once(monkeypatch):
     # both optima, then the verdict, on one params object, as a planner
-    # asks at each point: each coverage term runs once, and the verdict
-    # carries the very optima returned before
+    # asks at each point: each coverage term runs once, the verdict
+    # carries the very optima returned before, and the point looks up its
+    # d-free solution once
     calls = []
     for name in ("p_cov_gz", "p_cov_an"):
         closed_form = getattr(optimizer, name)
@@ -215,17 +225,58 @@ def test_point_memo_computes_each_optimum_once(monkeypatch):
 
         monkeypatch.setattr(optimizer, name, counted)
     point = replace(REFERENCE, d=0.7)
+    lookups = _memo_lookups()
     gz = optimal_guard_radius(point)
     an = optimal_power_split(point)
     verdict = selection_function(point)
     assert sorted(calls) == ["p_cov_an", "p_cov_gz"]
     assert verdict.gz_design is gz
     assert verdict.an_design is an
+    assert _memo_lookups() == lookups + 1
     # an equal but distinct object computes again, to equal optima
     again = replace(point)
     assert optimal_guard_radius(again) == gz
     assert optimal_power_split(again) == an
     assert len(calls) == 4
+    assert _memo_lookups() == lookups + 2
+
+
+def test_point_memo_follows_the_object_asked_about():
+    # two points that differ in d and in a secrecy parameter, asked about
+    # in turn: every answer equals a cold call's on the same object
+    a = replace(REFERENCE, d=0.4)
+    b = replace(REFERENCE, d=1.1, lambda_e=0.2)
+    calls = [
+        (optimal_guard_radius, a),
+        (optimal_power_split, b),
+        (selection_function, a),
+        (optimal_guard_radius, b),
+    ]
+    warm = [function(params) for function, params in calls]
+    cold = []
+    for function, params in calls:
+        optimizer._secrecy_solution.cache_clear()
+        optimizer._last_point = None
+        cold.append(function(params))
+    assert warm == cold
+    assert warm[0] != warm[3]
+
+
+def test_result_records_are_immutable_tuples():
+    # each record from two equal but distinct params objects: equal
+    # tuples with equal hashes, whose fields cannot be set
+    records = []
+    for params in (replace(REFERENCE, d=0.7), replace(REFERENCE, d=0.7)):
+        verdict = selection_function(params)
+        records.append(
+            (verdict.gz_design.metrics, verdict.gz_design, verdict, critical_distance(params))
+        )
+    for record, twin in zip(*records):
+        assert isinstance(record, tuple)
+        assert record == twin and hash(record) == hash(twin)
+        assert record is not twin
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
 
 
 def test_point_memo_keeps_no_raise():
@@ -237,7 +288,7 @@ def test_point_memo_keeps_no_raise():
     for _ in range(2):
         with pytest.raises(NumericalError, match="underflows"):
             optimal_guard_radius(point)
-        assert "r_g" not in optimizer._last_optimum
+        assert optimizer._last_point.guard_zone is None
     an = optimal_power_split(point)
     assert an.constraint_active and 0.0 < an.parameter < 1.0
     assert optimal_power_split(point) is an
@@ -391,3 +442,58 @@ def test_critical_distance_at_threshold_is_the_limit(alpha, limit):
 def test_critical_distance_below_threshold_has_no_root():
     assert critical_distance(replace(REFERENCE, lambda_e=0.01)) == CriticalDistance(d_star=None)
     assert critical_distance(replace(REFERENCE, lambda_e=0.0)).d_star is None
+
+
+@st.composite
+def unit_changes(draw):
+    # a binding set at the reference link and noise, a design of each
+    # technique, and a change of length unit by c = 2^k: d and r_g times c,
+    # lambda_e over c^2 and p_t times c^alpha, the last one rounded
+    alpha = draw(st.floats(2.05, 32.0))
+    base = replace(REFERENCE, alpha=alpha, d=draw(st.floats(0.1, 2.0)))
+    margin = 10.0 ** draw(st.floats(-3.0, 1.0))
+    params = replace(base, lambda_e=lambda_threshold(base) * (1.0 + margin))
+    c = 2.0 ** draw(st.sampled_from([-2, -1, 1, 3]))
+    p_t = params.p_t * c**alpha
+    assume(0.0 < p_t < math.inf)
+    scaled = replace(params, d=params.d * c, lambda_e=params.lambda_e / (c * c), p_t=p_t)
+    r_g = draw(st.floats(0.0, 2.0))
+    gamma = draw(st.floats(0.01, 1.0))
+    return params, scaled, c, (r_g, r_g * c), gamma
+
+
+@seed(26)
+@settings(max_examples=200, deadline=None)
+@given(change=unit_changes())
+def test_a_change_of_length_unit_moves_no_answer(change):
+    # the model has no length scale of its own (Haenggi 2012, ch. 2: a PPP
+    # of density lambda scaled by c has density lambda / c^2), so each
+    # function is invariant, or scales with its unit, within twice its
+    # stated tolerance; the two sets are asked in turn, as a planner
+    # comparing them would
+    params, scaled, c, (r_g, r_g_scaled), gamma = change
+    probability = {"rel": 2e-10, "abs": 2e-12}
+    for form, design, design_scaled in (
+        (p_active, GuardZoneDesign(r_g), GuardZoneDesign(r_g_scaled)),
+        (p_cov_gz, GuardZoneDesign(r_g), GuardZoneDesign(r_g_scaled)),
+        (p_sec_gz, GuardZoneDesign(r_g), GuardZoneDesign(r_g_scaled)),
+        (p_cov_an, NoiseSplitDesign(gamma), NoiseSplitDesign(gamma)),
+        (p_sec_an, NoiseSplitDesign(gamma), NoiseSplitDesign(gamma)),
+    ):
+        assert form(scaled, design_scaled) == pytest.approx(form(params, design), **probability)
+    assert lambda_threshold(scaled) * c * c == pytest.approx(lambda_threshold(params), rel=2e-13)
+
+    gz, gz_scaled = optimal_guard_radius(params), optimal_guard_radius(scaled)
+    an, an_scaled = optimal_power_split(params), optimal_power_split(scaled)
+    verdict, verdict_scaled = selection_function(params), selection_function(scaled)
+    assert gz_scaled.parameter / c == pytest.approx(gz.parameter, rel=2e-9)
+    assert an_scaled.parameter == pytest.approx(an.parameter, rel=2e-14 * params.alpha)
+    for optimum, optimum_scaled in ((gz, gz_scaled), (an, an_scaled)):
+        assert optimum_scaled.metrics.p_cov == pytest.approx(optimum.metrics.p_cov, **probability)
+        assert optimum_scaled.metrics.p_sec == pytest.approx(optimum.metrics.p_sec, **probability)
+    f_tolerance = 2e-13 * complete_gamma(2.0 / params.alpha)
+    assert verdict_scaled.f_value == pytest.approx(verdict.f_value, rel=0.0, abs=f_tolerance)
+    if abs(verdict.f_value) > f_tolerance:
+        assert verdict_scaled.better is verdict.better
+    d_star = critical_distance(params).d_star
+    assert critical_distance(scaled).d_star / c == pytest.approx(d_star, rel=2e-9)
